@@ -1,13 +1,14 @@
 """Numeric kernels shared by the public measures, the search loop, and the scanner.
 
-Everything here operates on raw, already-validated amplitude arrays. The search
-hot loop and the public residual reports call the exact same functions in the
-exact same order, so the objective value driving an acceptance is bit-identical
-to the value stored in the trace.
+Everything here operates on raw, already-validated amplitude arrays. Every
+residual term goes through one batched kernel, `batched_terms`, whose rows do
+not depend on the batch size, so the objective value driving an acceptance is
+bit-identical to the value stored in the trace and to a later batch-of-one
+`residual_report`.
 """
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
@@ -51,38 +52,6 @@ def renyi_from_c_raw(c, alpha: float):
     return np.log1p(s) / ((1.0 - alpha) * LN2) + 0.0
 
 
-def renyi_from_c_scalar(c: float, alpha: float) -> float:
-    """Scalar twin of renyi_from_c_raw; plain math avoids ufunc overhead in the
-    search hot loop."""
-    if alpha == 2.0:
-        return -math.log2(1.0 - 0.5 * c * c) + 0.0
-    u = math.sqrt(max(0.0, 1.0 - c * c))
-    y = c * c / (2.0 * (1.0 + u))
-    x = 1.0 - y
-    if is_alpha_one(alpha):
-        hy = y * math.log2(y) if y > 0.0 else 0.0
-        return -(x * math.log2(x)) - hy + 0.0
-    s = x * math.expm1((alpha - 1.0) * math.log(x))
-    if y > 0.0:
-        s += y * math.expm1((alpha - 1.0) * math.log(y))
-    return math.log1p(s) / ((1.0 - alpha) * LN2) + 0.0
-
-
-def entropy_from_eigs_scalar(w, alpha: float) -> float:
-    """Scalar twin of entropy_from_eigs_raw for one small eigenvalue set."""
-    if is_alpha_one(alpha):
-        total = 0.0
-        for x in w:
-            if x > 0.0:
-                total -= x * math.log2(x)
-        return total + 0.0
-    s = 0.0
-    for x in w:
-        if x > 0.0:
-            s += x * math.expm1((alpha - 1.0) * math.log(x))
-    return math.log1p(s) / ((1.0 - alpha) * LN2) + 0.0
-
-
 def entropy_from_eigs_raw(w, alpha: float):
     """Renyi entropy in bits from eigenvalue rows (vectorized, assumes w >= 0)."""
     w = np.asarray(w, dtype=float)
@@ -100,9 +69,14 @@ def _pair_perm(i: int, j: int) -> tuple[int, ...]:
     return (i, j, rest[0], rest[1])
 
 
-def pair_block(amps: np.ndarray, i: int, j: int) -> np.ndarray:
-    """4x4 amplitude block with qubits (i, j) as the row index."""
-    return amps.reshape(2, 2, 2, 2).transpose(_pair_perm(i, j)).reshape(4, 4)
+@functools.lru_cache(maxsize=128)
+def _block_index(perms: tuple) -> np.ndarray:
+    """Flat gather index: row p of the result reads the 4x4 block of
+    amplitudes with qubits perms[p][:2] as the row index."""
+    flat = np.arange(16).reshape(2, 2, 2, 2)
+    index = np.stack([flat.transpose(perm).reshape(16) for perm in perms])
+    index.flags.writeable = False  # shared by every caller through the cache
+    return index
 
 
 def spin_flip_lambdas(block: np.ndarray) -> np.ndarray:
@@ -115,80 +89,68 @@ def spin_flip_lambdas(block: np.ndarray) -> np.ndarray:
     return np.linalg.svd(tau, compute_uv=False)
 
 
-def pair_term(amps: np.ndarray, i: int, j: int, alpha: float) -> float:
-    """Entanglement of the (i, j) reduction of a pure 4-qubit state, in bits."""
-    lam = spin_flip_lambdas(pair_block(amps, i, j))
-    c = lam[0] - lam[1] - lam[2] - lam[3]
-    if c <= 0.0:
-        return 0.0
-    return renyi_from_c_scalar(min(float(c), 1.0), alpha)
-
-
-def bipartite_term(amps: np.ndarray, a1: int, a2: int, b1: int, b2: int, alpha: float) -> float:
-    """Renyi entropy of the (a1, a2) reduction of a pure 4-qubit state, in bits."""
-    block = amps.reshape(2, 2, 2, 2).transpose(a1, a2, b1, b2).reshape(4, 4)
-    rho = block @ block.conj().T
+def _bipartite(states: np.ndarray, layout, alpha: float) -> np.ndarray:
+    """Renyi entropy of the (a1, a2) reduction for each row of (m, 16) amplitudes."""
+    blocks = states[:, _block_index((tuple(layout),))[0]].reshape(-1, 4, 4)
+    rho = np.matmul(blocks, blocks.conj().transpose(0, 2, 1))
     if alpha == 2.0:
-        return -math.log2(np.vdot(rho, rho).real) + 0.0
-    w = np.linalg.eigvalsh(rho)
-    return entropy_from_eigs_scalar((max(float(w[0]), 0.0), max(float(w[1]), 0.0), max(float(w[2]), 0.0), max(float(w[3]), 0.0)), alpha)
+        return -np.log2(np.sum(np.abs(rho) ** 2, axis=(1, 2)))
+    return entropy_from_eigs_raw(np.maximum(np.linalg.eigvalsh(rho), 0.0), alpha)
 
 
-def ss_value(amps: np.ndarray, layout, alpha: float) -> float:
-    a1, a2, b1, b2 = layout
-    eb = bipartite_term(amps, a1, a2, b1, b2, alpha)
-    return eb - pair_term(amps, a1, b1, alpha) - pair_term(amps, a2, b2, alpha)
+def _pair_terms(states: np.ndarray, pairs, alpha: float) -> np.ndarray:
+    """(m, k) entanglement of the k two-qubit reductions `pairs` of each row.
 
-
-def monogamy_value(amps: np.ndarray, layout, alpha: float) -> float:
-    a1, a2, b1, b2 = layout
-    return (
-        ss_value(amps, layout, alpha)
-        - pair_term(amps, a1, b2, alpha)
-        - pair_term(amps, a2, b1, alpha)
-    )
-
-
-def report_terms(amps: np.ndarray, layout, alpha: float) -> tuple[float, float, float, float, float]:
-    """(e_bipartite, e_a1b1, e_a2b2, e_a1b2, e_a2b1) for one 4-qubit state."""
-    a1, a2, b1, b2 = layout
-    eb = bipartite_term(amps, a1, a2, b1, b2, alpha)
-    return (
-        eb,
-        pair_term(amps, a1, b1, alpha),
-        pair_term(amps, a2, b2, alpha),
-        pair_term(amps, a1, b2, alpha),
-        pair_term(amps, a2, b1, alpha),
-    )
-
-
-# ---------------------------------------------------------------------------
-# batched evaluation (used by the Haar scanner and the verifiers)
-
-def _batched_pair_concurrence(blocks: np.ndarray) -> np.ndarray:
-    """Concurrence per row for (m, 4, 4) pure-state pair blocks."""
+    All m*k pair blocks go through one matmul and one 4x4 SVD call.
+    """
+    index = _block_index(tuple(_pair_perm(i, j) for i, j in pairs))
+    blocks = states[:, index].reshape(-1, 4, 4)
     tau = np.matmul(blocks.transpose(0, 2, 1), np.matmul(SPIN_FLIP, blocks))
     lam = np.linalg.svd(tau, compute_uv=False)  # descending per row
-    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    return renyi_from_c_raw(np.minimum(c, 1.0), alpha).reshape(-1, len(pairs))
+
+
+def batched_terms(states: np.ndarray, layout, alpha: float, k: int = 4):
+    """Bipartite term (m,) and the first k pair terms (m, k) of each row of
+    (m, 16) normalized amplitudes; the pairs are (a1b1, a2b2, a1b2, a2b1).
+
+    Every step loops per matrix or per element, so row r depends only on
+    states[r], never on m or k; the tests check this bit for bit.
+    """
+    a1, a2, b1, b2 = layout
+    pairs = ((a1, b1), (a2, b2), (a1, b2), (a2, b1))[:k]
+    return _bipartite(states, layout, alpha), _pair_terms(states, pairs, alpha)
 
 
 def batched_ss(states: np.ndarray, layout, alpha: float) -> np.ndarray:
     """ss residual for each row of (m, 16) normalized amplitudes."""
-    a1, a2, b1, b2 = layout
-    t = states.reshape(-1, 2, 2, 2, 2)
-    blocks = t.transpose(0, a1 + 1, a2 + 1, b1 + 1, b2 + 1).reshape(-1, 4, 4)
-    rho = np.matmul(blocks, blocks.conj().transpose(0, 2, 1))
-    if alpha == 2.0:
-        purity = np.sum(np.abs(rho) ** 2, axis=(1, 2))
-        e_bip = -np.log2(purity)
-    else:
-        w = np.maximum(np.linalg.eigvalsh(rho), 0.0)
-        e_bip = entropy_from_eigs_raw(w, alpha)
-    for i, j in ((a1, b1), (a2, b2)):
-        pb = t.transpose((0,) + tuple(q + 1 for q in _pair_perm(i, j))).reshape(-1, 4, 4)
-        c = _batched_pair_concurrence(pb)
-        e_bip = e_bip - renyi_from_c_raw(np.minimum(c, 1.0), alpha)
-    return e_bip
+    e_bip, pair = batched_terms(states, layout, alpha, 2)
+    return e_bip - pair[:, 0] - pair[:, 1]
+
+
+# Batch-of-one views over the kernels above. The package itself no longer
+# calls them; they stay because the benchmark's span tracer
+# (perfbench/run.py, make_tracer) wraps these names.
+
+def pair_block(amps: np.ndarray, i: int, j: int) -> np.ndarray:
+    return amps[_block_index((_pair_perm(i, j),))[0]].reshape(4, 4)
+
+
+def pair_term(amps: np.ndarray, i: int, j: int, alpha: float) -> float:
+    return float(_pair_terms(amps[None], ((i, j),), alpha)[0, 0])
+
+
+def bipartite_term(amps: np.ndarray, a1: int, a2: int, b1: int, b2: int, alpha: float) -> float:
+    return float(_bipartite(amps[None], (a1, a2, b1, b2), alpha)[0])
+
+
+def ss_value(amps: np.ndarray, layout, alpha: float) -> float:
+    return float(batched_ss(amps[None], layout, alpha)[0])
+
+
+def renyi_from_c_scalar(c: float, alpha: float) -> float:
+    return float(renyi_from_c_raw(c, alpha))
 
 
 def batched_ckw_r2(states: np.ndarray, n_qubits: int, focus: int = 0) -> np.ndarray:

@@ -25,6 +25,13 @@ def _emit(payload: dict) -> None:
     print(store.compact_json(payload))
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _default_workers() -> int:
     try:
         return max(1, int(os.environ.get("SSMONO_WORKERS", "1")))
@@ -59,7 +66,7 @@ def _cmd_scan(args) -> int:
 def _cmd_search(args) -> int:
     seed_state = None
     if args.seed_file:
-        seed_state, _ = store.load_state_document(args.seed_file)
+        seed_state, _, _ = store.load_state_document(args.seed_file)
     config = search.SearchConfig(
         alpha=args.alpha,
         objective=args.objective,
@@ -171,10 +178,10 @@ def _cmd_verify_sum(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    state, stored_alpha = store.load_state_document(args.file)
+    state, stored_alpha, layout = store.load_state_document(args.file)
     alpha = args.alpha if args.alpha is not None else (stored_alpha if stored_alpha else 2.0)
-    report = measures.residual_report(state, alpha=alpha)
-    fingerprint = store.run_fingerprint(state, measures.CANONICAL_LAYOUT, alpha)
+    report = measures.residual_report(state, layout, alpha)
+    fingerprint = store.run_fingerprint(state, layout, alpha)
     _emit(
         {
             "command": "analyze",
@@ -249,11 +256,11 @@ def _parser() -> argparse.ArgumentParser:
     checks = verify.add_subparsers(dest="check", required=True)
     mono = checks.add_parser("monogamy-r2", help="R2 monogamy residual on Haar states")
     mono.add_argument("--qubits", default="3..6", help="qubit range, e.g. 3..6")
-    mono.add_argument("--samples", type=int, default=10000)
+    mono.add_argument("--samples", type=_at_least_one, default=10000)
     mono.add_argument("--rng-seed", type=int, default=0)
     mono.set_defaults(handler=_cmd_verify_monogamy)
     sums = checks.add_parser("sum-inequality", help="pairwise-term sum inequality")
-    sums.add_argument("--samples", type=int, default=100000)
+    sums.add_argument("--samples", type=_at_least_one, default=100000)
     sums.add_argument("--rng-seed", type=int, default=0)
     sums.set_defaults(handler=_cmd_verify_sum)
 

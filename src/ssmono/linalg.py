@@ -33,7 +33,7 @@ def as_state(amplitudes) -> np.ndarray:
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
     n_qubits_of(psi)
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN and infinite amplitudes
         raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
     return psi
 

@@ -12,6 +12,8 @@ from . import _kernels, linalg
 
 # residuals below this are genuine violations rather than roundoff
 VIOLATION_THRESHOLD = -1e-7
+# rows per kernel call in residual_reports: its working memory is about 3 KB a row
+REPORT_CHUNK = 64
 
 
 def normalize_alpha(alpha) -> float:
@@ -92,7 +94,7 @@ def renyi_from_concurrence(c, alpha) -> float:
     cf = float(c)
     if cf < -1e-12 or cf > 1.0 + 1e-12:
         raise ValueError(f"concurrence must lie in [0, 1], got {c}")
-    return _kernels.renyi_from_c_scalar(min(1.0, max(0.0, cf)), a)
+    return float(_kernels.renyi_from_c_raw(min(1.0, max(0.0, cf)), a))
 
 
 def pair_entanglement(psi, i: int, j: int, alpha) -> float:
@@ -118,40 +120,29 @@ def bipartite_pure_entanglement(psi, partition_a, alpha) -> float:
 
 
 def residual_report(psi, layout: PairingLayout = CANONICAL_LAYOUT, alpha=2.0) -> ResidualReport:
-    """Evaluate every term of the SS and second-order-monogamy inequalities."""
+    """Evaluate every term of the SS and second-order-monogamy inequalities;
+    a negative ss_residual or monogamy_residual certifies a violation."""
     a = normalize_alpha(alpha)
     state = linalg.as_state(psi)
     if linalg.n_qubits_of(state) != 4:
         raise ValueError("residuals are defined for 4-qubit states")
-    eb, p11, p22, p12, p21 = _kernels.report_terms(state, layout.as_tuple(), a)
-    ss = eb - p11 - p22
-    mono = ss - p12 - p21
-    return ResidualReport(
-        alpha=a,
-        e_bipartite=eb,
-        e_a1b1=p11,
-        e_a2b2=p22,
-        e_a1b2=p12,
-        e_a2b1=p21,
-        ss_residual=ss,
-        monogamy_residual=mono,
-    )
+    return residual_reports(state[None], layout, a)[0]
 
 
-def ss_residual(psi, layout: PairingLayout = CANONICAL_LAYOUT, alpha=2.0) -> ResidualReport:
-    """Strong-superadditivity residual E(a1a2|b1b2) - E(a1b1) - E(a2b2).
+def residual_reports(states: np.ndarray, layout: PairingLayout, alpha: float) -> list:
+    """One ResidualReport per row of (m, 16) normalized amplitudes.
 
-    Negative ss_residual certifies an SS violation. Returns the full report.
+    The batched form of residual_report: row r gives the same bits as a
+    residual_report of states[r]. alpha must already be normalized.
     """
-    return residual_report(psi, layout, alpha)
-
-
-def monogamy2_residual(psi, layout: PairingLayout = CANONICAL_LAYOUT, alpha=2.0) -> ResidualReport:
-    """Second-order monogamy residual: the bipartite term minus all four pair terms.
-
-    Negative monogamy_residual certifies a violation. Returns the full report.
-    """
-    return residual_report(psi, layout, alpha)
+    reports = []
+    for lo in range(0, states.shape[0], REPORT_CHUNK):
+        eb, pair = _kernels.batched_terms(states[lo : lo + REPORT_CHUNK], layout.as_tuple(), alpha)
+        ss = eb - pair[:, 0] - pair[:, 1]
+        mono = ss - pair[:, 2] - pair[:, 3]
+        rows = np.column_stack([eb, pair, ss, mono]).tolist()
+        reports += [ResidualReport(alpha, *row) for row in rows]
+    return reports
 
 
 def ckw_r2_residual(psi, focus: int = 0) -> float:

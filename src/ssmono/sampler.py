@@ -44,6 +44,23 @@ def haar_random_state(n_qubits: int, gen: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
+def unit_noise(gen: np.random.Generator, m: int, dim: int = 16) -> np.ndarray:
+    """m Haar-random unit vectors of length dim, shape (m, dim).
+
+    Row r takes dim real normals and then dim imaginary ones, so a block of m
+    rows consumes the stream exactly like m one-row draws in sequence.
+    """
+    g = gen.standard_normal((m, 2, dim))
+    z = g[:, 0] + 1j * g[:, 1]
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def displace(seed_state: np.ndarray, delta: float, z: np.ndarray) -> np.ndarray:
+    """normalize(seed + delta*z) along the last axis; z holds unit vectors."""
+    candidate = seed_state + delta * z
+    return candidate / np.linalg.norm(candidate, axis=-1, keepdims=True)
+
+
 def perturb_within(seed_state: np.ndarray, delta: float, gen: np.random.Generator) -> np.ndarray:
     """Isotropic random state within trace distance delta of seed_state.
 
@@ -53,10 +70,6 @@ def perturb_within(seed_state: np.ndarray, delta: float, gen: np.random.Generato
     exploring aggressively at every delta level; without them the minimizer
     strands on narrow valley floors well above the attainable minimum.
     """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    dim = seed_state.shape[0]
-    z = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
-    z /= np.linalg.norm(z)
-    candidate = seed_state + delta * z
-    return candidate / np.linalg.norm(candidate)
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
+    return displace(seed_state, delta, unit_noise(gen, 1, seed_state.shape[0]))[0]

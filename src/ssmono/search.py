@@ -1,9 +1,10 @@
 """Monte Carlo residual minimization, region walks, Haar scans, alpha continuation."""
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -12,6 +13,14 @@ from . import _kernels, linalg, measures, sampler
 OBJECTIVES = ("ss", "monogamy2")
 # fixed partition size so scan results never depend on the worker count
 SCAN_CHUNK = 4096
+# proposals scored per kernel call in the descent and the walk
+BLOCK_MIN, BLOCK_MAX = 8, 64
+
+
+def _check_deltas(**deltas) -> None:
+    for name, value in deltas.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,8 +39,7 @@ class SearchConfig:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         # delta0 below delta_min is legal: the run evaluates its seed and stops
-        if not (self.delta0 > 0.0 and self.delta_min > 0.0):
-            raise ValueError("delta0 and delta_min must both be positive")
+        _check_deltas(delta0=self.delta0, delta_min=self.delta_min)
         if self.counter_max < 1:
             raise ValueError(f"counter_max must be >= 1, got {self.counter_max}")
         if self.seed_state is not None:
@@ -77,74 +85,95 @@ class ContinuationSchedule:
             raise ValueError(f"every schedule alpha must exceed 1, got {alphas}")
         if any(x <= y for x, y in zip(alphas, alphas[1:])):
             raise ValueError(f"schedule alphas must be strictly decreasing, got {alphas}")
-        if not (self.delta0 > 0.0 and self.delta_min > 0.0):
-            raise ValueError("delta0 and delta_min must both be positive")
+        _check_deltas(delta0=self.delta0, delta_min=self.delta_min)
         object.__setattr__(self, "alphas", alphas)
 
 
-def _objective(name: str):
-    return _kernels.ss_value if name == "ss" else _kernels.monogamy_value
+def _block_size(events: int, trials: int, cap: int) -> int:
+    """Proposals per kernel call. An event (an accept in the descent, a
+    rejection in the walk) wastes the rest of its block; with a call's fixed
+    cost worth about five rows, the cost per consumed proposal is least near
+    B = sqrt(2*5/p) = 3.2/sqrt(p), p the run's own event rate so far."""
+    p = (events + 1) / (trials + 1)
+    return min(cap, BLOCK_MAX, max(BLOCK_MIN, round(3.2 / math.sqrt(p))))
 
 
-def _trace_entry(step, delta, state, layout, alpha, since, value, objective) -> TraceEntry:
-    # the minimized objective keeps its accepted value bit-for-bit; only the
-    # complementary residual is computed fresh
-    if objective == "ss":
-        ss = value
-        mono = (
-            value
-            - _kernels.pair_term(state, layout[0], layout[3], alpha)
-            - _kernels.pair_term(state, layout[1], layout[2], alpha)
-        )
-    else:
-        mono = value
-        ss = _kernels.ss_value(state, layout, alpha)
-    return TraceEntry(step, delta, state, ss, mono, since)
+def _objective_values(states: np.ndarray, layout, alpha: float, k: int) -> np.ndarray:
+    e_bip, pair = _kernels.batched_terms(states, layout, alpha, k)
+    value = e_bip - pair[:, 0] - pair[:, 1]
+    return value if k == 2 else value - pair[:, 2] - pair[:, 3]
 
 
 def minimize_residual(config: SearchConfig) -> RunRecord:
     """Stochastic descent: candidates within trace distance delta of the seed,
     strict improvements accepted, delta halved after counter_max consecutive
-    rejections, termination once delta drops below delta_min."""
+    rejections, termination once delta drops below delta_min.
+
+    Proposals are scored in blocks. When candidate j of a block improves, the
+    generator is rewound to the block's start and j + 1 proposals are drawn
+    again, so the record equals that of a one-candidate-at-a-time loop. Blocks
+    never run past counter_max, so delta only halves at a block boundary.
+    """
     gen = sampler.generator(config.rng)
     layout = config.layout.as_tuple()
     alpha = config.alpha
-    objective = _objective(config.objective)
+    k = 2 if config.objective == "ss" else 4  # pair terms the objective needs
     current = (
         config.seed_state if config.seed_state is not None else sampler.haar_random_state(4, gen)
     )
-    best = objective(current, layout, alpha)
-    trace = [_trace_entry(0, config.delta0, current, layout, alpha, 0, best, config.objective)]
+    best = _objective_values(current[None], layout, alpha, k)[0]
+    accepted = [(0, config.delta0, current, best, 0)]  # step, delta, state, value, since
     delta = config.delta0
     counter = 0
     step = 0
-    since_accept = 0
     while delta >= config.delta_min:
-        step += 1
-        since_accept += 1
-        candidate = sampler.perturb_within(current, delta, gen)
-        value = objective(candidate, layout, alpha)
-        if value < best:
-            current = candidate
-            best = value
-            trace.append(
-                _trace_entry(step, delta, candidate, layout, alpha, since_accept, value, config.objective)
-            )
-            since_accept = 0
-            counter = 0
-        else:
-            counter += 1
+        size = _block_size(len(accepted) - 1, step, config.counter_max - counter)
+        saved = gen.bit_generator.state
+        candidates = sampler.displace(current, delta, sampler.unit_noise(gen, size))
+        values = _objective_values(candidates, layout, alpha, k)
+        better = np.flatnonzero(values < best)
+        if better.size == 0:
+            step += size
+            counter += size
             if counter >= config.counter_max:
                 delta *= 0.5
                 counter = 0
+            continue
+        j = int(better[0])
+        gen.bit_generator.state = saved
+        sampler.unit_noise(gen, j + 1)  # consume only the proposals up to the accept
+        step += j + 1
+        current = candidates[j].copy()  # a row view would pin the whole block
+        best = values[j]
+        accepted.append((step, delta, current, best, step - accepted[-1][0]))
+        counter = 0
+    # the complementary residual of every accepted state, in one batched pass;
+    # the minimized objective keeps its accepted value bit-for-bit
+    reports = measures.residual_reports(np.array([row[2] for row in accepted]), config.layout, alpha)
+    trace = []
+    for (at, at_delta, state, value, since), report in zip(accepted, reports):
+        if config.objective == "ss":
+            ss, mono = float(value), float(value) - report.e_a1b2 - report.e_a2b1
+        else:
+            ss, mono = report.ss_residual, float(value)
+        trace.append(TraceEntry(at, at_delta, state, ss, mono, since))
     return RunRecord(
         config=config,
         trace=tuple(trace),
         final_state=current,
-        final_residuals=measures.residual_report(current, config.layout, alpha),
+        final_residuals=reports[-1],
         total_states_generated=step,
         final_delta=delta,
     )
+
+
+def _walk_chain(start: np.ndarray, delta: float, z: np.ndarray) -> np.ndarray:
+    """States visited if every step of z is accepted."""
+    chain = np.empty_like(z)
+    state = start
+    for r in range(z.shape[0]):
+        state = chain[r] = sampler.displace(state, delta, z[r])
+    return chain
 
 
 def random_walk_region(
@@ -160,25 +189,40 @@ def random_walk_region(
     Proposes `steps` candidates; a candidate is visited (moved to and reported)
     only if its ss residual stays below the violation threshold. The start
     state's report always comes first.
+
+    Each step draws one proposal whatever the outcome, so the chain of a block
+    of draws is built as if every step were accepted and scored in one call;
+    the prefix before the first rejection is kept, and the walk carries on
+    from the step after it.
     """
     a = measures.normalize_alpha(alpha)
     state = linalg.as_state(start)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    _check_deltas(delta=delta)
     report = measures.residual_report(state, layout, a)
     if report.ss_residual >= measures.VIOLATION_THRESHOLD:
         raise ValueError(
             f"start state is not in the violation region (ss residual {report.ss_residual})"
         )
-    lt = layout.as_tuple()
     gen = sampler.generator(rng)
     reports = [report]
     current = state
-    for _ in range(steps):
-        candidate = sampler.perturb_within(current, delta, gen)
-        if _kernels.ss_value(candidate, lt, a) < measures.VIOLATION_THRESHOLD:
-            current = candidate
-            reports.append(measures.residual_report(candidate, layout, a))
+    done = rejected = 0
+    while done < steps:
+        z = sampler.unit_noise(gen, _block_size(rejected, done, steps - done))
+        r = 0
+        while r < z.shape[0]:
+            chain = _walk_chain(current, delta, z[r:])
+            block = measures.residual_reports(chain, layout, a)
+            inside = [rep.ss_residual < measures.VIOLATION_THRESHOLD for rep in block]
+            kept = (inside + [False]).index(False)
+            reports += block[:kept]
+            if kept:
+                current = chain[kept - 1]
+            rejected += kept < len(block)
+            r += kept + 1
+        done += z.shape[0]
     return reports
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -54,55 +54,40 @@ def format_float(x, sig: int = 17) -> str:
     return text
 
 
-def _render(value, indent: int, sig: int):
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_render(v, indent + 1, sig)}" for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        items = list(value)
+def _render(value, sig: int, indent: int | None = None) -> str:
+    """JSON text with floats at `sig` significant digits. With an indent,
+    objects and lists of non-scalars span lines; without one, all is one line."""
+    if isinstance(value, (dict, list, tuple)):
+        if isinstance(value, dict):
+            brackets, items = "{}", [(f"{json.dumps(str(k))}: ", v) for k, v in value.items()]
+        else:
+            brackets, items = "[]", [("", v) for v in value]
         if not items:
-            return "[]"
-        if all(isinstance(v, (int, float, bool, str, type(None))) for v in items):
-            return "[" + ", ".join(_render(v, 0, sig) for v in items) + "]"
-        inner = ",\n".join(f"{pad}  {_render(v, indent + 1, sig)}" for v in items)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(value, bool) or value is None:
+            return brackets
+        flat = not isinstance(value, dict) and all(
+            isinstance(v, (int, float, bool, str, type(None))) for v in value
+        )
+        if indent is None or flat:
+            return brackets[0] + ", ".join(key + _render(v, sig) for key, v in items) + brackets[1]
+        pad = "  " * (indent + 1)
+        inner = ",\n".join(pad + key + _render(v, sig, indent + 1) for key, v in items)
+        return brackets[0] + "\n" + inner + "\n" + "  " * indent + brackets[1]
+    if isinstance(value, (bool, str)) or value is None:
         return json.dumps(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format_float(value, sig)
-    if isinstance(value, str):
-        return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def canonical_json(doc: dict) -> str:
-    return _render(doc, 0, 17) + "\n"
+    return _render(doc, 17, indent=0) + "\n"
 
 
 def compact_json(doc: dict, sig: int = 10) -> str:
     """Single-line rendering with floats at `sig` significant digits."""
-
-    def render(value):
-        if isinstance(value, dict):
-            return "{" + ", ".join(f"{json.dumps(str(k))}: {render(v)}" for k, v in value.items()) + "}"
-        if isinstance(value, (list, tuple)):
-            return "[" + ", ".join(render(v) for v in value) + "]"
-        if isinstance(value, bool) or value is None:
-            return json.dumps(value)
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        if isinstance(value, (float, np.floating)):
-            return format_float(value, sig)
-        return json.dumps(value)
-
-    return render(doc)
+    return _render(doc, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -113,25 +98,34 @@ def _state_doc(amps: np.ndarray) -> list:
 
 
 def _state_from_doc(pairs, what: str) -> np.ndarray:
+    """A 4-qubit state stored as [re, im] pairs, with its norm checked."""
     try:
         arr = np.asarray(pairs, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ArchiveError(f"malformed {what}: {exc}") from None
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ArchiveError(f"malformed {what}: expected a list of [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    if arr.shape != (16, 2):
+        raise ArchiveError(f"malformed {what}: expected 16 [re, im] pairs")
+    state = arr[:, 0] + 1j * arr[:, 1]
+    norm = float(np.linalg.norm(state))
+    if not abs(norm - 1.0) <= LOAD_NORM_TOL:
+        raise ArchiveError(f"{what} norm {norm} deviates from 1 beyond {LOAD_NORM_TOL}")
+    return state
+
+
+def _check_residuals(what: str, stored, fresh, names) -> None:
+    for name in names:
+        kept, again = getattr(stored, name), getattr(fresh, name)
+        if not abs(kept - again) <= LOAD_RESIDUAL_TOL:
+            raise ArchiveError(
+                f"stored {what} {name} {kept} disagrees with re-evaluation {again} beyond {LOAD_RESIDUAL_TOL}"
+            )
 
 
 def _config_doc(config: search.SearchConfig) -> dict:
     return {
         "alpha": config.alpha,
         "objective": config.objective,
-        "layout": {
-            "a1": config.layout.a1,
-            "a2": config.layout.a2,
-            "b1": config.layout.b1,
-            "b2": config.layout.b2,
-        },
+        "layout": asdict(config.layout),
         "delta0": config.delta0,
         "counter_max": config.counter_max,
         "delta_min": config.delta_min,
@@ -141,12 +135,11 @@ def _config_doc(config: search.SearchConfig) -> dict:
 
 
 def _config_from_doc(doc: dict) -> search.SearchConfig:
-    layout = doc["layout"]
     seed_state = doc.get("seed_state")
     return search.SearchConfig(
         alpha=doc["alpha"],
         objective=doc["objective"],
-        layout=measures.PairingLayout(layout["a1"], layout["a2"], layout["b1"], layout["b2"]),
+        layout=measures.PairingLayout(**doc["layout"]),
         delta0=doc["delta0"],
         counter_max=doc["counter_max"],
         delta_min=doc["delta_min"],
@@ -164,7 +157,7 @@ def _report_from_doc(doc: dict) -> measures.ResidualReport:
 
 
 def _layout_pairs(layout: measures.PairingLayout):
-    roles = {"a1": layout.a1, "a2": layout.a2, "b1": layout.b1, "b2": layout.b2}
+    roles = asdict(layout)
     for name in _PAIR_ROLE_NAMES:
         yield name, roles[name[:2]], roles[name[2:]]
 
@@ -226,7 +219,8 @@ def save_run(archive: RunArchive, destination) -> None:
 
 
 def load_run(source) -> RunArchive:
-    """Parse and validate an archive: version, state norm, residual re-evaluation."""
+    """Parse and validate an archive: version, required fields, the norm of
+    every state, and a re-evaluation of every stored residual."""
     text = Path(source).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
@@ -243,34 +237,28 @@ def load_run(source) -> RunArchive:
             search.TraceEntry(
                 step=int(row["step"]),
                 delta=float(row["delta"]),
-                state=_state_from_doc(row["state"], "trace state"),
+                state=_state_from_doc(row["state"], f"trace row {n} state"),
                 ss_residual=float(row["ss_residual"]),
                 monogamy_residual=float(row["monogamy_residual"]),
                 states_since_accept=int(row["states_since_accept"]),
             )
-            for row in doc["trace"]
+            for n, row in enumerate(doc["trace"])
         )
         final_state = _state_from_doc(doc["final_state"], "final_state")
         final_residuals = _report_from_doc(doc["final_residuals"])
         fingerprint = doc["fingerprint"]
         created_at = doc["created_at"]
-        total = int(doc.get("total_states_generated", 0))
-        final_delta = float(doc.get("final_delta", 0.0))
+        total = int(doc["total_states_generated"])
+        final_delta = float(doc["final_delta"])
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ArchiveError):
             raise
         raise ArchiveError(f"malformed archive document: {exc!r}") from None
-    norm = float(np.linalg.norm(final_state))
-    if abs(norm - 1.0) > LOAD_NORM_TOL:
-        raise ArchiveError(f"final_state norm {norm} deviates from 1 beyond {LOAD_NORM_TOL}")
-    reeval = measures.residual_report(final_state, config.layout, config.alpha)
-    for name in _REPORT_FIELDS:
-        stored = getattr(final_residuals, name)
-        fresh = getattr(reeval, name)
-        if abs(stored - fresh) > LOAD_RESIDUAL_TOL:
-            raise ArchiveError(
-                f"stored {name} {stored} disagrees with re-evaluation {fresh} beyond {LOAD_RESIDUAL_TOL}"
-            )
+    states = np.array([entry.state for entry in trace] + [final_state])
+    fresh = measures.residual_reports(states, config.layout, config.alpha)
+    _check_residuals("final_residuals", final_residuals, fresh[-1], _REPORT_FIELDS)
+    for n, (entry, report) in enumerate(zip(trace, fresh)):
+        _check_residuals(f"trace row {n}", entry, report, ("ss_residual", "monogamy_residual"))
     record = search.RunRecord(
         config=config,
         trace=trace,
@@ -295,12 +283,7 @@ def save_scan(summary: search.ScanSummary, destination, created_at: str | None =
         "config": {
             "n_states": summary.n_states,
             "alpha": summary.alpha,
-            "layout": {
-                "a1": summary.layout.a1,
-                "a2": summary.layout.a2,
-                "b1": summary.layout.b1,
-                "b2": summary.layout.b2,
-            },
+            "layout": asdict(summary.layout),
             "rng": {"seed": summary.rng.seed, "stream_id": summary.rng.stream_id},
         },
         "violations": summary.violations,
@@ -311,17 +294,18 @@ def save_scan(summary: search.ScanSummary, destination, created_at: str | None =
     Path(destination).write_text(canonical_json(doc), encoding="utf-8")
 
 
-def load_state_document(source) -> tuple[np.ndarray, float | None]:
-    """State plus (optionally) its alpha from either a run archive or a bare
-    {"state": [[re, im], ...]} document."""
+def load_state_document(source) -> tuple[np.ndarray, float | None, measures.PairingLayout]:
+    """State, its alpha and its pairing layout from either a run archive or a
+    bare {"state": [[re, im], ...]} document; a bare document has no alpha
+    (None) and the canonical layout."""
     path = Path(source)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ArchiveError(f"malformed state document: {exc}") from None
     if isinstance(doc, dict) and "final_state" in doc:
-        archive = load_run(path)
-        return archive.record.final_state, archive.record.config.alpha
+        record = load_run(path).record
+        return record.final_state, record.config.alpha, record.config.layout
     if isinstance(doc, dict) and "state" in doc:
-        return _state_from_doc(doc["state"], "state"), None
+        return _state_from_doc(doc["state"], "state"), None, measures.CANONICAL_LAYOUT
     raise ArchiveError("state document needs either a run archive or a top-level 'state' key")

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import bell_product
 
-from ssmono import cli, sampler, store
+from ssmono import cli, measures, sampler, search, store
 
 
 def run_cli(argv, capsys):
@@ -246,6 +246,43 @@ def test_trace_csv_export(tmp_path, capsys):
     assert first[0] == "0"
     assert float(first[1]) == 0.5
     assert first[4] == "0"
+
+
+def test_search_rejects_non_finite_delta(capsys):
+    # used to run on and die inside the SVD with "SVD did not converge"
+    code, out, err = run_cli(["search", "--delta0", "inf", "--delta-min", "1e-2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: delta0 must be finite")
+
+
+@pytest.mark.parametrize("check", ["monogamy-r2", "sum-inequality"])
+def test_verify_rejects_zero_samples(check, capsys):
+    # used to fail with "cannot reshape array of size 0" and
+    # "cannot serialize non-finite float inf"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", check, "--samples", "0"])
+    assert exc.value.code == 2
+    assert "argument --samples: must be >= 1" in capsys.readouterr().err
+
+
+def test_analyze_archive_uses_stored_layout(tmp_path, capsys):
+    layout = measures.PairingLayout(0, 2, 1, 3)
+    record = search.minimize_residual(search.SearchConfig(layout=layout, rng=sampler.RngSeed(3)))
+    run_path = tmp_path / "run.json"
+    archive = store.make_archive(record)
+    store.save_run(archive, run_path)
+    code, out, _ = run_cli(["analyze", str(run_path)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    # the canonical layout gives about +0.00888 for this state
+    assert record.final_residuals.ss_residual == pytest.approx(-0.01977, abs=1e-5)
+    assert doc["ss_residual"] == pytest.approx(record.final_residuals.ss_residual, rel=1e-9)
+    assert doc["monogamy_residual"] == pytest.approx(
+        record.final_residuals.monogamy_residual, rel=1e-9
+    )
+    assert doc["pair_entanglements"] == pytest.approx(archive.fingerprint["pair_entanglements"], rel=1e-9)
+    assert doc["spectrum_a1a2"] == pytest.approx(archive.fingerprint["spectrum_a1a2"], rel=1e-9)
 
 
 def test_usage_errors_exit_two(capsys):

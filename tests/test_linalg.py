@@ -31,6 +31,14 @@ def test_as_state_rejects_unnormalized():
         linalg.as_state([1.0, 1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_as_state_rejects_non_finite_amplitudes(bad):
+    # a NaN norm compares false against the tolerance; it must still fail here
+    # and not later inside the batched SVD
+    with pytest.raises(ValueError, match="norm"):
+        linalg.as_state([bad, 0.0, 0.0, 0.0])
+
+
 def test_as_state_norm_tolerance_boundary():
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0 + 5e-13

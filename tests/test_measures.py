@@ -7,7 +7,7 @@ import pytest
 
 from conftest import bell_pair, bell_product, ghz_state, random_density, random_state, w_state
 
-from ssmono import linalg, measures
+from ssmono import _kernels, linalg, measures
 
 SPIN_FLIP = np.array(
     [
@@ -295,13 +295,29 @@ def test_residual_report_needs_four_qubits():
         measures.residual_report(bell_pair())
 
 
-def test_residual_wrappers_return_full_reports():
+def test_residual_report_defaults_give_the_full_report():
     psi = bell_product()
-    ss = measures.ss_residual(psi)
-    mono = measures.monogamy2_residual(psi)
-    assert isinstance(ss, measures.ResidualReport)
-    assert isinstance(mono, measures.ResidualReport)
-    assert ss == mono  # same evaluation, both views of it
+    report = measures.residual_report(psi)
+    assert isinstance(report, measures.ResidualReport)
+    assert report == measures.residual_report(psi, measures.CANONICAL_LAYOUT, 2.0)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_batched_rows_do_not_depend_on_batch_size(alpha):
+    # the descent scores blocks of candidates and the trace stores their
+    # values, so row r of any batch must carry the bits of a batch of one
+    rng = np.random.default_rng(134)
+    states = np.stack([random_state(rng, 4) for _ in range(70)])
+    layout = measures.PairingLayout(0, 2, 1, 3)
+    batch = measures.residual_reports(states, layout, alpha)
+    ss = _kernels.batched_ss(states, layout.as_tuple(), alpha)
+    for m in (1, 2, 7, 64):
+        for r, report in enumerate(measures.residual_reports(states[5 : 5 + m], layout, alpha)):
+            assert report == batch[5 + r]
+    for r in (0, 1, 33, 69):
+        single = measures.residual_report(states[r], layout, alpha)
+        assert single == batch[r]
+        assert ss[r] == single.ss_residual
 
 
 def test_ckw_r2_residual_w3_oracle():

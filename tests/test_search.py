@@ -17,6 +17,60 @@ def violating_record():
     return rec
 
 
+def sequential_descent(config):
+    """One candidate per draw, each scored by residual_report: the loop the
+    block-speculative descent must reproduce bit for bit."""
+    gen = sampler.generator(config.rng)
+    field = "ss_residual" if config.objective == "ss" else "monogamy_residual"
+
+    def value(state):
+        return getattr(measures.residual_report(state, config.layout, config.alpha), field)
+
+    current = sampler.haar_random_state(4, gen) if config.seed_state is None else config.seed_state
+    best = value(current)
+    rows = [(0, config.delta0, current, 0)]
+    delta, counter, step, since = config.delta0, 0, 0, 0
+    while delta >= config.delta_min:
+        step += 1
+        since += 1
+        candidate = sampler.perturb_within(current, delta, gen)
+        candidate_value = value(candidate)
+        if candidate_value < best:
+            current, best = candidate, candidate_value
+            rows.append((step, delta, candidate, since))
+            since = counter = 0
+        else:
+            counter += 1
+            if counter >= config.counter_max:
+                delta *= 0.5
+                counter = 0
+    return rows, step, delta
+
+
+@pytest.mark.parametrize("objective, alpha", [("ss", 2.0), ("monogamy2", 1.5)])
+def test_block_descent_matches_sequential_reference(objective, alpha):
+    # counter_max = 50 is below the largest block and no multiple of it, so
+    # blocks get cut at the counter; delta halves six times from 0.5 to 1e-2
+    cfg = search.SearchConfig(
+        alpha=alpha, objective=objective, counter_max=50, delta0=0.5, delta_min=1e-2,
+        rng=sampler.RngSeed(21),
+    )
+    rec = search.minimize_residual(cfg)
+    rows, steps, final_delta = sequential_descent(cfg)
+    assert len(rows) > 10
+    assert rec.total_states_generated == steps
+    assert rec.final_delta == final_delta == 0.5 * 0.5**6
+    assert len(rec.trace) == len(rows)
+    for entry, (step, delta, state, since) in zip(rec.trace, rows):
+        assert (entry.step, entry.delta, entry.states_since_accept) == (step, delta, since)
+        assert entry.state.tobytes() == state.tobytes()
+        report = measures.residual_report(state, cfg.layout, cfg.alpha)
+        assert (entry.ss_residual, entry.monogamy_residual) == (
+            report.ss_residual, report.monogamy_residual
+        )
+    assert rec.final_residuals == measures.residual_report(rows[-1][2], cfg.layout, cfg.alpha)
+
+
 def test_search_config_validation():
     search.SearchConfig()
     with pytest.raises(ValueError):
@@ -27,6 +81,10 @@ def test_search_config_validation():
         search.SearchConfig(delta_min=-1.0)
     with pytest.raises(ValueError):
         search.SearchConfig(counter_max=0)
+    for name in ("delta0", "delta_min"):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=name):
+                search.SearchConfig(**{name: bad})
     with pytest.raises(ValueError):
         search.SearchConfig(seed_state=np.array([1, 0, 0, 0], dtype=complex))
 
@@ -136,6 +194,38 @@ def test_random_walk_region_rejects_negative_steps(violating_record):
         search.random_walk_region(violating_record.final_state, 1e-3, -1)
 
 
+def test_random_walk_region_rejects_bad_delta(violating_record):
+    for bad in (0.0, -1e-3, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="delta"):
+            search.random_walk_region(violating_record.final_state, bad, 10)
+
+
+def test_random_walk_region_matches_sequential_reference(violating_record):
+    # delta = 2e-2 leaves the region often enough that the walk's blocks
+    # are cut short by rejections many times
+    start, delta, steps, alpha = violating_record.final_state, 2e-2, 400, 2.0
+    layout, rng = measures.PairingLayout(0, 1, 2, 3), sampler.RngSeed(3, 5)
+    reports = search.random_walk_region(start, delta, steps, alpha, layout, rng)
+    gen = sampler.generator(rng)
+    current, visited = start, [start]
+    for _ in range(steps):
+        candidate = sampler.perturb_within(current, delta, gen)
+        if measures.residual_report(candidate, layout, alpha).ss_residual < measures.VIOLATION_THRESHOLD:
+            current = candidate
+            visited.append(candidate)
+    assert 20 < len(visited) < steps - 20
+    assert reports == [measures.residual_report(s, layout, alpha) for s in visited]
+    for state, report in list(zip(visited, reports))[::25]:
+        assert report.e_bipartite == pytest.approx(
+            measures.bipartite_pure_entanglement(state, (0, 1), alpha), abs=1e-10
+        )
+        for (i, j), term in zip(
+            ((0, 2), (1, 3), (0, 3), (1, 2)),
+            (report.e_a1b1, report.e_a2b2, report.e_a1b2, report.e_a2b1),
+        ):
+            assert term == pytest.approx(measures.pair_entanglement(state, i, j, alpha), abs=1e-10)
+
+
 def test_continuation_schedule_validation():
     search.ContinuationSchedule(alphas=(1.5, 1.2))
     with pytest.raises(ValueError):
@@ -146,6 +236,10 @@ def test_continuation_schedule_validation():
         search.ContinuationSchedule(alphas=(1.5, 1.0))  # must stay above 1
     with pytest.raises(ValueError):
         search.ContinuationSchedule(alphas=(1.5,), delta0=0.0)
+    with pytest.raises(ValueError, match="delta0"):
+        search.ContinuationSchedule(alphas=(1.5,), delta0=float("inf"))
+    with pytest.raises(ValueError, match="delta_min"):
+        search.ContinuationSchedule(alphas=(1.5,), delta_min=float("nan"))
 
 
 def test_alpha_continuation_requires_violating_start():

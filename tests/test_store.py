@@ -157,6 +157,51 @@ def test_load_run_rejects_residual_mismatch(tmp_path, short_record):
         store.load_run(path)
 
 
+def _damage_trace_amplitudes(doc):
+    doc["trace"][1]["state"] = [[5.0, 0.0]] * 16
+
+
+def _damage_trace_residual(doc):
+    doc["trace"][1]["ss_residual"] = 123.0
+
+
+def _drop_total(doc):
+    del doc["total_states_generated"]
+
+
+def _drop_final_delta(doc):
+    del doc["final_delta"]
+
+
+def _all_damages(doc):
+    for damage in (_damage_trace_amplitudes, _damage_trace_residual, _drop_total, _drop_final_delta):
+        damage(doc)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_damage_trace_amplitudes, "trace row 1 state norm"),
+        (_damage_trace_residual, "trace row 1 ss_residual"),
+        (_drop_total, "total_states_generated"),
+        (_drop_final_delta, "final_delta"),
+        (_all_damages, "trace row 1 state norm"),
+    ],
+    ids=["trace-amplitudes", "trace-residual", "no-total", "no-final-delta", "all"],
+)
+def test_load_run_checks_the_whole_archive(tmp_path, short_record, damage, message):
+    # amplitudes of 5.0 in a trace row, a trace ss of 123 and missing counters
+    # each used to load without complaint, with the counters read as 0
+    path = tmp_path / "run.json"
+    store.save_run(store.make_archive(short_record), path)
+    doc = json.loads(path.read_text())
+    assert len(doc["trace"]) > 1
+    damage(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(store.ArchiveError, match=message):
+        store.load_run(path)
+
+
 def test_load_run_rejects_garbage(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -182,14 +227,16 @@ def test_save_scan_document(tmp_path):
 def test_load_state_document_accepts_both_forms(tmp_path, short_record):
     run_path = tmp_path / "run.json"
     store.save_run(store.make_archive(short_record), run_path)
-    state, alpha = store.load_state_document(run_path)
+    state, alpha, layout = store.load_state_document(run_path)
     np.testing.assert_array_equal(state, short_record.final_state)
     assert alpha == short_record.config.alpha
+    assert layout == short_record.config.layout
 
     bare = tmp_path / "state.json"
     bare.write_text(json.dumps({"state": [[z.real, z.imag] for z in bell_product()]}))
-    state, alpha = store.load_state_document(bare)
+    state, alpha, layout = store.load_state_document(bare)
     assert alpha is None
+    assert layout == measures.CANONICAL_LAYOUT
     np.testing.assert_allclose(state, bell_product(), atol=1e-15)
 
 
