@@ -103,34 +103,3 @@ def partial_trace(state, keep: Sequence[int]) -> np.ndarray:
     perm = mask + traced + tuple(n + q for q in mask) + tuple(n + q for q in traced)
     t = t.transpose(perm).reshape(2 ** k, 2 ** (n - k), 2 ** k, 2 ** (n - k))
     return np.einsum("a b c b -> a c", t)
-
-
-def trace_power(m, alpha: float) -> float:
-    """Tr rho^alpha over the clamped eigenvalues, for alpha >= 1."""
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    w = hermitian_eigenvalues(m)
-    return float(np.sum(w ** alpha))
-
-
-def pure_trace_distance(a, b) -> float:
-    """sqrt(1 - |<a|b>|^2), the trace distance between two pure states."""
-    pa, pb = as_state(a), as_state(b)
-    if pa.shape != pb.shape:
-        raise ValueError(f"dimension mismatch: {pa.shape} vs {pb.shape}")
-    overlap = abs(np.vdot(pa, pb)) ** 2
-    return float(np.sqrt(max(0.0, 1.0 - overlap)))
-
-
-def apply_local_unitary(state, qubit: int, u) -> np.ndarray:
-    """Apply a 2x2 unitary to one qubit of a pure state."""
-    psi = as_state(state)
-    n = n_qubits_of(psi)
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    mat = np.asarray(u, dtype=complex)
-    if mat.shape != (2, 2) or np.max(np.abs(mat @ mat.conj().T - np.eye(2))) > 1e-10:
-        raise ValueError("u must be a 2x2 unitary within 1e-10")
-    t = psi.reshape((2,) * n)
-    out = np.tensordot(mat, t, axes=([1], [qubit]))
-    return np.moveaxis(out, 0, qubit).reshape(-1)

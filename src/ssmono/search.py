@@ -11,7 +11,8 @@ import numpy as np
 from . import _kernels, linalg, measures, sampler
 
 OBJECTIVES = ("ss", "monogamy2")
-# fixed partition size so scan results never depend on the worker count
+# Haar draws per chunk at 4 qubits; every chunk holds 2**16 amplitudes, so
+# results never depend on the worker count and memory never on n_states
 SCAN_CHUNK = 4096
 # proposals scored per kernel call in the descent and the walk
 BLOCK_MIN, BLOCK_MAX = 8, 64
@@ -262,21 +263,52 @@ class ScanSummary:
     argmin_state: np.ndarray
 
 
-def evaluate_scan_chunk(states: np.ndarray, layout, alpha: float):
-    """Residuals for one block of already-normalized states; scan's evaluator."""
-    values = _kernels.batched_ss(states, layout, alpha)
+def score_chunk(states: np.ndarray, kernel: str, kernel_args: tuple, threshold: float):
+    """Values of `_kernels.<kernel>(states, *kernel_args)` for one block of
+    normalized states, the row of the least value and the count below threshold."""
+    values = getattr(_kernels, kernel)(states, *kernel_args)
     argmin = int(np.argmin(values))
-    violations = int(np.sum(values < measures.VIOLATION_THRESHOLD))
+    violations = int(np.sum(values < threshold))
     return values, argmin, violations
 
 
-def _scan_chunk_task(args):
-    chunk_index, size, alpha, layout_tuple, rng = args
+def _chunk_task(args):
+    chunk_index, size, n_qubits, rng, kernel, kernel_args, threshold = args
     gen = sampler.generator(sampler.derive(rng, chunk_index + 1))
-    z = gen.standard_normal((size, 16)) + 1j * gen.standard_normal((size, 16))
+    dim = 2 ** n_qubits
+    z = gen.standard_normal((size, dim)) + 1j * gen.standard_normal((size, dim))
     states = z / np.linalg.norm(z, axis=1, keepdims=True)
-    values, argmin, violations = evaluate_scan_chunk(states, layout_tuple, alpha)
-    return chunk_index, violations, float(values[argmin]), argmin, states[argmin].copy()
+    values, argmin, violations = score_chunk(states, kernel, kernel_args, threshold)
+    return violations, float(values[argmin]), argmin, states[argmin].copy()
+
+
+def haar_minimum(
+    n_states: int, n_qubits: int, rng: sampler.RngSeed, kernel: str, kernel_args: tuple,
+    threshold: float, workers: int,
+):
+    """Score n_states Haar draws on n_qubits with `_kernels.<kernel>`.
+
+    Returns (violations below threshold, least value, its draw index, its
+    state). Draws come in chunks of 2**16 amplitudes, chunk k on the sibling
+    stream derive(rng, k + 1), so the result is identical for every worker
+    count and no kernel call sees more than one chunk. The kernel is named,
+    not passed, so that workers look it up in their own `_kernels`.
+    """
+    if n_states < 1:
+        raise ValueError(f"n_states must be >= 1, got {n_states}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    rows = SCAN_CHUNK * 16 >> n_qubits
+    sizes = [rows] * (n_states // rows) + ([n_states % rows] if n_states % rows else [])
+    tasks = [(ci, size, n_qubits, rng, kernel, kernel_args, threshold) for ci, size in enumerate(sizes)]
+    if workers == 1 or len(tasks) == 1:
+        results = [_chunk_task(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_chunk_task, tasks))
+    # min keeps the first of equal values, which is the lowest draw index
+    ci, (_, least, argmin, state) = min(enumerate(results), key=lambda r: r[1][1])
+    return sum(r[0] for r in results), least, ci * rows + argmin, state
 
 
 def haar_scan(
@@ -286,36 +318,19 @@ def haar_scan(
     rng: sampler.RngSeed = sampler.RngSeed(0, 0),
     workers: int = 1,
 ) -> ScanSummary:
-    """Evaluate the ss residual on n_states Haar draws.
-
-    States are drawn in fixed-size chunks with per-chunk sibling streams, so
-    the summary is identical for every worker count.
-    """
-    if n_states < 1:
-        raise ValueError(f"n_states must be >= 1, got {n_states}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    """Evaluate the ss residual on n_states Haar draws through `haar_minimum`;
+    the summary is identical for every worker count."""
     a = measures.normalize_alpha(alpha)
-    lt = layout.as_tuple()
-    sizes = [SCAN_CHUNK] * (n_states // SCAN_CHUNK)
-    if n_states % SCAN_CHUNK:
-        sizes.append(n_states % SCAN_CHUNK)
-    tasks = [(ci, size, a, lt, rng) for ci, size in enumerate(sizes)]
-    if workers == 1 or len(tasks) == 1:
-        results = [_scan_chunk_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk_task, tasks))
-    results.sort(key=lambda r: r[0])
-    violations = sum(r[1] for r in results)
-    best = min(results, key=lambda r: (r[2], r[0] * SCAN_CHUNK + r[3]))
+    violations, least, index, state = haar_minimum(
+        n_states, 4, rng, "batched_ss", (layout.as_tuple(), a), measures.VIOLATION_THRESHOLD, workers
+    )
     return ScanSummary(
         n_states=n_states,
         alpha=a,
         layout=layout,
         rng=rng,
         violations=violations,
-        min_residual=best[2],
-        argmin_index=best[0] * SCAN_CHUNK + best[3],
-        argmin_state=best[4],
+        min_residual=least,
+        argmin_index=index,
+        argmin_state=state,
     )

@@ -295,9 +295,9 @@ def save_scan(summary: search.ScanSummary, destination, created_at: str | None =
 
 
 def load_state_document(source) -> tuple[np.ndarray, float | None, measures.PairingLayout]:
-    """State, its alpha and its pairing layout from either a run archive or a
-    bare {"state": [[re, im], ...]} document; a bare document has no alpha
-    (None) and the canonical layout."""
+    """State, its alpha and its pairing layout from a run archive, a scan
+    document (its argmin state) or a bare {"state": [[re, im], ...]} document;
+    a bare document has no alpha (None) and the canonical layout."""
     path = Path(source)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -306,6 +306,22 @@ def load_state_document(source) -> tuple[np.ndarray, float | None, measures.Pair
     if isinstance(doc, dict) and "final_state" in doc:
         record = load_run(path).record
         return record.final_state, record.config.alpha, record.config.layout
+    if isinstance(doc, dict) and doc.get("kind") == "scan":
+        if doc.get("format_version") != FORMAT_VERSION:
+            raise ArchiveError(f"unknown scan format version {doc.get('format_version')!r}")
+        state = _state_from_doc(doc.get("argmin_state"), "argmin_state")
+        try:
+            alpha = measures.normalize_alpha(doc["config"]["alpha"])
+            layout = measures.PairingLayout(**doc["config"]["layout"])
+            stored = float(doc["min_residual"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArchiveError(f"malformed scan document: {exc!r}") from None
+        fresh = measures.residual_report(state, layout, alpha).ss_residual
+        if not abs(stored - fresh) <= LOAD_RESIDUAL_TOL:
+            raise ArchiveError(
+                f"stored min_residual {stored} disagrees with re-evaluation {fresh} beyond {LOAD_RESIDUAL_TOL}"
+            )
+        return state, alpha, layout
     if isinstance(doc, dict) and "state" in doc:
         return _state_from_doc(doc["state"], "state"), None, measures.CANONICAL_LAYOUT
-    raise ArchiveError("state document needs either a run archive or a top-level 'state' key")
+    raise ArchiveError("state document needs a run archive, a scan document or a top-level 'state' key")

@@ -5,6 +5,8 @@ Qubit 0 is the most significant bit of the basis index throughout.
 
 import numpy as np
 
+from ssmono import linalg
+
 
 def bell_pair() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -42,3 +44,26 @@ def random_density(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def pure_trace_distance(a, b) -> float:
+    """sqrt(1 - |<a|b>|^2), the trace distance between two pure states."""
+    pa, pb = linalg.as_state(a), linalg.as_state(b)
+    if pa.shape != pb.shape:
+        raise ValueError(f"dimension mismatch: {pa.shape} vs {pb.shape}")
+    overlap = abs(np.vdot(pa, pb)) ** 2
+    return float(np.sqrt(max(0.0, 1.0 - overlap)))
+
+
+def apply_local_unitary(state, qubit: int, u) -> np.ndarray:
+    """Apply a 2x2 unitary to one qubit of a pure state."""
+    psi = linalg.as_state(state)
+    n = linalg.n_qubits_of(psi)
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+    mat = np.asarray(u, dtype=complex)
+    if mat.shape != (2, 2) or np.max(np.abs(mat @ mat.conj().T - np.eye(2))) > 1e-10:
+        raise ValueError("u must be a 2x2 unitary within 1e-10")
+    t = psi.reshape((2,) * n)
+    out = np.tensordot(mat, t, axes=([1], [qubit]))
+    return np.moveaxis(out, 0, qubit).reshape(-1)

@@ -141,11 +141,10 @@ def test_criterion_05_haar_scan_finds_no_violation():
 def test_criterion_06_r2_monogamy_on_random_states():
     worst_per_n = {}
     for n in (3, 4, 5, 6):
-        gen = sampler.generator(sampler.RngSeed(0, n))
-        worst = math.inf
-        for _ in range(10_000):
-            psi = sampler.haar_random_state(n, gen)
-            worst = min(worst, measures.ckw_r2_residual(psi))
+        _, worst, _, state = search.haar_minimum(
+            10_000, n, sampler.RngSeed(0, n << 32), "batched_ckw_r2", (n,), -1e-9, 1
+        )
+        assert measures.ckw_r2_residual(state) == pytest.approx(worst, abs=1e-12)
         worst_per_n[n] = worst
     print(
         "[criterion 6] min residual per size "

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import bell_product
 
-from ssmono import cli, measures, sampler, search, store
+from ssmono import _kernels, cli, measures, sampler, search, store
 
 
 def run_cli(argv, capsys):
@@ -167,6 +167,34 @@ def test_verify_monogamy_r2_subcommand(capsys):
     assert set(doc["min_residual_per_size"]) == {"3", "4"}
 
 
+def test_verify_monogamy_r2_does_not_depend_on_workers(capsys, monkeypatch):
+    argv = ["verify", "monogamy-r2", "--qubits", "6..8", "--samples", "1100", "--rng-seed", "2"]
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SSMONO_WORKERS", workers)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_monogamy_r2_scores_in_bounded_chunks(capsys, monkeypatch):
+    shapes = []
+    kernel = _kernels.batched_ckw_r2
+
+    def recording(states, n_qubits, *rest):
+        shapes.append(states.shape)
+        return kernel(states, n_qubits, *rest)
+
+    monkeypatch.setattr(_kernels, "batched_ckw_r2", recording)
+    monkeypatch.setenv("SSMONO_WORKERS", "1")
+    code, _, _ = run_cli(["verify", "monogamy-r2", "--qubits", "8", "--samples", "600"], capsys)
+    assert code == 0
+    assert sum(rows for rows, _ in shapes) == 600
+    assert len(shapes) == 3
+    assert max(rows * dim for rows, dim in shapes) <= 2**16
+
+
 def test_verify_monogamy_r2_rejects_bad_range(capsys):
     code, _, err = run_cli(["verify", "monogamy-r2", "--qubits", "2..9"], capsys)
     assert code == 2
@@ -283,6 +311,21 @@ def test_analyze_archive_uses_stored_layout(tmp_path, capsys):
     )
     assert doc["pair_entanglements"] == pytest.approx(archive.fingerprint["pair_entanglements"], rel=1e-9)
     assert doc["spectrum_a1a2"] == pytest.approx(archive.fingerprint["spectrum_a1a2"], rel=1e-9)
+
+
+def test_scan_document_feeds_analyze_and_seed_file(tmp_path, capsys):
+    scan_path, run_path = tmp_path / "s.json", tmp_path / "run.json"
+    assert cli.main(["scan", "--n", "100", "--out", str(scan_path)]) == 0
+    stored = json.loads(scan_path.read_text())
+    capsys.readouterr()
+    code, out, _ = run_cli(["analyze", str(scan_path)], capsys)
+    assert code == 0
+    assert json.loads(out)["ss_residual"] == pytest.approx(stored["min_residual"], rel=1e-9)
+    argv = ["search", "--seed-file", str(scan_path), "--delta-min", "1e-2", "--out", str(run_path)]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    seed_state = store.load_run(run_path).record.config.seed_state
+    np.testing.assert_allclose(seed_state, [complex(*z) for z in stored["argmin_state"]], atol=1e-15)
 
 
 def test_usage_errors_exit_two(capsys):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import bell_pair, random_density, random_state
+from conftest import (
+    apply_local_unitary,
+    bell_pair,
+    pure_trace_distance,
+    random_density,
+    random_state,
+)
 
 from ssmono import linalg
 
@@ -141,29 +147,13 @@ def test_partial_trace_mask_validation(keep):
         linalg.partial_trace(bell_pair(), keep)
 
 
-def test_trace_power_matches_eigenvalue_sum():
-    rng = np.random.default_rng(31)
-    rho = random_density(rng, 4, 4)
-    w = np.linalg.eigvalsh(rho)
-    for alpha in (1.0, 1.7, 2.0, 3.0):
-        assert linalg.trace_power(rho, alpha) == pytest.approx(
-            np.sum(w**alpha), abs=1e-12
-        )
-
-
-def test_trace_power_diagonal_closed_form():
-    rho = np.diag([0.66, 0.14, 0.14, 0.06])
-    expected = 0.66**2 + 0.14**2 + 0.14**2 + 0.06**2
-    assert linalg.trace_power(rho, 2.0) == pytest.approx(expected, abs=1e-15)
-
-
 def test_pure_trace_distance_extremes():
     e0 = np.array([1, 0, 0, 0], dtype=complex)
     e1 = np.array([0, 1, 0, 0], dtype=complex)
-    assert linalg.pure_trace_distance(e0, e0) == 0.0
-    assert linalg.pure_trace_distance(e0, e1) == 1.0
+    assert pure_trace_distance(e0, e0) == 0.0
+    assert pure_trace_distance(e0, e1) == 1.0
     # global phase does not move the state
-    assert linalg.pure_trace_distance(e0, np.exp(0.7j) * e0) < 1e-12
+    assert pure_trace_distance(e0, np.exp(0.7j) * e0) < 1e-12
 
 
 def test_pure_trace_distance_matches_density_matrix_trace_norm():
@@ -172,16 +162,16 @@ def test_pure_trace_distance_matches_density_matrix_trace_norm():
     a, b = random_state(rng, 2), random_state(rng, 2)
     diff = np.outer(a, a.conj()) - np.outer(b, b.conj())
     expected = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)))
-    assert linalg.pure_trace_distance(a, b) == pytest.approx(expected, abs=1e-12)
-    assert linalg.pure_trace_distance(a, b) == linalg.pure_trace_distance(b, a)
+    assert pure_trace_distance(a, b) == pytest.approx(expected, abs=1e-12)
+    assert pure_trace_distance(a, b) == pure_trace_distance(b, a)
 
 
 def test_apply_local_unitary_on_basis_state():
     # X on qubit 0 of |00> flips the most significant bit
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     psi = np.array([1, 0, 0, 0], dtype=complex)
-    np.testing.assert_allclose(linalg.apply_local_unitary(psi, 0, x), [0, 0, 1, 0], atol=1e-15)
-    np.testing.assert_allclose(linalg.apply_local_unitary(psi, 1, x), [0, 1, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(apply_local_unitary(psi, 0, x), [0, 0, 1, 0], atol=1e-15)
+    np.testing.assert_allclose(apply_local_unitary(psi, 1, x), [0, 1, 0, 0], atol=1e-15)
 
 
 def test_apply_local_unitary_preserves_norm_and_inverts():
@@ -189,16 +179,16 @@ def test_apply_local_unitary_preserves_norm_and_inverts():
     psi = random_state(rng, 3)
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, _ = np.linalg.qr(g)
-    out = linalg.apply_local_unitary(psi, 1, q)
+    out = apply_local_unitary(psi, 1, q)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(linalg.apply_local_unitary(out, 1, q.conj().T), psi, atol=1e-12)
+    np.testing.assert_allclose(apply_local_unitary(out, 1, q.conj().T), psi, atol=1e-12)
 
 
 def test_apply_local_unitary_leaves_other_reductions_alone():
     rng = np.random.default_rng(35)
     psi = random_state(rng, 3)
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    out = linalg.apply_local_unitary(psi, 0, h)
+    out = apply_local_unitary(psi, 0, h)
     np.testing.assert_allclose(
         linalg.partial_trace(out, (1, 2)), linalg.partial_trace(psi, (1, 2)), atol=1e-12
     )
@@ -207,6 +197,6 @@ def test_apply_local_unitary_leaves_other_reductions_alone():
 def test_apply_local_unitary_rejects_bad_input():
     psi = np.array([1, 0, 0, 0], dtype=complex)
     with pytest.raises(ValueError):
-        linalg.apply_local_unitary(psi, 0, np.diag([1.0, 2.0]))
+        apply_local_unitary(psi, 0, np.diag([1.0, 2.0]))
     with pytest.raises(ValueError):
-        linalg.apply_local_unitary(psi, 5, np.eye(2))
+        apply_local_unitary(psi, 5, np.eye(2))

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bell_pair, bell_product, ghz_state, random_density, random_state, w_state
+from conftest import (
+    apply_local_unitary,
+    bell_pair,
+    bell_product,
+    ghz_state,
+    random_density,
+    random_state,
+    w_state,
+)
 
 from ssmono import _kernels, linalg, measures
 
@@ -84,7 +92,7 @@ def test_concurrence_local_unitary_invariance():
     psi = random_state(rng, 2)
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, _ = np.linalg.qr(g)
-    rotated = linalg.apply_local_unitary(psi, 0, q)
+    rotated = apply_local_unitary(psi, 0, q)
     c0 = measures.concurrence(np.outer(psi, psi.conj()))
     c1 = measures.concurrence(np.outer(rotated, rotated.conj()))
     assert c1 == pytest.approx(c0, abs=1e-12)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from ssmono import linalg, sampler
+from conftest import pure_trace_distance
+
+from ssmono import sampler
 
 
 def test_rng_seed_validation():
@@ -62,14 +64,14 @@ def test_perturb_within_stays_inside_radius():
         for _ in range(200):
             cand = sampler.perturb_within(psi, delta, gen)
             assert np.linalg.norm(cand) == pytest.approx(1.0, abs=1e-12)
-            assert linalg.pure_trace_distance(psi, cand) <= delta * (1 + 1e-12)
+            assert pure_trace_distance(psi, cand) <= delta * (1 + 1e-12)
 
 
 def test_perturb_within_actually_moves():
     gen = sampler.generator(sampler.RngSeed(4))
     psi = sampler.haar_random_state(2, gen)
     cand = sampler.perturb_within(psi, 0.3, gen)
-    assert linalg.pure_trace_distance(psi, cand) > 0.01
+    assert pure_trace_distance(psi, cand) > 0.01
 
 
 def test_perturb_within_rejects_nonpositive_delta():

@@ -260,9 +260,11 @@ def test_alpha_continuation_single_stage(violating_record):
     assert stage.final_residuals.ss_residual < measures.VIOLATION_THRESHOLD
 
 
-def test_evaluate_scan_chunk_values_and_counts(violating_record):
+def test_score_chunk_values_and_counts(violating_record):
     states = np.stack([violating_record.final_state, bell_product()])
-    values, argmin, violations = search.evaluate_scan_chunk(states, (0, 1, 2, 3), 2.0)
+    values, argmin, violations = search.score_chunk(
+        states, "batched_ss", ((0, 1, 2, 3), 2.0), measures.VIOLATION_THRESHOLD
+    )
     assert values.shape == (2,)
     assert argmin == 0
     assert violations == 1
@@ -276,7 +278,9 @@ def test_batched_scan_values_match_reports():
     rng = np.random.default_rng(161)
     states = np.stack([random_state(rng, 4) for _ in range(40)])
     for alpha in (1.0, 1.5, 2.0):
-        values, _, _ = search.evaluate_scan_chunk(states, (0, 1, 2, 3), alpha)
+        values, _, _ = search.score_chunk(
+            states, "batched_ss", ((0, 1, 2, 3), alpha), measures.VIOLATION_THRESHOLD
+        )
         for k in (0, 7, 19, 39):
             expected = measures.residual_report(states[k], alpha=alpha).ss_residual
             assert values[k] == pytest.approx(expected, abs=1e-11)

@@ -240,6 +240,23 @@ def test_load_state_document_accepts_both_forms(tmp_path, short_record):
     np.testing.assert_allclose(state, bell_product(), atol=1e-15)
 
 
+def test_load_state_document_reads_scan_documents(tmp_path):
+    layout = measures.PairingLayout(0, 2, 1, 3)
+    summary = search.haar_scan(300, alpha=1.5, layout=layout, rng=sampler.RngSeed(6))
+    path = tmp_path / "scan.json"
+    store.save_scan(summary, path)
+    state, alpha, loaded_layout = store.load_state_document(path)
+    np.testing.assert_array_equal(state, summary.argmin_state)
+    assert alpha == 1.5
+    assert loaded_layout == layout
+
+    doc = json.loads(path.read_text())
+    doc["min_residual"] += 1e-3
+    path.write_text(json.dumps(doc))
+    with pytest.raises(store.ArchiveError, match="min_residual"):
+        store.load_state_document(path)
+
+
 def test_load_state_document_rejects_unknown_shape(tmp_path):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"something": 1}))
