@@ -33,10 +33,11 @@ def _at_least_one(text: str) -> int:
 
 
 def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SSMONO_WORKERS", "1")))
-    except ValueError:
-        return 1
+    """SSMONO_WORKERS, default 1; handlers call it, so a bad value exits 2."""
+    text = os.environ.get("SSMONO_WORKERS", "1")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"SSMONO_WORKERS must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _cmd_scan(args) -> int:
@@ -44,7 +45,7 @@ def _cmd_scan(args) -> int:
         n_states=args.n,
         alpha=args.alpha,
         rng=sampler.RngSeed(args.rng_seed),
-        workers=args.workers,
+        workers=args.workers or _default_workers(),
     )
     if args.out:
         store.save_scan(summary, args.out)
@@ -225,7 +226,7 @@ def _parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="evaluate the ss residual on Haar-random states")
     scan.add_argument("--n", type=int, required=True, help="number of states")
     scan.add_argument("--alpha", type=float, default=2.0)
-    scan.add_argument("--workers", type=int, default=_default_workers())
+    scan.add_argument("--workers", type=_at_least_one, default=None, help="default: SSMONO_WORKERS")
     scan.add_argument("--rng-seed", type=int, default=0)
     scan.add_argument("--out", default=None, help="write the scan summary document here")
     scan.set_defaults(handler=_cmd_scan)

@@ -79,7 +79,7 @@ class ContinuationSchedule:
     delta_min: float = 1e-8
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
+        alphas = tuple(measures.normalize_alpha(a) for a in self.alphas)
         if not alphas:
             raise ValueError("schedule needs at least one alpha")
         if any(a <= 1.0 for a in alphas):
@@ -123,7 +123,7 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
         config.seed_state if config.seed_state is not None else sampler.haar_random_state(4, gen)
     )
     best = _objective_values(current[None], layout, alpha, k)[0]
-    accepted = [(0, config.delta0, current, best, 0)]  # step, delta, state, value, since
+    accepted = [(0, config.delta0, current, 0)]  # step, delta, state, since
     delta = config.delta0
     counter = 0
     step = 0
@@ -146,21 +146,18 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
         step += j + 1
         current = candidates[j].copy()  # a row view would pin the whole block
         best = values[j]
-        accepted.append((step, delta, current, best, step - accepted[-1][0]))
+        accepted.append((step, delta, current, step - accepted[-1][0]))
         counter = 0
-    # the complementary residual of every accepted state, in one batched pass;
-    # the minimized objective keeps its accepted value bit-for-bit
+    # both residuals of every accepted state in one batched pass; a row's bits
+    # depend neither on its batch nor on k, so the objective keeps its accepted value
     reports = measures.residual_reports(np.array([row[2] for row in accepted]), config.layout, alpha)
-    trace = []
-    for (at, at_delta, state, value, since), report in zip(accepted, reports):
-        if config.objective == "ss":
-            ss, mono = float(value), float(value) - report.e_a1b2 - report.e_a2b1
-        else:
-            ss, mono = report.ss_residual, float(value)
-        trace.append(TraceEntry(at, at_delta, state, ss, mono, since))
+    trace = tuple(
+        TraceEntry(at, at_delta, state, report.ss_residual, report.monogamy_residual, since)
+        for (at, at_delta, state, since), report in zip(accepted, reports)
+    )
     return RunRecord(
         config=config,
-        trace=tuple(trace),
+        trace=trace,
         final_state=current,
         final_residuals=reports[-1],
         total_states_generated=step,
@@ -304,7 +301,8 @@ def haar_minimum(
     if workers == 1 or len(tasks) == 1:
         results = [_chunk_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork-started pool forks all max_workers processes at its first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_chunk_task, tasks))
     # min keeps the first of equal values, which is the lowest draw index
     ci, (_, least, argmin, state) = min(enumerate(results), key=lambda r: r[1][1])

@@ -1,4 +1,9 @@
-"""Versioned text archives for runs and scans, with self-verifying reloads."""
+"""Versioned text archives for runs and scans, with self-verifying reloads.
+
+Each writer's document builder is the only description of its format: a
+reload parses a document's inputs, builds from them the document this build
+would write and checks the stored one against it with `_agree`.
+"""
 from __future__ import annotations
 
 import json
@@ -12,20 +17,9 @@ import numpy as np
 from . import linalg, measures, sampler, search
 
 FORMAT_VERSION = 1
-# reload checks: norm drift and residual re-evaluation drift
+# reload checks: norm drift, and drift of every stored number from its re-derivation
 LOAD_NORM_TOL = 1e-9
 LOAD_RESIDUAL_TOL = 1e-9
-
-_REPORT_FIELDS = (
-    "alpha",
-    "e_bipartite",
-    "e_a1b1",
-    "e_a2b2",
-    "e_a1b2",
-    "e_a2b1",
-    "ss_residual",
-    "monogamy_residual",
-)
 _PAIR_ROLE_NAMES = ("a1a2", "a1b1", "a1b2", "a2b1", "a2b2", "b1b2")
 
 
@@ -94,14 +88,15 @@ def compact_json(doc: dict, sig: int = 10) -> str:
 # document builders
 
 def _state_doc(amps: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(amps, dtype=complex)]
+    # a complex128 array viewed as float64 is its [re, im] pairs, bit for bit
+    return np.ascontiguousarray(amps, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def _state_from_doc(pairs, what: str) -> np.ndarray:
     """A 4-qubit state stored as [re, im] pairs, with its norm checked."""
     try:
         arr = np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ArchiveError(f"malformed {what}: {exc}") from None
     if arr.shape != (16, 2):
         raise ArchiveError(f"malformed {what}: expected 16 [re, im] pairs")
@@ -112,48 +107,19 @@ def _state_from_doc(pairs, what: str) -> np.ndarray:
     return state
 
 
-def _check_residuals(what: str, stored, fresh, names) -> None:
-    for name in names:
-        kept, again = getattr(stored, name), getattr(fresh, name)
-        if not abs(kept - again) <= LOAD_RESIDUAL_TOL:
-            raise ArchiveError(
-                f"stored {what} {name} {kept} disagrees with re-evaluation {again} beyond {LOAD_RESIDUAL_TOL}"
-            )
-
-
 def _config_doc(config: search.SearchConfig) -> dict:
-    return {
-        "alpha": config.alpha,
-        "objective": config.objective,
-        "layout": asdict(config.layout),
-        "delta0": config.delta0,
-        "counter_max": config.counter_max,
-        "delta_min": config.delta_min,
-        "rng": {"seed": config.rng.seed, "stream_id": config.rng.stream_id},
-        "seed_state": None if config.seed_state is None else _state_doc(config.seed_state),
-    }
+    seed = config.seed_state
+    return {**asdict(config), "seed_state": None if seed is None else _state_doc(seed)}
 
 
 def _config_from_doc(doc: dict) -> search.SearchConfig:
-    seed_state = doc.get("seed_state")
-    return search.SearchConfig(
-        alpha=doc["alpha"],
-        objective=doc["objective"],
-        layout=measures.PairingLayout(**doc["layout"]),
-        delta0=doc["delta0"],
-        counter_max=doc["counter_max"],
-        delta_min=doc["delta_min"],
-        rng=sampler.RngSeed(doc["rng"]["seed"], doc["rng"]["stream_id"]),
-        seed_state=None if seed_state is None else _state_from_doc(seed_state, "seed_state"),
-    )
-
-
-def _report_doc(report: measures.ResidualReport) -> dict:
-    return {name: getattr(report, name) for name in _REPORT_FIELDS}
-
-
-def _report_from_doc(doc: dict) -> measures.ResidualReport:
-    return measures.ResidualReport(**{name: float(doc[name]) for name in _REPORT_FIELDS})
+    seed = doc["seed_state"]
+    return search.SearchConfig(**{
+        **doc,
+        "layout": measures.PairingLayout(**doc["layout"]),
+        "rng": sampler.RngSeed(**doc["rng"]),
+        "seed_state": None if seed is None else _state_from_doc(seed, "seed_state"),
+    })
 
 
 def _layout_pairs(layout: measures.PairingLayout):
@@ -183,100 +149,31 @@ def make_archive(record: search.RunRecord, created_at: str | None = None) -> Run
     if created_at is None:
         created_at = datetime.now(timezone.utc).isoformat(timespec="microseconds")
     fingerprint = run_fingerprint(record.final_state, record.config.layout, record.config.alpha)
-    return RunArchive(
-        format_version=FORMAT_VERSION,
-        created_at=created_at,
-        record=record,
-        fingerprint=fingerprint,
-    )
+    return RunArchive(FORMAT_VERSION, created_at, record, fingerprint)
 
 
-def save_run(archive: RunArchive, destination) -> None:
-    """Write a self-contained archive document; amplitudes keep 17 significant digits."""
+def _run_doc(archive: RunArchive) -> dict:
     record = archive.record
-    doc = {
+    return {
         "format_version": archive.format_version,
         "created_at": archive.created_at,
         "config": _config_doc(record.config),
-        "trace": [
-            {
-                "step": entry.step,
-                "delta": entry.delta,
-                "state": _state_doc(entry.state),
-                "ss_residual": entry.ss_residual,
-                "monogamy_residual": entry.monogamy_residual,
-                "states_since_accept": entry.states_since_accept,
-            }
-            for entry in record.trace
-        ],
+        "trace": [{**vars(entry), "state": _state_doc(entry.state)} for entry in record.trace],
         "final_state": _state_doc(record.final_state),
-        "final_residuals": _report_doc(record.final_residuals),
+        "final_residuals": asdict(record.final_residuals),
         "fingerprint": archive.fingerprint,
         "total_states_generated": record.total_states_generated,
         "final_delta": record.final_delta,
     }
-    Path(destination).write_text(canonical_json(doc), encoding="utf-8")
 
 
-def load_run(source) -> RunArchive:
-    """Parse and validate an archive: version, required fields, the norm of
-    every state, and a re-evaluation of every stored residual."""
-    text = Path(source).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ArchiveError(f"malformed archive document: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ArchiveError("malformed archive document: top level must be an object")
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ArchiveError(f"unknown archive format version {version!r}")
-    try:
-        config = _config_from_doc(doc["config"])
-        trace = tuple(
-            search.TraceEntry(
-                step=int(row["step"]),
-                delta=float(row["delta"]),
-                state=_state_from_doc(row["state"], f"trace row {n} state"),
-                ss_residual=float(row["ss_residual"]),
-                monogamy_residual=float(row["monogamy_residual"]),
-                states_since_accept=int(row["states_since_accept"]),
-            )
-            for n, row in enumerate(doc["trace"])
-        )
-        final_state = _state_from_doc(doc["final_state"], "final_state")
-        final_residuals = _report_from_doc(doc["final_residuals"])
-        fingerprint = doc["fingerprint"]
-        created_at = doc["created_at"]
-        total = int(doc["total_states_generated"])
-        final_delta = float(doc["final_delta"])
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ArchiveError):
-            raise
-        raise ArchiveError(f"malformed archive document: {exc!r}") from None
-    states = np.array([entry.state for entry in trace] + [final_state])
-    fresh = measures.residual_reports(states, config.layout, config.alpha)
-    _check_residuals("final_residuals", final_residuals, fresh[-1], _REPORT_FIELDS)
-    for n, (entry, report) in enumerate(zip(trace, fresh)):
-        _check_residuals(f"trace row {n}", entry, report, ("ss_residual", "monogamy_residual"))
-    record = search.RunRecord(
-        config=config,
-        trace=trace,
-        final_state=final_state,
-        final_residuals=final_residuals,
-        total_states_generated=total,
-        final_delta=final_delta,
-    )
-    return RunArchive(
-        format_version=version, created_at=created_at, record=record, fingerprint=fingerprint
-    )
+def save_run(archive: RunArchive, destination) -> None:
+    """Write a self-contained archive document; amplitudes keep 17 significant digits."""
+    Path(destination).write_text(canonical_json(_run_doc(archive)), encoding="utf-8")
 
 
-def save_scan(summary: search.ScanSummary, destination, created_at: str | None = None) -> None:
-    """Scan summary document; contents are independent of the worker count."""
-    if created_at is None:
-        created_at = datetime.now(timezone.utc).isoformat(timespec="microseconds")
-    doc = {
+def _scan_doc(summary: search.ScanSummary, created_at: str) -> dict:
+    return {
         "format_version": FORMAT_VERSION,
         "created_at": created_at,
         "kind": "scan",
@@ -284,44 +181,134 @@ def save_scan(summary: search.ScanSummary, destination, created_at: str | None =
             "n_states": summary.n_states,
             "alpha": summary.alpha,
             "layout": asdict(summary.layout),
-            "rng": {"seed": summary.rng.seed, "stream_id": summary.rng.stream_id},
+            "rng": asdict(summary.rng),
         },
         "violations": summary.violations,
         "min_residual": summary.min_residual,
         "argmin_index": summary.argmin_index,
         "argmin_state": _state_doc(summary.argmin_state),
     }
-    Path(destination).write_text(canonical_json(doc), encoding="utf-8")
+
+
+def save_scan(summary: search.ScanSummary, destination, created_at: str | None = None) -> None:
+    """Scan summary document; contents are independent of the worker count."""
+    if created_at is None:
+        created_at = datetime.now(timezone.utc).isoformat(timespec="microseconds")
+    Path(destination).write_text(canonical_json(_scan_doc(summary, created_at)), encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# reading: parse the inputs, re-derive the rest, compare the whole document
+
+def _finite(value) -> float:
+    """float(value), refusing the NaN and infinities canonical JSON never holds."""
+    if not math.isfinite(number := float(value)):
+        raise ValueError(f"non-finite number {value}")
+    return number
+
+
+def _read(source, what: str) -> dict:
+    """Parse a document once: a JSON object without NaN or Infinity, of this
+    format version when it names one (bare state documents do not)."""
+    try:
+        doc = json.loads(Path(source).read_text(encoding="utf-8"), parse_constant=_finite)
+    except ValueError as exc:
+        raise ArchiveError(f"malformed {what}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ArchiveError(f"malformed {what}: top level must be an object")
+    if doc.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
+        raise ArchiveError(f"unknown {what} format version {doc['format_version']!r}")
+    return doc
+
+
+def _agree(stored, fresh, where: str = "") -> None:
+    """Check a stored document against the one re-derived from its inputs:
+    the same keys and lengths, numbers within LOAD_RESIDUAL_TOL, all else equal."""
+    if stored == fresh and type(stored) is type(fresh):
+        return  # the common case, compared in C; only a difference is walked
+    if isinstance(stored, dict) and isinstance(fresh, dict):
+        if stored.keys() != fresh.keys():
+            raise ArchiveError(f"{where or 'document'} keys {sorted(stored)} are not {sorted(fresh)}")
+        for key in fresh:
+            _agree(stored[key], fresh[key], f"{where} {key}".lstrip())
+        return
+    if isinstance(stored, list) and isinstance(fresh, list) and len(stored) == len(fresh):
+        for n, (kept, again) in enumerate(zip(stored, fresh)):
+            _agree(kept, again, f"{where} row {n}")
+        return
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (stored, fresh))
+    if not (numbers and abs(stored - fresh) <= LOAD_RESIDUAL_TOL):
+        raise ArchiveError(
+            f"stored {where} {stored!r} disagrees with re-evaluation {fresh!r} beyond {LOAD_RESIDUAL_TOL}"
+        )
+
+
+def _run_from_doc(doc: dict) -> RunArchive:
+    try:
+        config = _config_from_doc(doc["config"])
+        rows = [
+            (int(row["step"]), _finite(row["delta"]),
+             _state_from_doc(row["state"], f"trace row {n} state"), int(row["states_since_accept"]))
+            for n, row in enumerate(doc["trace"])
+        ]
+        final_state = _state_from_doc(doc["final_state"], "final_state")
+        created_at = str(doc["created_at"])
+        total = int(doc["total_states_generated"])
+        final_delta = _finite(doc["final_delta"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, ArchiveError):
+            raise
+        raise ArchiveError(f"malformed archive document: {exc!r}") from None
+    states = np.array([row[2] for row in rows] + [final_state])
+    reports = measures.residual_reports(states, config.layout, config.alpha)
+    trace = tuple(
+        search.TraceEntry(step, delta, state, report.ss_residual, report.monogamy_residual, since)
+        for (step, delta, state, since), report in zip(rows, reports)
+    )
+    record = search.RunRecord(config, trace, final_state, reports[-1], total, final_delta)
+    archive = make_archive(record, created_at)
+    _agree(doc, _run_doc(archive))
+    return archive
+
+
+def load_run(source) -> RunArchive:
+    """Parse an archive and check it against the document this build writes
+    for its inputs: the norm of every state, every residual and the
+    fingerprint are evaluated again. The record carries the fresh residuals."""
+    return _run_from_doc(_read(source, "archive document"))
+
+
+def _scan_from_doc(doc: dict) -> search.ScanSummary:
+    try:
+        config = doc["config"]
+        layout = measures.PairingLayout(**config["layout"])
+        alpha = measures.normalize_alpha(config["alpha"])
+        state = _state_from_doc(doc["argmin_state"], "argmin_state")
+        summary = search.ScanSummary(
+            n_states=int(config["n_states"]), alpha=alpha, layout=layout, rng=sampler.RngSeed(**config["rng"]),
+            violations=int(doc["violations"]), argmin_index=int(doc["argmin_index"]), argmin_state=state,
+            min_residual=measures.residual_report(state, layout, alpha).ss_residual,
+        )
+        created_at = str(doc["created_at"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, ArchiveError):
+            raise
+        raise ArchiveError(f"malformed scan document: {exc!r}") from None
+    _agree(doc, _scan_doc(summary, created_at))
+    return summary
 
 
 def load_state_document(source) -> tuple[np.ndarray, float | None, measures.PairingLayout]:
     """State, its alpha and its pairing layout from a run archive, a scan
     document (its argmin state) or a bare {"state": [[re, im], ...]} document;
     a bare document has no alpha (None) and the canonical layout."""
-    path = Path(source)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ArchiveError(f"malformed state document: {exc}") from None
-    if isinstance(doc, dict) and "final_state" in doc:
-        record = load_run(path).record
+    doc = _read(source, "state document")
+    if "final_state" in doc:
+        record = _run_from_doc(doc).record
         return record.final_state, record.config.alpha, record.config.layout
-    if isinstance(doc, dict) and doc.get("kind") == "scan":
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise ArchiveError(f"unknown scan format version {doc.get('format_version')!r}")
-        state = _state_from_doc(doc.get("argmin_state"), "argmin_state")
-        try:
-            alpha = measures.normalize_alpha(doc["config"]["alpha"])
-            layout = measures.PairingLayout(**doc["config"]["layout"])
-            stored = float(doc["min_residual"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArchiveError(f"malformed scan document: {exc!r}") from None
-        fresh = measures.residual_report(state, layout, alpha).ss_residual
-        if not abs(stored - fresh) <= LOAD_RESIDUAL_TOL:
-            raise ArchiveError(
-                f"stored min_residual {stored} disagrees with re-evaluation {fresh} beyond {LOAD_RESIDUAL_TOL}"
-            )
-        return state, alpha, layout
-    if isinstance(doc, dict) and "state" in doc:
+    if doc.get("kind") == "scan":
+        summary = _scan_from_doc(doc)
+        return summary.argmin_state, summary.alpha, summary.layout
+    if "state" in doc:
         return _state_from_doc(doc["state"], "state"), None, measures.CANONICAL_LAYOUT
     raise ArchiveError("state document needs a run archive, a scan document or a top-level 'state' key")

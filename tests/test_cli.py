@@ -56,11 +56,23 @@ def test_scan_worker_env_var_does_not_change_results(tmp_path, capsys, monkeypat
     assert d1 == d2
 
 
-def test_scan_tolerates_malformed_worker_env(capsys, monkeypatch):
-    monkeypatch.setenv("SSMONO_WORKERS", "many")
-    code, out, _ = run_cli(["scan", "--n", "64", "--rng-seed", "1"], capsys)
+def test_malformed_worker_env_exits_two(capsys, monkeypatch):
+    # these values used to be read as 1 without a word
+    commands = (["scan", "--n", "64"], ["verify", "monogamy-r2", "--qubits", "3", "--samples", "64"])
+    for value in ("many", "abc", "0", "-3", ""):
+        monkeypatch.setenv("SSMONO_WORKERS", value)
+        for argv in commands:
+            code, out, err = run_cli(argv, capsys)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: SSMONO_WORKERS must be an integer >= 1, got {value!r}\n"
+    code, out, _ = run_cli(["scan", "--n", "64", "--workers", "1"], capsys)  # the flag wins
     assert code == 0
     assert json.loads(out)["n_states"] == 64
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--n", "64", "--workers", "0"])
+    assert exc.value.code == 2
+    assert "argument --workers: must be >= 1" in capsys.readouterr().err
 
 
 def test_search_command_writes_loadable_archive(tmp_path, capsys):
@@ -153,6 +165,23 @@ def test_continue_rejects_non_violating_start(tmp_path, capsys):
     code, _, err = run_cli(["continue", "--from", str(run_path), "--schedule", "1.5"], capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_continue_rejects_bad_schedule_before_any_stage(tmp_path, capsys, monkeypatch):
+    # "1.5,nan" used to run the whole alpha = 1.5 stage before failing
+    seed_doc, run_path = tmp_path / "seed.json", tmp_path / "run.json"
+    write_bell_product_doc(seed_doc)
+    argv = ["search", "--delta0", "1e-6", "--delta-min", "1e-4", "--seed-file", str(seed_doc)]
+    assert cli.main(argv + ["--out", str(run_path)]) == 0
+    capsys.readouterr()
+    started = []
+    monkeypatch.setattr(search, "alpha_continuation", lambda *args: started.append(args) or [])
+    for schedule in ("1.5,nan", "inf,1.5"):
+        code, out, err = run_cli(["continue", "--from", str(run_path), "--schedule", schedule], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: alpha must be a real number")
+    assert started == []
 
 
 def test_verify_monogamy_r2_subcommand(capsys):

@@ -240,6 +240,10 @@ def test_continuation_schedule_validation():
         search.ContinuationSchedule(alphas=(1.5,), delta0=float("inf"))
     with pytest.raises(ValueError, match="delta_min"):
         search.ContinuationSchedule(alphas=(1.5,), delta_min=float("nan"))
+    # both used to be accepted: a NaN alpha failed only after the stages before it ran
+    for alphas in ((1.5, float("nan")), (float("inf"), 1.5)):
+        with pytest.raises(ValueError, match="alpha"):
+            search.ContinuationSchedule(alphas=alphas)
 
 
 def test_alpha_continuation_requires_violating_start():
@@ -301,6 +305,30 @@ def test_haar_scan_worker_count_does_not_change_results():
     assert a.argmin_index == b.argmin_index
     assert a.violations == b.violations
     np.testing.assert_array_equal(a.argmin_state, b.argmin_state)
+
+
+def test_haar_minimum_pool_has_no_more_workers_than_chunks(monkeypatch):
+    # a fork-started pool forks every one of max_workers at its first submit
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    pooled = search.haar_scan(3 * search.SCAN_CHUNK - 5, rng=sampler.RngSeed(8), workers=64)
+    assert opened == [3]
+    serial = search.haar_scan(3 * search.SCAN_CHUNK - 5, rng=sampler.RngSeed(8), workers=1)
+    assert (pooled.min_residual, pooled.argmin_index) == (serial.min_residual, serial.argmin_index)
 
 
 def test_haar_scan_validation():

@@ -173,6 +173,22 @@ def _drop_final_delta(doc):
     del doc["final_delta"]
 
 
+def _tamper_pair_entanglement(doc):
+    doc["fingerprint"]["pair_entanglements"]["a1b1"] = 123.0
+
+
+def _tamper_spectrum(doc):
+    doc["fingerprint"]["spectrum_a1a2"] = [9, 9]
+
+
+def _nan_trace_delta(doc):
+    doc["trace"][1]["delta"] = float("nan")  # json.dumps writes NaN
+
+
+def _extra_key(doc):
+    doc["comment"] = "not part of the format"
+
+
 def _all_damages(doc):
     for damage in (_damage_trace_amplitudes, _damage_trace_residual, _drop_total, _drop_final_delta):
         damage(doc)
@@ -185,13 +201,21 @@ def _all_damages(doc):
         (_damage_trace_residual, "trace row 1 ss_residual"),
         (_drop_total, "total_states_generated"),
         (_drop_final_delta, "final_delta"),
+        (_tamper_pair_entanglement, "fingerprint pair_entanglements a1b1"),
+        (_tamper_spectrum, "fingerprint spectrum_a1a2"),
+        (_nan_trace_delta, "NaN"),
+        (_extra_key, "document keys"),
         (_all_damages, "trace row 1 state norm"),
     ],
-    ids=["trace-amplitudes", "trace-residual", "no-total", "no-final-delta", "all"],
+    ids=[
+        "trace-amplitudes", "trace-residual", "no-total", "no-final-delta",
+        "fingerprint-entanglement", "fingerprint-spectrum", "nan-delta", "extra-key", "all",
+    ],
 )
 def test_load_run_checks_the_whole_archive(tmp_path, short_record, damage, message):
     # amplitudes of 5.0 in a trace row, a trace ss of 123 and missing counters
-    # each used to load without complaint, with the counters read as 0
+    # each used to load without complaint, with the counters read as 0; so did
+    # a tampered fingerprint, a NaN delta and a key outside the format
     path = tmp_path / "run.json"
     store.save_run(store.make_archive(short_record), path)
     doc = json.loads(path.read_text())
@@ -200,6 +224,25 @@ def test_load_run_checks_the_whole_archive(tmp_path, short_record, damage, messa
     path.write_text(json.dumps(doc))
     with pytest.raises(store.ArchiveError, match=message):
         store.load_run(path)
+
+
+def test_documents_refuse_numbers_beyond_float_range(tmp_path, short_record):
+    # 1e999 parses to inf without passing through the NaN/Infinity hook, and
+    # float() of a 400-digit integer raised OverflowError past the CLI's handler
+    path = tmp_path / "run.json"
+    store.save_run(store.make_archive(short_record), path)
+    doc = json.loads(path.read_text())
+    doc["final_delta"] = "OVERFLOW"
+    path.write_text(json.dumps(doc).replace('"OVERFLOW"', "1e999"))
+    with pytest.raises(store.ArchiveError, match="non-finite number inf"):
+        store.load_run(path)
+    doc["final_delta"] = 10**400
+    path.write_text(json.dumps(doc))
+    with pytest.raises(store.ArchiveError, match="too large"):
+        store.load_run(path)
+    path.write_text(json.dumps({"state": [[10**400, 0.0]] + [[0.0, 0.0]] * 15}))
+    with pytest.raises(store.ArchiveError, match="too large"):
+        store.load_state_document(path)
 
 
 def test_load_run_rejects_garbage(tmp_path):
