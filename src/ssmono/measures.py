@@ -165,15 +165,26 @@ def sum_inequality_residual(c_squared) -> float:
     """Residual of -log2((2 - sum v)/2) >= -sum log2((2 - v)/2) over v = C_i^2.
 
     Takes the vector of squared concurrences; admissible when every entry is
-    in [0, 1] and the sum is at most 1. Expected >= 0.
+    in [0, 1] and the sum is at most 1. Expected >= 0. A batch of one through
+    sum_inequality_residuals.
     """
-    v = np.asarray(c_squared, dtype=float).reshape(-1)
-    if v.size == 0:
-        raise ValueError("need at least one squared concurrence")
-    if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
+    return float(sum_inequality_residuals(np.asarray(c_squared, dtype=float).reshape(1, -1))[0])
+
+
+def sum_inequality_residuals(c_squared) -> np.ndarray:
+    """sum_inequality_residual of each row of a (samples, length) array.
+
+    Rows of different lengths are padded with zeros: a zero entry adds
+    log2(1) = 0 to the pair side and 0 to the sum, so it leaves the row's
+    residual unchanged.
+    """
+    v = np.asarray(c_squared, dtype=float)
+    if v.ndim != 2 or v.shape[1] == 0:
+        raise ValueError("need at least one squared concurrence per row")
+    if not np.all((v >= -1e-12) & (v <= 1.0 + 1e-12)):  # NaN fails both comparisons
         raise ValueError("every squared concurrence must lie in [0, 1]")
     v = np.clip(v, 0.0, 1.0)
-    total = float(np.sum(v))
-    if total > 1.0 + 1e-9:
-        raise ValueError(f"sum of squared concurrences must be <= 1, got {total}")
-    return float(-np.log2(1.0 - 0.5 * min(total, 1.0)) + np.sum(np.log2(1.0 - 0.5 * v)))
+    total = np.sum(v, axis=1)
+    if np.any(total > 1.0 + 1e-9):
+        raise ValueError(f"sum of squared concurrences must be <= 1, got {total.max()}")
+    return -np.log2(1.0 - 0.5 * np.minimum(total, 1.0)) + np.sum(np.log2(1.0 - 0.5 * v), axis=1)

@@ -240,6 +240,20 @@ def test_verify_sum_inequality_subcommand(capsys):
     assert doc["min_residual"] >= -1e-12
 
 
+def test_verify_sum_inequality_scores_in_bounded_chunks(capsys, monkeypatch):
+    shapes = []
+    score = measures.sum_inequality_residuals
+
+    def recording(vectors):
+        shapes.append(vectors.shape)
+        return score(vectors)
+
+    monkeypatch.setattr(measures, "sum_inequality_residuals", recording)
+    code, _, _ = run_cli(["verify", "sum-inequality", "--samples", "9000"], capsys)
+    assert code == 0
+    assert shapes == [(cli.SUM_CHUNK, 7), (cli.SUM_CHUNK, 7), (9000 - 2 * cli.SUM_CHUNK, 7)]
+
+
 def test_analyze_bare_state_defaults_to_alpha_two(tmp_path, capsys):
     seed_doc = tmp_path / "state.json"
     write_bell_product_doc(seed_doc)

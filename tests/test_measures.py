@@ -368,6 +368,128 @@ def test_ckw_r2_residual_validation():
         measures.ckw_r2_residual(w_state(3), focus=3)
 
 
+def _unscreened_ckw_r2(states, n_qubits, focus):
+    """batched_ckw_r2 without the PPT screen: every pair takes eigh, W and the SVD."""
+    m = states.shape[0]
+    others = [q for q in range(n_qubits) if q != focus]
+    t = states.reshape((m,) + (2,) * n_qubits)
+    a = t.transpose((0, focus + 1) + tuple(q + 1 for q in others)).reshape(m, 2, -1)
+    rho0 = np.matmul(a, a.conj().transpose(0, 2, 1))
+    purity = np.sum(np.abs(rho0) ** 2, axis=(1, 2))
+    c2_total = np.maximum(0.0, 2.0 * (1.0 - purity))
+    residual = -np.log2(1.0 - 0.5 * c2_total)
+    for i in others:
+        rest = [q for q in range(n_qubits) if q not in (focus, i)]
+        perm = (0, focus + 1, i + 1) + tuple(q + 1 for q in rest)
+        k = t.transpose(perm).reshape(m, 4, -1)
+        rho = np.matmul(k, k.conj().transpose(0, 2, 1))
+        w, v = np.linalg.eigh(rho)
+        wfac = v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
+        tau = np.matmul(wfac.transpose(0, 2, 1), np.matmul(_kernels.SPIN_FLIP, wfac))
+        lam = np.linalg.svd(tau, compute_uv=False)
+        c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+        residual = residual + np.log2(1.0 - 0.5 * c * c)
+    return residual
+
+
+def _haar_chunk(seed, rows, n_qubits):
+    gen = np.random.default_rng(seed)
+    z = gen.standard_normal((rows, 2**n_qubits)) + 1j * gen.standard_normal((rows, 2**n_qubits))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _npt_pairs(states, n_qubits, focus):
+    """Pairs (focus, i) over all rows whose partial transpose has a negative eigenvalue."""
+    count = 0
+    for i in range(n_qubits):
+        if i != focus:
+            for psi in states:
+                rho = linalg.partial_trace(psi, tuple(sorted((focus, i))))
+                rho_g = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+                count += int(np.linalg.eigvalsh(rho_g)[0] < 0.0)
+    return count
+
+
+def _werner_purification(p):
+    """Four qubits whose (0, 1) reduction is p |psi-><psi-| + (1 - p) I/4."""
+    s = np.sqrt(0.5)
+    bell = [np.array(v, dtype=complex) for v in ([0, s, -s, 0], [0, s, s, 0], [s, 0, 0, s], [s, 0, 0, -s])]
+    weights = [(1.0 + 3.0 * p) / 4.0] + [(1.0 - p) / 4.0] * 3
+    return sum(np.sqrt(wk) * np.kron(vk, np.eye(4)[k]) for k, (wk, vk) in enumerate(zip(weights, bell)))
+
+
+def _svd_rows(monkeypatch):
+    """Record the number of matrices each np.linalg.svd call receives."""
+    seen, svd = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        seen.append(a.shape[0] if a.ndim == 3 else 1)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return seen
+
+
+def _screened_svd_rows(states, n, monkeypatch):
+    """Check batched_ckw_r2 against the unscreened reference bit for bit at
+    every focus; return the number of pairs that reached the SVD per focus."""
+    counts = []
+    for focus in range(n):
+        reference = _unscreened_ckw_r2(states, n, focus)
+        seen = _svd_rows(monkeypatch)
+        screened = _kernels.batched_ckw_r2(states, n, focus)
+        monkeypatch.undo()
+        assert screened.view(np.int64).tolist() == reference.view(np.int64).tolist(), (n, focus)
+        counts.append(sum(seen))
+    return counts
+
+
+def test_partial_transpose_det_matches_lapack():
+    rng = np.random.default_rng(172)
+    g = rng.standard_normal((200, 4, 4)) + 1j * rng.standard_normal((200, 4, 4))
+    h = g + g.conj().transpose(0, 2, 1)
+    h_g = h.reshape(200, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(200, 4, 4)
+    expected = np.linalg.det(h_g).real
+    assert np.max(np.abs(_kernels._partial_transpose_det(h) - expected) / np.abs(expected)) < 1e-12
+
+
+def test_ppt_screen_matches_unscreened_reference_on_haar_chunks(monkeypatch):
+    for n in range(3, 9):
+        states = _haar_chunk(170 + n, 160 >> max(0, n - 5), n)
+        # the SVD sees exactly the entangled (NPT) pairs; every PPT pair skips it
+        expected = [_npt_pairs(states, n, focus) for focus in range(n)]
+        assert _screened_svd_rows(states, n, monkeypatch) == expected, n
+
+
+def test_ppt_screen_matches_unscreened_reference_on_boundary_states(monkeypatch):
+    rng = np.random.default_rng(171)
+    for n in range(3, 9):
+        # GHZ pairs are separable with det(rho^G) = 0 exactly, so they take the SVD
+        assert _screened_svd_rows(ghz_state(n)[None], n, monkeypatch) == [n - 1] * n
+        product = random_state(rng, 1)
+        for _ in range(n - 1):
+            product = np.kron(product, random_state(rng, 1))
+        # every W pair is entangled; product pairs are rank one, so det(rho^G) = 0 too
+        assert _screened_svd_rows(np.stack([w_state(n), product]), n, monkeypatch) == [2 * n - 2] * n
+    for p in (1.0 / 3.0 - 1e-9, 1.0 / 3.0, 1.0 / 3.0 + 1e-9, 0.5, 1.0):
+        psi = _werner_purification(p)
+        _screened_svd_rows(psi[None], 4, monkeypatch)
+        c = _kernels._concurrences(linalg.partial_trace(psi, (0, 1))[None])[0]
+        assert c == pytest.approx(max(0.0, (3.0 * p - 1.0) / 2.0), abs=1e-12), p
+
+
+def test_ckw_r2_rows_do_not_depend_on_the_batch(monkeypatch):
+    for n, rows in ((4, 48), (5, 24)):
+        states = _haar_chunk(180 + n, rows, n)
+        for focus in range(n):
+            seen = _svd_rows(monkeypatch)
+            batch = _kernels.batched_ckw_r2(states, n, focus)
+            monkeypatch.undo()
+            assert 0 < sum(seen) < rows * (n - 1)  # the chunk mixes separable and entangled pairs
+            for r in range(rows):
+                assert batch[r] == measures.ckw_r2_residual(states[r], focus), (n, focus, r)
+
+
 def test_sum_inequality_residual_two_halves_oracle():
     # v = (1/2, 1/2): -log2(1/2) + 2*log2(3/4) = 2*log2(3) - 3
     expected = 2 * math.log2(3.0) - 3.0
@@ -381,11 +503,16 @@ def test_sum_inequality_residual_single_entry_is_zero():
 
 def test_sum_inequality_residual_nonnegative_property():
     rng = np.random.default_rng(151)
-    for _ in range(500):
+    padded = np.zeros((500, 7))
+    singles = []
+    for row in padded:
         k = int(rng.integers(1, 7))
         raw = rng.uniform(0.0, 1.0, size=k)
-        v = raw * (rng.uniform() / max(1.0, raw.sum()))
-        assert measures.sum_inequality_residual(v) >= -1e-12
+        row[:k] = raw * (rng.uniform() / max(1.0, raw.sum()))
+        singles.append(measures.sum_inequality_residual(row[:k]))
+        assert singles[-1] >= -1e-12
+    # zero padding leaves every row's residual unchanged, bit for bit
+    assert measures.sum_inequality_residuals(padded).tolist() == singles
 
 
 def test_sum_inequality_residual_validation():
@@ -396,4 +523,10 @@ def test_sum_inequality_residual_validation():
     with pytest.raises(ValueError):
         measures.sum_inequality_residual([1.2])
     with pytest.raises(ValueError):
+        measures.sum_inequality_residual([0.2, float("nan")])
+    with pytest.raises(ValueError):
         measures.sum_inequality_residual([0.7, 0.7])  # sum above 1
+    with pytest.raises(ValueError):
+        measures.sum_inequality_residuals(np.zeros(3))  # needs (samples, length)
+    with pytest.raises(ValueError):
+        measures.sum_inequality_residuals([[0.2, 0.1], [0.7, 0.7]])
