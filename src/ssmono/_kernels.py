@@ -4,11 +4,21 @@ Everything here operates on raw, already-validated amplitude arrays. Every
 residual term goes through one batched kernel, `batched_terms`, whose rows do
 not depend on the batch size, so the objective value driving an acceptance is
 bit-identical to the value stored in the trace and to a later batch-of-one
-`residual_report`.
+`residual_report`. Every singular value, and with it every Wootters lambda
+and every bipartite spectrum at alpha != 2, comes from one compiled 4x4
+kernel, `singular_values4`, built from `_svd4.c` on first import.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -30,15 +40,64 @@ _PT_MINORS = np.array(
 ).T
 _PT_SIGNS = np.array([sign for *_, sign in _LAPLACE])
 
-# sigma_y (x) sigma_y written out: antidiagonal (-1, 1, 1, -1)
-SPIN_FLIP = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ]
-)
+# plain -O2: no -march or -ffast-math, and no fused multiply-adds, so every
+# build computes the same bits
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+def _load_svd4() -> ctypes.CDLL:
+    """Compile _svd4.c with the C compiler Python was built with, once per source
+    and flags, into __pycache__ under a name keyed by their hash, and load it.
+
+    The library is written under a temporary name and renamed into place, so
+    a process importing concurrently never loads a partial file.
+    """
+    source = Path(__file__).with_name("_svd4.c")
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    # CRC-32, not hashlib: importing hashlib maps OpenSSL, 3.5 MiB of RSS
+    key = zlib.crc32(source.read_bytes() + " ".join(compiler + list(_CFLAGS)).encode())
+    cache = Path(__file__).with_name("__pycache__")
+    target = cache / f"_svd4-{key:08x}{sysconfig.get_config_var('EXT_SUFFIX') or '.so'}"
+    if not target.exists():
+        cache.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache, prefix="_svd4-", suffix=".tmp")
+        os.close(fd)
+        command = compiler + list(_CFLAGS) + ["-o", tmp, str(source), "-lm"]
+        try:
+            try:
+                built = subprocess.run(command, capture_output=True, text=True)
+            except OSError as exc:
+                raise ImportError(f"ssmono needs a C compiler: {shlex.join(command)} failed: {exc}") from exc
+            if built.returncode != 0:
+                raise ImportError(
+                    f"ssmono needs a C compiler: {shlex.join(command)} exited {built.returncode}:\n"
+                    f"{built.stderr.strip()}"
+                )
+            os.replace(tmp, target)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(str(target))
+    lib.svd4.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t)
+    lib.svd4.restype = None
+    return lib
+
+
+_SVD4 = _load_svd4()
+
+
+def singular_values4(a: np.ndarray) -> np.ndarray:
+    """Descending singular values (..., 4) of each matrix of a complex128
+    (..., 4, 4) array, by one-sided Jacobi one matrix at a time (_svd4.c)."""
+    if not isinstance(a, np.ndarray) or a.dtype != np.complex128 or a.ndim < 2 or a.shape[-2:] != (4, 4):
+        raise ValueError(
+            f"need a complex128 array of 4x4 matrices, got {getattr(a, 'dtype', type(a).__name__)} "
+            f"{getattr(a, 'shape', '')}"
+        )
+    a = np.ascontiguousarray(a)
+    out = np.empty(a.shape[:-1])
+    _SVD4.svd4(a.ctypes.data, out.ctypes.data, a.size // 16)
+    return out
 
 
 def is_alpha_one(alpha: float) -> bool:
@@ -94,34 +153,38 @@ def _block_index(perms: tuple) -> np.ndarray:
     return index
 
 
-def spin_flip_lambdas(block: np.ndarray) -> np.ndarray:
-    """Wootters lambdas of rho = B B^dagger, descending.
+def spin_flip_lambdas(blocks: np.ndarray) -> np.ndarray:
+    """Wootters lambdas of rho = B B^dagger for each (..., 4, 4) factor B, descending.
 
-    They are the singular values of B^T S B (S the spin flip), which equal the
-    square roots of the eigenvalues of rho rho~ on the nonzero part.
+    They are the singular values of tau = B^T S B (S the spin flip), which
+    equal the square roots of the eigenvalues of rho rho~ on the nonzero part.
+    With r_i the rows of B, tau = D + D^T for D = r_1 (x) r_2 - r_0 (x) r_3:
+    elementwise outer products, a third of the cost of two stacked matmuls.
     """
-    tau = block.T @ (SPIN_FLIP @ block)
-    return np.linalg.svd(tau, compute_uv=False)
+    r = [blocks[..., i, :] for i in range(4)]
+    d = r[1][..., :, None] * r[2][..., None, :] - r[0][..., :, None] * r[3][..., None, :]
+    return singular_values4(d + np.swapaxes(d, -1, -2))
 
 
 def _bipartite(states: np.ndarray, layout, alpha: float) -> np.ndarray:
-    """Renyi entropy of the (a1, a2) reduction for each row of (m, 16) amplitudes."""
+    """Renyi entropy of the (a1, a2) reduction for each row of (m, 16) amplitudes.
+
+    rho = B B^dagger for the 4x4 amplitude block B, so its spectrum is sv(B)^2.
+    """
     blocks = states[:, _block_index((tuple(layout),))[0]].reshape(-1, 4, 4)
-    rho = np.matmul(blocks, blocks.conj().transpose(0, 2, 1))
     if alpha == 2.0:
+        rho = np.matmul(blocks, blocks.conj().transpose(0, 2, 1))
         return -np.log2(np.sum(np.abs(rho) ** 2, axis=(1, 2)))
-    return entropy_from_eigs_raw(np.maximum(np.linalg.eigvalsh(rho), 0.0), alpha)
+    return entropy_from_eigs_raw(singular_values4(blocks) ** 2, alpha)
 
 
 def _pair_terms(states: np.ndarray, pairs, alpha: float) -> np.ndarray:
     """(m, k) entanglement of the k two-qubit reductions `pairs` of each row.
 
-    All m*k pair blocks go through one matmul and one 4x4 SVD call.
+    All m*k pair blocks go through one spin_flip_lambdas call.
     """
     index = _block_index(tuple(_pair_perm(i, j) for i, j in pairs))
-    blocks = states[:, index].reshape(-1, 4, 4)
-    tau = np.matmul(blocks.transpose(0, 2, 1), np.matmul(SPIN_FLIP, blocks))
-    lam = np.linalg.svd(tau, compute_uv=False)  # descending per row
+    lam = spin_flip_lambdas(states[:, index].reshape(-1, 4, 4))
     c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
     return renyi_from_c_raw(np.minimum(c, 1.0), alpha).reshape(-1, len(pairs))
 
@@ -178,18 +241,26 @@ def _partial_transpose_det(rho: np.ndarray) -> np.ndarray:
     return np.sum(terms.real * _PT_SIGNS, axis=1)
 
 
-def _concurrences(rho: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of each (m, 4, 4) two-qubit density matrix, PPT
-    rows screened out as batched_ckw_r2 describes."""
-    m = rho.shape[0]
+def _concurrences(k: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of rho = k k^dagger for each (m, 4, d) pair factor
+    k, PPT rows screened out as batched_ckw_r2 describes.
+
+    For d <= 4, k zero-padded to 4x4 is itself a factor of rho; for d > 4 the
+    factor is W = V sqrt(w) from the eigendecomposition of rho.
+    """
+    m, _, d = k.shape
+    rho = np.matmul(k, k.conj().transpose(0, 2, 1))
     rows = np.flatnonzero(_partial_transpose_det(rho) < SEPARABLE_DET)
     c = np.zeros(m)
     if rows.size:
         sel = slice(None) if rows.size == m else rows  # no gather when every row is entangled
-        w, v = np.linalg.eigh(rho[sel])
-        wfac = v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
-        tau = np.matmul(wfac.transpose(0, 2, 1), np.matmul(SPIN_FLIP, wfac))
-        lam = np.linalg.svd(tau, compute_uv=False)
+        if d <= 4:
+            factor = np.zeros((rows.size, 4, 4), dtype=complex)
+            factor[:, :, :d] = k[sel]
+        else:
+            w, v = np.linalg.eigh(rho[sel])
+            factor = v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
+        lam = spin_flip_lambdas(factor)
         c[sel] = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
     return c
 
@@ -199,20 +270,22 @@ def batched_ckw_r2(states: np.ndarray, n_qubits: int, focus: int = 0) -> np.ndar
 
     Bipartite side uses C^2(focus|rest) = 2(1 - Tr rho_focus^2); the pair side
     uses the spin-flip lambdas of each two-qubit reduction, computed as
-    singular values of W^T S W from an eigendecomposition factor W so the
-    zero modes stay at machine scale instead of sqrt(eps).
+    singular values of W^T S W from a factor rho = W W^dagger so the zero
+    modes stay at machine scale instead of sqrt(eps): the pair's own 4 x 2^(n-2)
+    amplitude matrix, zero-padded, for n <= 4, and an eigendecomposition factor
+    beyond.
 
-    Separable pairs skip the eigendecomposition and the SVD. A two-qubit rho
-    is entangled iff its partial transpose rho^G has a negative eigenvalue
-    (Peres-Horodecki criterion; Horodecki, Horodecki & Horodecki, PLA 223, 1
-    (1996)). At most one eigenvalue of rho^G can be negative, so rho is
+    Separable pairs skip the eigendecomposition and the singular values. A
+    two-qubit rho is entangled iff its partial transpose rho^G has a negative
+    eigenvalue (Peres-Horodecki criterion; Horodecki, Horodecki & Horodecki,
+    PLA 223, 1 (1996)). At most one eigenvalue of rho^G can be negative, so rho is
     entangled iff det(rho^G) < 0 (Augusiak, Demianowicz & Horodecki, PRA 77,
     030301 (2008)). No entry or eigenvalue of rho^G exceeds 1 in modulus, so
     the determinant's roundoff stays near 1e-15, and a computed det at or
     above SEPARABLE_DET proves det(rho^G) > 0: with at most one negative
     eigenvalue possible, all four are positive, the pair is separable and its
     concurrence is exactly 0. Every other row, det(rho^G) = 0 boundary states
-    included, takes the SVD, which stays the only source of a nonzero
+    included, takes spin_flip_lambdas, which stays the only source of a nonzero
     concurrence. Every step works row by row, so row r still depends only on
     states[r].
     """
@@ -227,7 +300,6 @@ def batched_ckw_r2(states: np.ndarray, n_qubits: int, focus: int = 0) -> np.ndar
     for i in others:
         rest = [q for q in range(n_qubits) if q not in (focus, i)]
         perm = (0, focus + 1, i + 1) + tuple(q + 1 for q in rest)
-        k = t.transpose(perm).reshape(m, 4, -1)
-        c = _concurrences(np.matmul(k, k.conj().transpose(0, 2, 1)))
+        c = _concurrences(t.transpose(perm).reshape(m, 4, -1))
         residual = residual + np.log2(1.0 - 0.5 * c * c)
     return residual

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -62,10 +64,38 @@ class TraceEntry:
     states_since_accept: int
 
 
+class Trace(Sequence):
+    """The accepted states of a run, held as columns: one (n, 16) block of
+    states and one array for each number, about 300 bytes a row. A TraceEntry
+    is built on access; one object per row cost about 1 KB, and a
+    continuation stage can accept 10^5 states."""
+
+    def __init__(self, rows, states: np.ndarray, reports):
+        """rows: (step, delta, states_since_accept) of each entry; states:
+        their (n, 16) amplitudes; reports: their ResidualReports."""
+        self._steps = np.array([row[0] for row in rows], dtype=np.int64)
+        self._deltas = np.array([row[1] for row in rows], dtype=float)
+        self._since = np.array([row[2] for row in rows], dtype=np.int64)
+        self._states = states
+        self._ss = np.array([r.ss_residual for r in reports], dtype=float)
+        self._mono = np.array([r.monogamy_residual for r in reports], dtype=float)
+
+    def __len__(self) -> int:
+        return len(self._steps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        return TraceEntry(
+            int(self._steps[i]), float(self._deltas[i]), self._states[i],
+            float(self._ss[i]), float(self._mono[i]), int(self._since[i]),
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class RunRecord:
     config: SearchConfig
-    trace: tuple
+    trace: Trace
     final_state: np.ndarray
     final_residuals: measures.ResidualReport
     total_states_generated: int
@@ -150,14 +180,11 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
         counter = 0
     # both residuals of every accepted state in one batched pass; a row's bits
     # depend neither on its batch nor on k, so the objective keeps its accepted value
-    reports = measures.residual_reports(np.array([row[2] for row in accepted]), config.layout, alpha)
-    trace = tuple(
-        TraceEntry(at, at_delta, state, report.ss_residual, report.monogamy_residual, since)
-        for (at, at_delta, state, since), report in zip(accepted, reports)
-    )
+    states = np.array([row[2] for row in accepted])
+    reports = measures.residual_reports(states, config.layout, alpha)
     return RunRecord(
         config=config,
-        trace=trace,
+        trace=Trace([(at, at_delta, since) for at, at_delta, _, since in accepted], states, reports),
         final_state=current,
         final_residuals=reports[-1],
         total_states_generated=step,
@@ -288,7 +315,8 @@ def haar_minimum(
     Returns (violations below threshold, least value, its draw index, its
     state). Draws come in chunks of 2**16 amplitudes, chunk k on the sibling
     stream derive(rng, k + 1), so the result is identical for every worker
-    count and no kernel call sees more than one chunk. The kernel is named,
+    count and no kernel call sees more than one chunk. At most min(workers,
+    chunks, CPU count) processes are opened. The kernel is named,
     not passed, so that workers look it up in their own `_kernels`.
     """
     if n_states < 1:
@@ -298,11 +326,13 @@ def haar_minimum(
     rows = SCAN_CHUNK * 16 >> n_qubits
     sizes = [rows] * (n_states // rows) + ([n_states % rows] if n_states % rows else [])
     tasks = [(ci, size, n_qubits, rng, kernel, kernel_args, threshold) for ci, size in enumerate(sizes)]
-    if workers == 1 or len(tasks) == 1:
+    # a fork-started pool forks all max_workers processes at its first submit,
+    # and processes beyond the CPU count only add memory
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    if processes == 1:
         results = [_chunk_task(t) for t in tasks]
     else:
-        # a fork-started pool forks all max_workers processes at its first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_chunk_task, tasks))
     # min keeps the first of equal values, which is the lowest draw index
     ci, (_, least, argmin, state) = min(enumerate(results), key=lambda r: r[1][1])

@@ -261,10 +261,7 @@ def _run_from_doc(doc: dict) -> RunArchive:
         raise ArchiveError(f"malformed archive document: {exc!r}") from None
     states = np.array([row[2] for row in rows] + [final_state])
     reports = measures.residual_reports(states, config.layout, config.alpha)
-    trace = tuple(
-        search.TraceEntry(step, delta, state, report.ss_residual, report.monogamy_residual, since)
-        for (step, delta, state, since), report in zip(rows, reports)
-    )
+    trace = search.Trace([(step, delta, since) for step, delta, _, since in rows], states[:-1], reports[:-1])
     record = search.RunRecord(config, trace, final_state, reports[-1], total, final_delta)
     archive = make_archive(record, created_at)
     _agree(doc, _run_doc(archive))

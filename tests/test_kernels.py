@@ -1,0 +1,183 @@
+"""The compiled 4x4 singular-value kernel: edge cases, input checks, the
+40-digit oracle in oracle.py, LAPACK as a reference, and the build cache."""
+
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import oracle
+from conftest import bell_product, ghz_state, random_state, w_state
+
+from ssmono import _kernels, measures, sampler, search
+
+SRC = Path(_kernels.__file__).parent
+SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # sigma_y (x) sigma_y
+
+
+def _haar_blocks(seed, count):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((count, 16)) + 1j * rng.standard_normal((count, 16))
+    return (z / np.linalg.norm(z, axis=1, keepdims=True)).reshape(count, 4, 4)
+
+
+def test_singular_values_of_degenerate_matrices():
+    rng = np.random.default_rng(201)
+    u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    unitary = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    zero_columns = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    zero_columns[:, [1, 3]] = 0.0
+    cases = {
+        "zero": np.zeros((4, 4), dtype=complex),
+        "rank one": np.outer(u, v.conj()),
+        "zero columns": zero_columns,
+        "equal": 2.0 * unitary,
+        "repeated diagonal": np.diag([3.0, 1j, -3.0, 1.0]).astype(complex),
+    }
+    for name, a in cases.items():
+        got = _kernels.singular_values4(a)
+        expected = np.linalg.svd(a, compute_uv=False)
+        assert np.all(np.diff(got) <= 0.0), name
+        assert np.max(np.abs(got - expected)) <= 4 * np.finfo(float).eps * max(1.0, expected[0]), name
+    assert _kernels.singular_values4(cases["zero"]).tolist() == [0.0] * 4
+    assert _kernels.singular_values4(cases["repeated diagonal"]).tolist() == [3.0, 3.0, 1.0, 1.0]
+    # the rank-2 spin-flip products of three-qubit pairs, which drove a norm
+    # update negative in an earlier kernel
+    k = _haar_blocks(202, 2000)
+    k[:, :, 2:] = 0.0
+    lam = _kernels.spin_flip_lambdas(k)
+    assert np.all(np.isfinite(lam))
+    tau = np.matmul(k.transpose(0, 2, 1), np.matmul(SPIN_FLIP, k))
+    assert np.max(np.abs(lam - np.linalg.svd(tau, compute_uv=False))) < 1e-13
+
+
+def test_nan_entry_returns_nan():
+    a = _haar_blocks(203, 3)
+    a[1, 2, 1] = np.nan
+    got = _kernels.singular_values4(a)
+    assert np.isnan(got[1]).any()
+    assert np.all(np.isfinite(got[[0, 2]]))
+    assert got[[0, 2]].tolist() == _kernels.singular_values4(a[[0, 2]]).tolist()
+
+
+def test_bad_input_is_refused_before_the_kernel_runs(monkeypatch):
+    class Refuse:
+        def svd4(self, *args):
+            raise AssertionError("the C kernel was called")
+
+    monkeypatch.setattr(_kernels, "_SVD4", Refuse())
+    good = np.zeros((2, 4, 4), dtype=complex)
+    for bad in (good.real, good.astype(np.complex64), good[:, :3], good[:, :, :3],
+                np.zeros(16, dtype=complex), good.tolist()):
+        with pytest.raises(ValueError, match="4x4"):
+            _kernels.singular_values4(bad)
+    with pytest.raises(AssertionError):
+        _kernels.singular_values4(good)
+
+
+def test_rows_do_not_depend_on_the_batch_or_its_layout():
+    a = _haar_blocks(204, 64)
+    batch = _kernels.singular_values4(a)
+    strided = _kernels.singular_values4(np.stack([a, a], axis=1)[:, 0])
+    assert strided.tolist() == batch.tolist()
+    for r in (0, 17, 63):
+        assert _kernels.singular_values4(a[r]).tolist() == batch[r].tolist()
+
+
+def test_lambdas_match_lapack_on_haar_blocks():
+    blocks = _haar_blocks(205, 10_000)
+    tau = np.matmul(blocks.transpose(0, 2, 1), np.matmul(SPIN_FLIP, blocks))
+    assert np.max(np.abs(_kernels.spin_flip_lambdas(blocks) - np.linalg.svd(tau, compute_uv=False))) < 1e-13
+    rho = np.matmul(blocks, blocks.conj().transpose(0, 2, 1))
+    spectrum = _kernels.singular_values4(blocks) ** 2
+    assert np.max(np.abs(spectrum[:, ::-1] - np.linalg.eigvalsh(rho))) < 1e-13
+
+
+def _oracle_states():
+    rng = np.random.default_rng(206)
+    product = random_state(rng, 2)
+    product = np.kron(product, random_state(rng, 2))
+    states = [ghz_state(4), w_state(4), bell_product(), product]
+    states += [random_state(rng, 4) for _ in range(12)]
+    return np.stack(states)
+
+
+def test_lambdas_match_the_oracle():
+    for psi in _oracle_states():
+        for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
+            rest = [q for q in range(4) if q not in (i, j)]
+            block = psi.reshape(2, 2, 2, 2).transpose(i, j, *rest).reshape(4, 4)
+            expected = oracle.pair_lambdas(psi, i, j)
+            lam = _kernels.spin_flip_lambdas(block)
+            assert np.max(np.abs(lam - [float(x) for x in expected])) < 1e-14, (i, j)
+            c = measures.concurrence(block @ block.conj().T)
+            assert abs(c - float(oracle.concurrence(expected))) < 1e-14, (i, j)
+
+
+@pytest.fixture(scope="module")
+def seed0_optimum():
+    record = search.minimize_residual(search.SearchConfig(alpha=2.0, rng=sampler.RngSeed(0)))
+    return record.final_state
+
+
+def test_batched_terms_match_the_oracle(seed0_optimum):
+    states = np.vstack([_oracle_states(), seed0_optimum[None]])
+    layout = (0, 1, 2, 3)
+    alphas = (2.0, 1.5, 1.02, 1.0)
+    expected = [oracle.terms(psi, layout, alphas) for psi in states]
+    for alpha in alphas:
+        e_bip, pair = _kernels.batched_terms(states, layout, alpha)
+        for r, psi in enumerate(states):
+            want_bip, want_pair = expected[r][alpha]
+            assert abs(e_bip[r] - float(want_bip)) < 1e-13, (alpha, r)
+            assert np.max(np.abs(pair[r] - [float(x) for x in want_pair])) < 1e-13, (alpha, r)
+
+
+def _load_copy(directory: Path):
+    """Import a copy of _kernels (and its C source) from `directory`, so its
+    build cache is directory/__pycache__ and not the package's."""
+    for name in ("_kernels.py", "_svd4.c"):
+        shutil.copy(SRC / name, directory / name)
+    spec = importlib.util.spec_from_file_location("kernels_copy", directory / "_kernels.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_build_failure_names_the_command_and_its_stderr(tmp_path, monkeypatch):
+    def failing(command, **kwargs):
+        return subprocess.CompletedProcess(command, 1, "", "cc: error: no such compiler\n")
+
+    monkeypatch.setattr(subprocess, "run", failing)
+    with pytest.raises(ImportError, match="-ffp-contract=off.*exited 1:\ncc: error: no such compiler"):
+        _load_copy(tmp_path)
+
+    def missing(command, **kwargs):
+        raise FileNotFoundError(2, "No such file or directory", command[0])
+
+    monkeypatch.setattr(subprocess, "run", missing)
+    with pytest.raises(ImportError, match="-ffp-contract=off.*No such file or directory"):
+        _load_copy(tmp_path)
+    # no partial library left behind
+    assert [f for f in os.listdir(tmp_path / "__pycache__") if f.startswith("_svd4")] == []
+
+
+def test_fresh_process_reuses_the_cached_library():
+    refuse = (
+        "import subprocess\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('the compiler was called')\n"
+        "subprocess.run = subprocess.Popen = refuse\n"
+        "from ssmono import _kernels\n"
+        "print(_kernels._SVD4._name)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", refuse], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == _kernels._SVD4._name

@@ -369,7 +369,8 @@ def test_ckw_r2_residual_validation():
 
 
 def _unscreened_ckw_r2(states, n_qubits, focus):
-    """batched_ckw_r2 without the PPT screen: every pair takes eigh, W and the SVD."""
+    """batched_ckw_r2 without the PPT screen: every pair takes its factor (the
+    zero-padded pair matrix for n <= 4, eigh and W beyond) and spin_flip_lambdas."""
     m = states.shape[0]
     others = [q for q in range(n_qubits) if q != focus]
     t = states.reshape((m,) + (2,) * n_qubits)
@@ -382,11 +383,12 @@ def _unscreened_ckw_r2(states, n_qubits, focus):
         rest = [q for q in range(n_qubits) if q not in (focus, i)]
         perm = (0, focus + 1, i + 1) + tuple(q + 1 for q in rest)
         k = t.transpose(perm).reshape(m, 4, -1)
-        rho = np.matmul(k, k.conj().transpose(0, 2, 1))
-        w, v = np.linalg.eigh(rho)
-        wfac = v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
-        tau = np.matmul(wfac.transpose(0, 2, 1), np.matmul(_kernels.SPIN_FLIP, wfac))
-        lam = np.linalg.svd(tau, compute_uv=False)
+        if n_qubits <= 4:
+            factor = np.concatenate([k, np.zeros((m, 4, 4 - k.shape[2]), dtype=complex)], axis=2)
+        else:
+            w, v = np.linalg.eigh(np.matmul(k, k.conj().transpose(0, 2, 1)))
+            factor = v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
+        lam = _kernels.spin_flip_lambdas(factor)
         c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
         residual = residual + np.log2(1.0 - 0.5 * c * c)
     return residual
@@ -418,25 +420,25 @@ def _werner_purification(p):
     return sum(np.sqrt(wk) * np.kron(vk, np.eye(4)[k]) for k, (wk, vk) in enumerate(zip(weights, bell)))
 
 
-def _svd_rows(monkeypatch):
-    """Record the number of matrices each np.linalg.svd call receives."""
-    seen, svd = [], np.linalg.svd
+def _lambda_rows(monkeypatch):
+    """Record the number of pair factors each _kernels.spin_flip_lambdas call receives."""
+    seen, lambdas = [], _kernels.spin_flip_lambdas
 
-    def recording(a, *args, **kwargs):
-        seen.append(a.shape[0] if a.ndim == 3 else 1)
-        return svd(a, *args, **kwargs)
+    def recording(blocks):
+        seen.append(blocks.shape[0])
+        return lambdas(blocks)
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(_kernels, "spin_flip_lambdas", recording)
     return seen
 
 
-def _screened_svd_rows(states, n, monkeypatch):
+def _screened_lambda_rows(states, n, monkeypatch):
     """Check batched_ckw_r2 against the unscreened reference bit for bit at
-    every focus; return the number of pairs that reached the SVD per focus."""
+    every focus; return the number of pairs that reached spin_flip_lambdas per focus."""
     counts = []
     for focus in range(n):
         reference = _unscreened_ckw_r2(states, n, focus)
-        seen = _svd_rows(monkeypatch)
+        seen = _lambda_rows(monkeypatch)
         screened = _kernels.batched_ckw_r2(states, n, focus)
         monkeypatch.undo()
         assert screened.view(np.int64).tolist() == reference.view(np.int64).tolist(), (n, focus)
@@ -456,25 +458,25 @@ def test_partial_transpose_det_matches_lapack():
 def test_ppt_screen_matches_unscreened_reference_on_haar_chunks(monkeypatch):
     for n in range(3, 9):
         states = _haar_chunk(170 + n, 160 >> max(0, n - 5), n)
-        # the SVD sees exactly the entangled (NPT) pairs; every PPT pair skips it
+        # the lambdas see exactly the entangled (NPT) pairs; every PPT pair skips them
         expected = [_npt_pairs(states, n, focus) for focus in range(n)]
-        assert _screened_svd_rows(states, n, monkeypatch) == expected, n
+        assert _screened_lambda_rows(states, n, monkeypatch) == expected, n
 
 
 def test_ppt_screen_matches_unscreened_reference_on_boundary_states(monkeypatch):
     rng = np.random.default_rng(171)
     for n in range(3, 9):
-        # GHZ pairs are separable with det(rho^G) = 0 exactly, so they take the SVD
-        assert _screened_svd_rows(ghz_state(n)[None], n, monkeypatch) == [n - 1] * n
+        # GHZ pairs are separable with det(rho^G) = 0 exactly, so they take the lambdas
+        assert _screened_lambda_rows(ghz_state(n)[None], n, monkeypatch) == [n - 1] * n
         product = random_state(rng, 1)
         for _ in range(n - 1):
             product = np.kron(product, random_state(rng, 1))
         # every W pair is entangled; product pairs are rank one, so det(rho^G) = 0 too
-        assert _screened_svd_rows(np.stack([w_state(n), product]), n, monkeypatch) == [2 * n - 2] * n
+        assert _screened_lambda_rows(np.stack([w_state(n), product]), n, monkeypatch) == [2 * n - 2] * n
     for p in (1.0 / 3.0 - 1e-9, 1.0 / 3.0, 1.0 / 3.0 + 1e-9, 0.5, 1.0):
         psi = _werner_purification(p)
-        _screened_svd_rows(psi[None], 4, monkeypatch)
-        c = _kernels._concurrences(linalg.partial_trace(psi, (0, 1))[None])[0]
+        _screened_lambda_rows(psi[None], 4, monkeypatch)
+        c = _kernels._concurrences(psi.reshape(1, 4, 4))[0]  # pair (0, 1)
         assert c == pytest.approx(max(0.0, (3.0 * p - 1.0) / 2.0), abs=1e-12), p
 
 
@@ -482,7 +484,7 @@ def test_ckw_r2_rows_do_not_depend_on_the_batch(monkeypatch):
     for n, rows in ((4, 48), (5, 24)):
         states = _haar_chunk(180 + n, rows, n)
         for focus in range(n):
-            seen = _svd_rows(monkeypatch)
+            seen = _lambda_rows(monkeypatch)
             batch = _kernels.batched_ckw_r2(states, n, focus)
             monkeypatch.undo()
             assert 0 < sum(seen) < rows * (n - 1)  # the chunk mixes separable and entangled pairs

@@ -1,5 +1,7 @@
 """Search loop semantics, region walks, continuation, and scans."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,11 @@ def test_minimize_residual_trace_is_strictly_improving():
     assert all(x > y for x, y in zip(values, values[1:]))
     assert rec.final_delta < cfg.delta_min
     assert rec.final_residuals.ss_residual == values[-1]
+    # the trace is a sequence held as columns: negative indices, slices, bounds
+    assert rec.trace[-1].state.tobytes() == rec.final_state.tobytes()
+    assert [t.step for t in rec.trace[-2:]] == [t.step for t in rec.trace][-2:]
+    with pytest.raises(IndexError):
+        rec.trace[len(rec.trace)]
 
 
 def test_trace_rows_reevaluate_bit_identically():
@@ -325,10 +332,18 @@ def test_haar_minimum_pool_has_no_more_workers_than_chunks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     pooled = search.haar_scan(3 * search.SCAN_CHUNK - 5, rng=sampler.RngSeed(8), workers=64)
     assert opened == [3]
     serial = search.haar_scan(3 * search.SCAN_CHUNK - 5, rng=sampler.RngSeed(8), workers=1)
     assert (pooled.min_residual, pooled.argmin_index) == (serial.min_residual, serial.argmin_index)
+    # nor more than the CPUs: 40 chunks of 256 states at n = 8
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    many = search.haar_minimum(40 * 256, 8, sampler.RngSeed(9), "batched_ckw_r2", (8,), 0.0, 10_000)
+    assert opened == [3, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process, no pool
+    assert search.haar_minimum(40 * 256, 8, sampler.RngSeed(9), "batched_ckw_r2", (8,), 0.0, 10_000)[1:3] == many[1:3]
+    assert opened == [3, 3]
 
 
 def test_haar_scan_validation():
