@@ -6,7 +6,8 @@ not depend on the batch size, so the objective value driving an acceptance is
 bit-identical to the value stored in the trace and to a later batch-of-one
 `residual_report`. Every singular value, and with it every Wootters lambda
 and every bipartite spectrum at alpha != 2, comes from one compiled 4x4
-kernel, `singular_values4`, built from `_svd4.c` on first import.
+kernel, sv4 in `_svd4.c`, built on first import: through `singular_values4`,
+and inside the same library's ckw_r2, which computes `batched_ckw_r2` row by row.
 """
 from __future__ import annotations
 
@@ -26,23 +27,19 @@ LN2 = float(np.log(2.0))
 ALPHA_ONE_TOL = 1e-9
 # det(rho^G) at or above this proves a two-qubit pair PPT, so separable (batched_ckw_r2)
 SEPARABLE_DET = 1e-12
+# qubit counts batched_ckw_r2 takes: _svd4.c's ckw_r2 holds each pair matrix
+# in fixed buffers of 2^(8-2) columns; linalg.MAX_QUBITS is the same 8
+_CKW_QUBITS = range(3, 9)
 
-# flat index into a 4x4 rho of each entry of its partial transpose on the
-# second qubit: rho^G[(a, b), (a', b')] = rho[(a, b'), (a', b)]
-_PT = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-# Laplace expansion along rows (0, 1): column pair (i, j), its complement (k, l), sign
-_LAPLACE = ((0, 1, 2, 3, 1.0), (0, 2, 1, 3, -1.0), (0, 3, 1, 2, 1.0),
-            (1, 2, 0, 3, 1.0), (1, 3, 0, 2, -1.0), (2, 3, 0, 1, 1.0))
-# (8, 6) gather: the two products of each top minor, then of its bottom complement
-_PT_MINORS = np.array(
-    [[_PT[0, i], _PT[1, j], _PT[0, j], _PT[1, i], _PT[2, k], _PT[3, l], _PT[2, l], _PT[3, k]]
-     for i, j, k, l, _ in _LAPLACE]
-).T
-_PT_SIGNS = np.array([sign for *_, sign in _LAPLACE])
-
-# plain -O2: no -march or -ffast-math, and no fused multiply-adds, so every
-# build computes the same bits
+# plain -O2: no -march or -ffast-math, and no multiply-adds fused by the
+# compiler, so every build computes the same bits (the source's explicit fma()
+# calls are correctly rounded on every machine)
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+def _compiler() -> list:
+    """The C compiler Python was built with, as an argument list."""
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
 
 
 def _load_svd4() -> ctypes.CDLL:
@@ -53,7 +50,7 @@ def _load_svd4() -> ctypes.CDLL:
     a process importing concurrently never loads a partial file.
     """
     source = Path(__file__).with_name("_svd4.c")
-    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    compiler = _compiler()
     # CRC-32, not hashlib: importing hashlib maps OpenSSL, 3.5 MiB of RSS
     key = zlib.crc32(source.read_bytes() + " ".join(compiler + list(_CFLAGS)).encode())
     cache = Path(__file__).with_name("__pycache__")
@@ -80,6 +77,11 @@ def _load_svd4() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(target))
     lib.svd4.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t)
     lib.svd4.restype = None
+    lib.ckw_r2.argtypes = (
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double,
+        ctypes.c_void_p, ctypes.c_void_p,
+    )
+    lib.ckw_r2.restype = None
     return lib
 
 
@@ -231,75 +233,66 @@ def renyi_from_c_scalar(c: float, alpha: float) -> float:
     return float(renyi_from_c_raw(c, alpha))
 
 
-def _partial_transpose_det(rho: np.ndarray) -> np.ndarray:
-    """det(rho^G) of each (m, 4, 4) Hermitian matrix, rho^G its partial
-    transpose on the second qubit, by Laplace expansion in the 2x2 minors of
-    rows (0, 1) and (2, 3). One gather and a few elementwise products cost
-    about a third of np.linalg.det at scan chunk sizes."""
-    e = rho.reshape(-1, 16)[:, _PT_MINORS]
-    terms = (e[:, 0] * e[:, 1] - e[:, 2] * e[:, 3]) * (e[:, 4] * e[:, 5] - e[:, 6] * e[:, 7])
-    return np.sum(terms.real * _PT_SIGNS, axis=1)
+@functools.lru_cache(maxsize=64)
+def _pair_index(n_qubits: int, focus: int) -> np.ndarray:
+    """(n-1, 4, 2^(n-2)) flat amplitude index: entry p is the pair matrix of
+    (focus, p-th other qubit), its row the two qubits' bits, for _svd4.c's ckw_r2."""
+    flat = np.arange(2**n_qubits).reshape((2,) * n_qubits)
+    others = [q for q in range(n_qubits) if q != focus]
+    index = np.stack([
+        flat.transpose([focus, i] + [q for q in others if q != i]).reshape(4, -1) for i in others
+    ]).astype(np.intp)
+    index.flags.writeable = False  # shared by every caller through the cache
+    return index
 
 
-def _concurrences(k: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of rho = k k^dagger for each (m, 4, d) pair factor
-    k, PPT rows screened out as batched_ckw_r2 describes.
-
-    For d <= 4, k zero-padded to 4x4 is itself a factor of rho; for d > 4 the
-    factor is W = V sqrt(w) from the eigendecomposition of rho.
-    """
-    m, _, d = k.shape
-    rho = np.matmul(k, k.conj().transpose(0, 2, 1))
-    rows = np.flatnonzero(_partial_transpose_det(rho) < SEPARABLE_DET)
-    c = np.zeros(m)
-    if rows.size:
-        sel = slice(None) if rows.size == m else rows  # no gather when every row is entangled
-        if d <= 4:
-            factor = np.zeros((rows.size, 4, 4), dtype=complex)
-            factor[:, :, :d] = k[sel]
-        else:
-            w, v = np.linalg.eigh(rho[sel])
-            factor = v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
-        lam = spin_flip_lambdas(factor)
-        c[sel] = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
-    return c
+def _ckw_r2(states: np.ndarray, n_qubits: int, focus: int, separable_det: float):
+    """batched_ckw_r2 with its PPT screen at `separable_det`: the (m,) residuals
+    and each pair's Wootters lambdas (m, n-1, 4), zeros where the screen skipped
+    the pair."""
+    if not (isinstance(n_qubits, (int, np.integer)) and n_qubits in _CKW_QUBITS):
+        raise ValueError(f"n_qubits must be an integer in 3..{_CKW_QUBITS[-1]}, got {n_qubits!r}")
+    if not (isinstance(focus, (int, np.integer)) and 0 <= focus < n_qubits):
+        raise ValueError(f"focus qubit {focus!r} out of range for {n_qubits} qubits")
+    if not (isinstance(states, np.ndarray) and states.dtype == np.complex128 and states.ndim == 2
+            and states.shape[1] == 2**n_qubits):
+        raise ValueError(
+            f"need a complex128 (m, {2**n_qubits}) array, got "
+            f"{getattr(states, 'dtype', type(states).__name__)} {getattr(states, 'shape', '')}"
+        )
+    states = np.ascontiguousarray(states)
+    index = _pair_index(int(n_qubits), int(focus))
+    out = np.empty(states.shape[0])
+    lambdas = np.empty((states.shape[0], n_qubits - 1, 4))
+    _SVD4.ckw_r2(
+        states.ctypes.data, index.ctypes.data, states.shape[0], int(n_qubits), float(separable_det),
+        out.ctypes.data, lambdas.ctypes.data,
+    )
+    return out, lambdas
 
 
 def batched_ckw_r2(states: np.ndarray, n_qubits: int, focus: int = 0) -> np.ndarray:
-    """CKW-style R2 monogamy residual per row of (m, 2^n) amplitudes.
+    """CKW-style R2 monogamy residual per row of complex128 (m, 2^n) amplitudes,
+    n in _CKW_QUBITS, computed row by row by _svd4.c's ckw_r2.
 
     Bipartite side uses C^2(focus|rest) = 2(1 - Tr rho_focus^2); the pair side
-    uses the spin-flip lambdas of each two-qubit reduction, computed as
-    singular values of W^T S W from a factor rho = W W^dagger so the zero
+    uses the spin-flip lambdas of each two-qubit reduction rho, computed as
+    singular values of B^T S B from a 4x4 factor rho = B B^dagger, so the zero
     modes stay at machine scale instead of sqrt(eps): the pair's own 4 x 2^(n-2)
-    amplitude matrix, zero-padded, for n <= 4, and an eigendecomposition factor
-    beyond.
+    amplitude matrix k, zero-padded, for n <= 4, and beyond that R^dagger from
+    a Householder QR k^dagger = QR, which is backward stable.
 
-    Separable pairs skip the eigendecomposition and the singular values. A
-    two-qubit rho is entangled iff its partial transpose rho^G has a negative
-    eigenvalue (Peres-Horodecki criterion; Horodecki, Horodecki & Horodecki,
-    PLA 223, 1 (1996)). At most one eigenvalue of rho^G can be negative, so rho is
+    Separable pairs skip the factor and the singular values. A two-qubit rho
+    is entangled iff its partial transpose rho^G has a negative eigenvalue
+    (Peres-Horodecki criterion; Horodecki, Horodecki & Horodecki, PLA 223, 1
+    (1996)). At most one eigenvalue of rho^G can be negative, so rho is
     entangled iff det(rho^G) < 0 (Augusiak, Demianowicz & Horodecki, PRA 77,
     030301 (2008)). No entry or eigenvalue of rho^G exceeds 1 in modulus, so
     the determinant's roundoff stays near 1e-15, and a computed det at or
     above SEPARABLE_DET proves det(rho^G) > 0: with at most one negative
     eigenvalue possible, all four are positive, the pair is separable and its
     concurrence is exactly 0. Every other row, det(rho^G) = 0 boundary states
-    included, takes spin_flip_lambdas, which stays the only source of a nonzero
-    concurrence. Every step works row by row, so row r still depends only on
-    states[r].
+    included, takes the lambdas, which stay the only source of a nonzero
+    concurrence. Row r depends only on states[r].
     """
-    m = states.shape[0]
-    others = [q for q in range(n_qubits) if q != focus]
-    t = states.reshape((m,) + (2,) * n_qubits)
-    a = t.transpose((0, focus + 1) + tuple(q + 1 for q in others)).reshape(m, 2, -1)
-    rho0 = np.matmul(a, a.conj().transpose(0, 2, 1))
-    purity = np.sum(np.abs(rho0) ** 2, axis=(1, 2))
-    c2_total = np.maximum(0.0, 2.0 * (1.0 - purity))
-    residual = -np.log2(1.0 - 0.5 * c2_total)
-    for i in others:
-        rest = [q for q in range(n_qubits) if q not in (focus, i)]
-        perm = (0, focus + 1, i + 1) + tuple(q + 1 for q in rest)
-        c = _concurrences(t.transpose(perm).reshape(m, 4, -1))
-        residual = residual + np.log2(1.0 - 0.5 * c * c)
-    return residual
+    return _ckw_r2(states, n_qubits, focus, SEPARABLE_DET)[0]

@@ -82,3 +82,183 @@ void svd4(const double *a, double *out, ptrdiff_t count)
     for (ptrdiff_t m = 0; m < count; m++)
         sv4(a + 2 * N * N * m, out + N * m);
 }
+
+/* CKW R2 monogamy residual of one focus qubit against the rest, row by row.
+ *
+ * Each row is a 2^n-amplitude state. index holds, for each of the n - 1 other
+ * qubits in turn, the flat amplitude index of the 4 x 2^(n-2) pair matrix k
+ * whose row is (focus bit, that qubit's bit), so that rho = k k^H is the
+ * pair's reduced density matrix. The focus purity comes from the first pair's
+ * rho traced over its second qubit.
+ *
+ * A pair with det(rho^G) >= separable_det is separable (PPT) and adds
+ * nothing. Every other pair takes the Wootters lambdas of a 4x4 factor B with
+ * B B^H = rho: k itself, zero-padded, while 2^(n-2) <= 4, and beyond that
+ * R^H from a Householder QR of k^H = QR, which is backward stable, so zero
+ * modes stay at machine scale. Each pair's lambdas, zeros for a screened
+ * pair, are stored at lam[4 * ((n - 1) * row + pair)].
+ */
+#define PAIR_COLS 64 /* columns of k at the largest n, 8 qubits */
+
+/* products fused as numpy's complex multiply fuses them on FMA hardware:
+ * re = fma(ar, br, -(ai bi)), im = fma(ar, bi, ai br) */
+static void cmul(double ar, double ai, double br, double bi, double *re, double *im)
+{
+    *re = fma(ar, br, -(ai * bi));
+    *im = fma(ar, bi, ai * br);
+}
+
+/* Wootters lambdas of rho = B B^H for one C-contiguous 4x4 complex B, as
+ * spin_flip_lambdas computes them: the singular values of tau = D + D^T,
+ * D = r1 (x) r2 - r0 (x) r3 for the rows r_i of B */
+static void spin_flip4(const double *b, double *lam)
+{
+    double d[N][N][2], tau[2 * N * N];
+    for (int x = 0; x < N; x++)
+        for (int y = 0; y < N; y++) {
+            double pr, pi, qr, qi;
+            cmul(b[2 * (N + x)], b[2 * (N + x) + 1], b[2 * (2 * N + y)], b[2 * (2 * N + y) + 1], &pr, &pi);
+            cmul(b[2 * x], b[2 * x + 1], b[2 * (3 * N + y)], b[2 * (3 * N + y) + 1], &qr, &qi);
+            d[x][y][0] = pr - qr;
+            d[x][y][1] = pi - qi;
+        }
+    for (int x = 0; x < N; x++)
+        for (int y = 0; y < N; y++) {
+            tau[2 * (N * x + y)] = d[x][y][0] + d[y][x][0];
+            tau[2 * (N * x + y) + 1] = d[x][y][1] + d[y][x][1];
+        }
+    sv4(tau, lam);
+}
+
+/* det(rho^G), rho^G[(a, b), (a', b')] = rho[(a, b'), (a', b)], by Laplace
+ * expansion in the 2x2 minors of rows (0, 1) and of their complement (2, 3) */
+static double pt_det(double rr[N][N], double ri[N][N])
+{
+    static const int minors[6][5] = {{0, 1, 2, 3, 1}, {0, 2, 1, 3, -1}, {0, 3, 1, 2, 1},
+                                     {1, 2, 0, 3, 1}, {1, 3, 0, 2, -1}, {2, 3, 0, 1, 1}};
+    double mr[N][N], mi[N][N];
+    for (int r = 0; r < N; r++)
+        for (int c = 0; c < N; c++) {
+            mr[r][c] = rr[2 * (r >> 1) + (c & 1)][2 * (c >> 1) + (r & 1)];
+            mi[r][c] = ri[2 * (r >> 1) + (c & 1)][2 * (c >> 1) + (r & 1)];
+        }
+    double det = 0.0;
+    for (int t = 0; t < 6; t++) {
+        int i = minors[t][0], j = minors[t][1], k = minors[t][2], l = minors[t][3];
+        double topr = mr[0][i] * mr[1][j] - mi[0][i] * mi[1][j] - (mr[0][j] * mr[1][i] - mi[0][j] * mi[1][i]);
+        double topi = mr[0][i] * mi[1][j] + mi[0][i] * mr[1][j] - (mr[0][j] * mi[1][i] + mi[0][j] * mr[1][i]);
+        double botr = mr[2][k] * mr[3][l] - mi[2][k] * mi[3][l] - (mr[2][l] * mr[3][k] - mi[2][l] * mi[3][k]);
+        double boti = mr[2][k] * mi[3][l] + mi[2][k] * mr[3][l] - (mr[2][l] * mi[3][k] + mi[2][l] * mr[3][k]);
+        det += minors[t][4] * (topr * botr - topi * boti);
+    }
+    return det;
+}
+
+/* B = R^H, C-contiguous, for a Householder QR k^H = QR of the 4 x cols pair
+ * matrix k (Golub & Van Loan, sec. 5.2); B B^H = R^H R = k k^H */
+static void qr_factor(double kr[N][PAIR_COLS], double ki[N][PAIR_COLS], int cols, double *b)
+{
+    double ar[N][PAIR_COLS], ai[N][PAIR_COLS]; /* column j of k^H: conj(row j of k) */
+    for (int j = 0; j < N; j++)
+        for (int c = 0; c < cols; c++) {
+            ar[j][c] = kr[j][c];
+            ai[j][c] = -ki[j][c];
+        }
+    for (int x = 0; x < 2 * N * N; x++)
+        b[x] = 0.0;
+    for (int j = 0; j < N; j++) {
+        double norm2 = 0.0;
+        for (int c = j; c < cols; c++)
+            norm2 += ar[j][c] * ar[j][c] + ai[j][c] * ai[j][c];
+        double norm = sqrt(norm2), x0 = hypot(ar[j][j], ai[j][j]);
+        if (norm > 0.0) {
+            /* H = I - v v^H / h, v = x - alpha e_j, alpha = -phase(x_j) |x|,
+             * h = v^H v / 2 = |x| (|x| + |x_j|); v overwrites column j */
+            double ur = x0 > 0.0 ? ar[j][j] / x0 : 1.0, ui = x0 > 0.0 ? ai[j][j] / x0 : 0.0;
+            double h = norm * (norm + x0);
+            ar[j][j] = ur * (x0 + norm);
+            ai[j][j] = ui * (x0 + norm);
+            for (int l = j + 1; l < N; l++) {
+                double sr = 0.0, si = 0.0; /* s = v^H a_l */
+                for (int c = j; c < cols; c++) {
+                    sr += ar[j][c] * ar[l][c] + ai[j][c] * ai[l][c];
+                    si += ar[j][c] * ai[l][c] - ai[j][c] * ar[l][c];
+                }
+                sr /= h;
+                si /= h;
+                for (int c = j; c < cols; c++) {
+                    double vr = ar[j][c], vi = ai[j][c];
+                    ar[l][c] -= sr * vr - si * vi;
+                    ai[l][c] -= sr * vi + si * vr;
+                }
+            }
+            /* R[j][j] = alpha, so B[j][j] = conj(alpha) */
+            b[2 * (N * j + j)] = -ur * norm;
+            b[2 * (N * j + j) + 1] = ui * norm;
+        }
+        for (int l = j + 1; l < N; l++) { /* B[l][j] = conj(R[j][l]) */
+            b[2 * (N * l + j)] = ar[l][j];
+            b[2 * (N * l + j) + 1] = -ai[l][j];
+        }
+    }
+}
+
+/* states: count rows of 2^n complex128 amplitudes, 3 <= n <= 8;
+ * index: (n - 1) x 4 x 2^(n-2) amplitude indices; out: count residuals;
+ * lam: count x (n - 1) x 4 lambdas */
+void ckw_r2(const double *states, const ptrdiff_t *index, ptrdiff_t count, int n,
+            double separable_det, double *out, double *lam)
+{
+    const int cols = 1 << (n - 2);
+    for (ptrdiff_t row = 0; row < count; row++) {
+        const double *psi = states + ((ptrdiff_t)2 << n) * row;
+        double residual = 0.0;
+        for (int pair = 0; pair < n - 1; pair++) {
+            const ptrdiff_t *at = index + (ptrdiff_t)N * cols * pair;
+            double kr[N][PAIR_COLS], ki[N][PAIR_COLS], rr[N][N], ri[N][N];
+            for (int r = 0; r < N; r++)
+                for (int c = 0; c < cols; c++) {
+                    kr[r][c] = psi[2 * at[cols * r + c]];
+                    ki[r][c] = psi[2 * at[cols * r + c] + 1];
+                }
+            for (int r = 0; r < N; r++) /* rho = k k^H */
+                for (int s = r; s < N; s++) {
+                    double sr = 0.0, si = 0.0;
+                    for (int c = 0; c < cols; c++) {
+                        sr += kr[r][c] * kr[s][c] + ki[r][c] * ki[s][c];
+                        si += ki[r][c] * kr[s][c] - kr[r][c] * ki[s][c];
+                    }
+                    rr[r][s] = rr[s][r] = sr;
+                    ri[r][s] = si;
+                    ri[s][r] = -si;
+                }
+            if (pair == 0) {
+                /* C^2(focus|rest) = 2 (1 - Tr rho_focus^2) */
+                double p00 = rr[0][0] + rr[1][1], p11 = rr[2][2] + rr[3][3];
+                double p01r = rr[0][2] + rr[1][3], p01i = ri[0][2] + ri[1][3];
+                double purity = p00 * p00 + p11 * p11 + 2.0 * (p01r * p01r + p01i * p01i);
+                double c2 = fmax(0.0, 2.0 * (1.0 - purity));
+                residual = -log2(1.0 - 0.5 * c2);
+            }
+            double l[N] = {0.0, 0.0, 0.0, 0.0};
+            if (pt_det(rr, ri) < separable_det) {
+                double b[2 * N * N];
+                if (cols <= N) {
+                    for (int r = 0; r < N; r++)
+                        for (int c = 0; c < N; c++) {
+                            b[2 * (N * r + c)] = c < cols ? kr[r][c] : 0.0;
+                            b[2 * (N * r + c) + 1] = c < cols ? ki[r][c] : 0.0;
+                        }
+                } else {
+                    qr_factor(kr, ki, cols, b);
+                }
+                spin_flip4(b, l);
+                double c = fmax(0.0, l[0] - l[1] - l[2] - l[3]);
+                residual += log2(1.0 - 0.5 * c * c);
+            }
+            for (int x = 0; x < N; x++)
+                lam[N * ((n - 1) * row + pair) + x] = l[x];
+        }
+        out[row] = residual;
+    }
+}

@@ -16,6 +16,9 @@ OBJECTIVES = ("ss", "monogamy2")
 # Haar draws per chunk at 4 qubits; every chunk holds 2**16 amplitudes, so
 # results never depend on the worker count and memory never on n_states
 SCAN_CHUNK = 4096
+# amplitudes per kernel call and per normalization within a chunk, so that the
+# temporaries of scoring one chunk stay well below the chunk's own 1 MiB
+SCORE_BLOCK = 2**12
 # proposals scored per kernel call in the descent and the walk
 BLOCK_MIN, BLOCK_MAX = 8, 64
 
@@ -287,10 +290,21 @@ class ScanSummary:
     argmin_state: np.ndarray
 
 
+def _blocks(states: np.ndarray) -> list:
+    """Row views of states, SCORE_BLOCK amplitudes (at least one row) each."""
+    rows = max(1, SCORE_BLOCK // states.shape[1])
+    return [states[lo : lo + rows] for lo in range(0, states.shape[0], rows)]
+
+
 def score_chunk(states: np.ndarray, kernel: str, kernel_args: tuple, threshold: float):
-    """Values of `_kernels.<kernel>(states, *kernel_args)` for one block of
-    normalized states, the row of the least value and the count below threshold."""
-    values = getattr(_kernels, kernel)(states, *kernel_args)
+    """Values of `_kernels.<kernel>(states, *kernel_args)` for one chunk of
+    normalized states, the row of the least value and the count below threshold.
+
+    The kernel is called once per SCORE_BLOCK amplitudes; its rows do not
+    depend on the batch, so neither do the values.
+    """
+    kernel_fn = getattr(_kernels, kernel)
+    values = np.concatenate([kernel_fn(block, *kernel_args) for block in _blocks(states)])
     argmin = int(np.argmin(values))
     violations = int(np.sum(values < threshold))
     return values, argmin, violations
@@ -300,8 +314,13 @@ def _chunk_task(args):
     chunk_index, size, n_qubits, rng, kernel, kernel_args, threshold = args
     gen = sampler.generator(sampler.derive(rng, chunk_index + 1))
     dim = 2 ** n_qubits
-    z = gen.standard_normal((size, dim)) + 1j * gen.standard_normal((size, dim))
-    states = z / np.linalg.norm(z, axis=1, keepdims=True)
+    # the bits of z / |z| for z = x + 1j*y, built and normalized in place so
+    # that a chunk takes one array of its size instead of five
+    states = np.empty((size, dim), dtype=complex)
+    states.real = gen.standard_normal((size, dim))
+    states.imag = gen.standard_normal((size, dim))
+    for block in _blocks(states):
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
     values, argmin, violations = score_chunk(states, kernel, kernel_args, threshold)
     return violations, float(values[argmin]), argmin, states[argmin].copy()
 

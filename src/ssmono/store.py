@@ -48,24 +48,23 @@ def format_float(x, sig: int = 17) -> str:
     return text
 
 
-def _render(value, sig: int, indent: int | None = None) -> str:
-    """JSON text with floats at `sig` significant digits. With an indent,
-    objects and lists of non-scalars span lines; without one, all is one line."""
-    if isinstance(value, (dict, list, tuple)):
-        if isinstance(value, dict):
-            brackets, items = "{}", [(f"{json.dumps(str(k))}: ", v) for k, v in value.items()]
-        else:
-            brackets, items = "[]", [("", v) for v in value]
-        if not items:
-            return brackets
-        flat = not isinstance(value, dict) and all(
-            isinstance(v, (int, float, bool, str, type(None))) for v in value
-        )
-        if indent is None or flat:
-            return brackets[0] + ", ".join(key + _render(v, sig) for key, v in items) + brackets[1]
-        pad = "  " * (indent + 1)
-        inner = ",\n".join(pad + key + _render(v, sig, indent + 1) for key, v in items)
-        return brackets[0] + "\n" + inner + "\n" + "  " * indent + brackets[1]
+class _Rows:
+    """A document list whose row n is built as make(items[n]) when it is read,
+    so that a long list is written and compared one row at a time. Not a
+    collections.abc.Sequence: isinstance against an ABC would slow the
+    renderer's test of every scalar."""
+
+    def __init__(self, items, make):
+        self._items, self._make = items, make
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, n):
+        return self._make(self._items[n])
+
+
+def _scalar(value, sig: int) -> str:
     if isinstance(value, (bool, str)) or value is None:
         return json.dumps(value)
     if isinstance(value, (int, np.integer)):
@@ -73,6 +72,45 @@ def _render(value, sig: int, indent: int | None = None) -> str:
     if isinstance(value, (float, np.floating)):
         return format_float(value, sig)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+_CONTAINERS = (dict, list, tuple, _Rows)
+
+
+def _pieces(value, sig: int, indent: int | None):
+    """JSON text with floats at `sig` significant digits, in pieces. With an
+    indent, objects and lists of non-scalars span lines, and each item is one
+    piece, or for _Rows one piece per row; without one, all is one line."""
+    if not isinstance(value, _CONTAINERS):
+        yield _scalar(value, sig)
+        return
+    if isinstance(value, dict):
+        brackets, items = "{}", ((f"{json.dumps(str(k))}: ", v) for k, v in value.items())
+    else:
+        brackets, items = "[]", (("", v) for v in value)
+    if not len(value):
+        yield brackets
+        return
+    flat = not isinstance(value, dict) and all(
+        isinstance(v, (int, float, bool, str, type(None))) for v in value
+    )
+    if indent is None or flat:
+        yield brackets[0] + ", ".join(key + _render(v, sig) for key, v in items) + brackets[1]
+        return
+    pad = "  " * (indent + 1)
+    for n, (key, v) in enumerate(items):
+        yield (brackets[0] + "\n" if n == 0 else ",\n") + pad + key
+        if isinstance(v, _Rows):
+            yield from _pieces(v, sig, indent + 1)
+        else:
+            yield _render(v, sig, indent + 1)
+    yield "\n" + "  " * indent + brackets[1]
+
+
+def _render(value, sig: int, indent: int | None = None) -> str:
+    if isinstance(value, _CONTAINERS):
+        return "".join(_pieces(value, sig, indent))
+    return _scalar(value, sig)
 
 
 def canonical_json(doc: dict) -> str:
@@ -158,7 +196,7 @@ def _run_doc(archive: RunArchive) -> dict:
         "format_version": archive.format_version,
         "created_at": archive.created_at,
         "config": _config_doc(record.config),
-        "trace": [{**vars(entry), "state": _state_doc(entry.state)} for entry in record.trace],
+        "trace": _Rows(record.trace, lambda entry: {**vars(entry), "state": _state_doc(entry.state)}),
         "final_state": _state_doc(record.final_state),
         "final_residuals": asdict(record.final_residuals),
         "fingerprint": archive.fingerprint,
@@ -168,8 +206,12 @@ def _run_doc(archive: RunArchive) -> dict:
 
 
 def save_run(archive: RunArchive, destination) -> None:
-    """Write a self-contained archive document; amplitudes keep 17 significant digits."""
-    Path(destination).write_text(canonical_json(_run_doc(archive)), encoding="utf-8")
+    """Write a self-contained archive document; amplitudes keep 17 significant
+    digits. The text of canonical_json is written as it is rendered, so
+    neither the document nor its text is ever held whole."""
+    with open(destination, "w", encoding="utf-8") as out:
+        out.writelines(_pieces(_run_doc(archive), 17, 0))
+        out.write("\n")
 
 
 def _scan_doc(summary: search.ScanSummary, created_at: str) -> dict:
@@ -232,7 +274,7 @@ def _agree(stored, fresh, where: str = "") -> None:
         for key in fresh:
             _agree(stored[key], fresh[key], f"{where} {key}".lstrip())
         return
-    if isinstance(stored, list) and isinstance(fresh, list) and len(stored) == len(fresh):
+    if isinstance(stored, list) and isinstance(fresh, (list, _Rows)) and len(stored) == len(fresh):
         for n, (kept, again) in enumerate(zip(stored, fresh)):
             _agree(kept, again, f"{where} row {n}")
         return

@@ -220,8 +220,9 @@ def test_verify_monogamy_r2_scores_in_bounded_chunks(capsys, monkeypatch):
     code, _, _ = run_cli(["verify", "monogamy-r2", "--qubits", "8", "--samples", "600"], capsys)
     assert code == 0
     assert sum(rows for rows, _ in shapes) == 600
-    assert len(shapes) == 3
-    assert max(rows * dim for rows, dim in shapes) <= 2**16
+    # chunks of 256, 256 and 88 rows, each scored 16 rows (2**12 amplitudes) at a time
+    assert len(shapes) == 16 + 16 + 6
+    assert max(rows * dim for rows, dim in shapes) <= search.SCORE_BLOCK
 
 
 def test_verify_monogamy_r2_rejects_bad_range(capsys):

@@ -1,5 +1,6 @@
 """The compiled 4x4 singular-value kernel: edge cases, input checks, the
-40-digit oracle in oracle.py, LAPACK as a reference, and the build cache."""
+40-digit oracle in oracle.py, LAPACK as a reference, the build cache and a
+warning-free C source."""
 
 import importlib.util
 import os
@@ -137,6 +138,13 @@ def test_batched_terms_match_the_oracle(seed0_optimum):
             want_bip, want_pair = expected[r][alpha]
             assert abs(e_bip[r] - float(want_bip)) < 1e-13, (alpha, r)
             assert np.max(np.abs(pair[r] - [float(x) for x in want_pair])) < 1e-13, (alpha, r)
+
+
+def test_c_source_compiles_without_warnings():
+    # index arithmetic and fixed-size buffers are where a silent sign or size bug would hide
+    command = _kernels._compiler() + ["-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(SRC / "_svd4.c")]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def _load_copy(directory: Path):

@@ -368,32 +368,6 @@ def test_ckw_r2_residual_validation():
         measures.ckw_r2_residual(w_state(3), focus=3)
 
 
-def _unscreened_ckw_r2(states, n_qubits, focus):
-    """batched_ckw_r2 without the PPT screen: every pair takes its factor (the
-    zero-padded pair matrix for n <= 4, eigh and W beyond) and spin_flip_lambdas."""
-    m = states.shape[0]
-    others = [q for q in range(n_qubits) if q != focus]
-    t = states.reshape((m,) + (2,) * n_qubits)
-    a = t.transpose((0, focus + 1) + tuple(q + 1 for q in others)).reshape(m, 2, -1)
-    rho0 = np.matmul(a, a.conj().transpose(0, 2, 1))
-    purity = np.sum(np.abs(rho0) ** 2, axis=(1, 2))
-    c2_total = np.maximum(0.0, 2.0 * (1.0 - purity))
-    residual = -np.log2(1.0 - 0.5 * c2_total)
-    for i in others:
-        rest = [q for q in range(n_qubits) if q not in (focus, i)]
-        perm = (0, focus + 1, i + 1) + tuple(q + 1 for q in rest)
-        k = t.transpose(perm).reshape(m, 4, -1)
-        if n_qubits <= 4:
-            factor = np.concatenate([k, np.zeros((m, 4, 4 - k.shape[2]), dtype=complex)], axis=2)
-        else:
-            w, v = np.linalg.eigh(np.matmul(k, k.conj().transpose(0, 2, 1)))
-            factor = v * np.sqrt(np.maximum(w, 0.0))[:, None, :]
-        lam = _kernels.spin_flip_lambdas(factor)
-        c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
-        residual = residual + np.log2(1.0 - 0.5 * c * c)
-    return residual
-
-
 def _haar_chunk(seed, rows, n_qubits):
     gen = np.random.default_rng(seed)
     z = gen.standard_normal((rows, 2**n_qubits)) + 1j * gen.standard_normal((rows, 2**n_qubits))
@@ -420,76 +394,122 @@ def _werner_purification(p):
     return sum(np.sqrt(wk) * np.kron(vk, np.eye(4)[k]) for k, (wk, vk) in enumerate(zip(weights, bell)))
 
 
-def _lambda_rows(monkeypatch):
-    """Record the number of pair factors each _kernels.spin_flip_lambdas call receives."""
-    seen, lambdas = [], _kernels.spin_flip_lambdas
-
-    def recording(blocks):
-        seen.append(blocks.shape[0])
-        return lambdas(blocks)
-
-    monkeypatch.setattr(_kernels, "spin_flip_lambdas", recording)
-    return seen
-
-
-def _screened_lambda_rows(states, n, monkeypatch):
-    """Check batched_ckw_r2 against the unscreened reference bit for bit at
-    every focus; return the number of pairs that reached spin_flip_lambdas per focus."""
-    counts = []
+def _screened_lambdas(states, n):
+    """Check batched_ckw_r2 against an unscreened run of the same kernel
+    (threshold +inf) bit for bit at every focus; return each focus's pair lambdas."""
+    lambdas = []
     for focus in range(n):
-        reference = _unscreened_ckw_r2(states, n, focus)
-        seen = _lambda_rows(monkeypatch)
-        screened = _kernels.batched_ckw_r2(states, n, focus)
-        monkeypatch.undo()
+        reference, _ = _kernels._ckw_r2(states, n, focus, np.inf)
+        screened, lam = _kernels._ckw_r2(states, n, focus, _kernels.SEPARABLE_DET)
         assert screened.view(np.int64).tolist() == reference.view(np.int64).tolist(), (n, focus)
-        counts.append(sum(seen))
-    return counts
+        assert screened.view(np.int64).tolist() == _kernels.batched_ckw_r2(states, n, focus).view(np.int64).tolist()
+        lambdas.append(lam)
+    return lambdas
 
 
-def test_partial_transpose_det_matches_lapack():
-    rng = np.random.default_rng(172)
-    g = rng.standard_normal((200, 4, 4)) + 1j * rng.standard_normal((200, 4, 4))
-    h = g + g.conj().transpose(0, 2, 1)
-    h_g = h.reshape(200, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(200, 4, 4)
-    expected = np.linalg.det(h_g).real
-    assert np.max(np.abs(_kernels._partial_transpose_det(h) - expected) / np.abs(expected)) < 1e-12
+def _unscreened_pairs(lam):
+    return int(np.count_nonzero(lam.any(axis=-1)))
 
 
-def test_ppt_screen_matches_unscreened_reference_on_haar_chunks(monkeypatch):
+def test_ppt_screen_matches_unscreened_reference_on_haar_chunks():
     for n in range(3, 9):
         states = _haar_chunk(170 + n, 160 >> max(0, n - 5), n)
-        # the lambdas see exactly the entangled (NPT) pairs; every PPT pair skips them
+        # exactly the entangled (NPT) pairs take the lambdas; every PPT pair skips them
         expected = [_npt_pairs(states, n, focus) for focus in range(n)]
-        assert _screened_lambda_rows(states, n, monkeypatch) == expected, n
+        assert [_unscreened_pairs(lam) for lam in _screened_lambdas(states, n)] == expected, n
 
 
-def test_ppt_screen_matches_unscreened_reference_on_boundary_states(monkeypatch):
+def test_ppt_screen_matches_unscreened_reference_on_boundary_states():
     rng = np.random.default_rng(171)
     for n in range(3, 9):
-        # GHZ pairs are separable with det(rho^G) = 0 exactly, so they take the lambdas
-        assert _screened_lambda_rows(ghz_state(n)[None], n, monkeypatch) == [n - 1] * n
+        # GHZ pairs are separable with det(rho^G) = 0 exactly, so they take the
+        # lambdas; every W pair is entangled
+        assert [_unscreened_pairs(lam) for lam in _screened_lambdas(ghz_state(n)[None], n)] == [n - 1] * n
+        assert [_unscreened_pairs(lam) for lam in _screened_lambdas(w_state(n)[None], n)] == [n - 1] * n
         product = random_state(rng, 1)
         for _ in range(n - 1):
             product = np.kron(product, random_state(rng, 1))
-        # every W pair is entangled; product pairs are rank one, so det(rho^G) = 0 too
-        assert _screened_lambda_rows(np.stack([w_state(n), product]), n, monkeypatch) == [2 * n - 2] * n
+        # product pairs are rank one, so det(rho^G) = 0 too
+        _screened_lambdas(product[None], n)
     for p in (1.0 / 3.0 - 1e-9, 1.0 / 3.0, 1.0 / 3.0 + 1e-9, 0.5, 1.0):
-        psi = _werner_purification(p)
-        _screened_lambda_rows(psi[None], 4, monkeypatch)
-        c = _kernels._concurrences(psi.reshape(1, 4, 4))[0]  # pair (0, 1)
+        lam = _screened_lambdas(_werner_purification(p)[None], 4)[0][0, 0]  # pair (0, 1)
+        c = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
         assert c == pytest.approx(max(0.0, (3.0 * p - 1.0) / 2.0), abs=1e-12), p
 
 
-def test_ckw_r2_rows_do_not_depend_on_the_batch(monkeypatch):
+def _numpy_fuses_complex_products():
+    a = _haar_chunk(176, 64, 4).reshape(-1)
+    b = a[::-1].copy()
+    return (a * b).real.tolist() != (a.real * b.real - a.imag * b.imag).tolist()
+
+
+@pytest.mark.skipif(
+    not _numpy_fuses_complex_products(),
+    reason="numpy multiplies complex numbers without fused multiply-adds here, unlike the kernel's tau",
+)
+def test_kernel_lambdas_equal_spin_flip_lambdas_bit_for_bit():
+    # the pair matrix is the kernel's factor for n = 3 (zero-padded) and n = 4
+    for n in (3, 4):
+        states = _haar_chunk(175 + n, 300, n)
+        t = states.reshape((-1,) + (2,) * n)
+        for focus in range(n):
+            _, lam = _kernels._ckw_r2(states, n, focus, np.inf)
+            others = [q for q in range(n) if q != focus]
+            for p, i in enumerate(others):
+                perm = [0, focus + 1, i + 1] + [q + 1 for q in others if q != i]
+                k = np.zeros((states.shape[0], 4, 4), dtype=complex)
+                k[:, :, : 2 ** (n - 2)] = t.transpose(perm).reshape(-1, 4, 2 ** (n - 2))
+                assert lam[:, p].tolist() == _kernels.spin_flip_lambdas(k).tolist(), (n, focus, i)
+
+
+def test_ckw_r2_rows_do_not_depend_on_the_batch():
     for n, rows in ((4, 48), (5, 24)):
         states = _haar_chunk(180 + n, rows, n)
         for focus in range(n):
-            seen = _lambda_rows(monkeypatch)
-            batch = _kernels.batched_ckw_r2(states, n, focus)
-            monkeypatch.undo()
-            assert 0 < sum(seen) < rows * (n - 1)  # the chunk mixes separable and entangled pairs
+            batch, lam = _kernels._ckw_r2(states, n, focus, _kernels.SEPARABLE_DET)
+            assert 0 < _unscreened_pairs(lam) < rows * (n - 1)  # the chunk mixes separable and entangled pairs
             for r in range(rows):
                 assert batch[r] == measures.ckw_r2_residual(states[r], focus), (n, focus, r)
+            strided = _kernels.batched_ckw_r2(np.stack([states, states], axis=1)[:, 0], n, focus)
+            assert strided.tolist() == batch.tolist()
+
+
+def _haar_unitary(rng):
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_ckw_r2_of_locally_rotated_w_states_is_exact():
+    # the pair concurrences of W_n are 2/n, so the residual is
+    # -log2(1 - 2(n-1)/n^2) + (n-1) log2(1 - 2/n^2); local unitaries keep it
+    rng = np.random.default_rng(177)
+    for n in range(3, 9):
+        t = np.tile(w_state(n), (200, 1)).reshape((200,) + (2,) * n)
+        for q in range(n):  # a Haar unitary on every qubit of every row
+            u = np.array([_haar_unitary(rng) for _ in range(200)])
+            t = np.moveaxis(np.einsum("rab,rb...->ra...", u, np.moveaxis(t, q + 1, 1)), 1, q + 1)
+        states = np.ascontiguousarray(t.reshape(200, -1))
+        exact = -math.log2(1.0 - 2.0 * (n - 1) / n**2) + (n - 1) * math.log2(1.0 - 2.0 / n**2)
+        for focus in (0, n - 1):
+            assert np.max(np.abs(_kernels.batched_ckw_r2(states, n, focus) - exact)) < 1e-13, (n, focus)
+
+
+def test_batched_ckw_r2_refuses_bad_input_before_the_kernel_runs(monkeypatch):
+    class Refuse:
+        def ckw_r2(self, *args):
+            raise AssertionError("the C kernel was called")
+
+    monkeypatch.setattr(_kernels, "_SVD4", Refuse())
+    good = np.zeros((2, 8), dtype=complex)
+    for states, n, focus in (
+        (good.real, 3, 0), (good.astype(np.complex64), 3, 0), (good[0], 3, 0), (good.tolist(), 3, 0),
+        (good, 4, 0), (np.zeros((2, 4), dtype=complex), 2, 0), (np.zeros((2, 512), dtype=complex), 9, 0),
+        (good, 3.0, 0), (good, 3, 3), (good, 3, -1), (good, 3, None),
+    ):
+        with pytest.raises(ValueError):
+            _kernels.batched_ckw_r2(states, n, focus)
+    with pytest.raises(AssertionError):
+        _kernels.batched_ckw_r2(good, 3, 0)
 
 
 def test_sum_inequality_residual_two_halves_oracle():

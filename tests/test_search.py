@@ -7,7 +7,7 @@ import pytest
 
 from conftest import bell_product, random_state
 
-from ssmono import measures, sampler, search
+from ssmono import _kernels, measures, sampler, search
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +295,21 @@ def test_batched_scan_values_match_reports():
         for k in (0, 7, 19, 39):
             expected = measures.residual_report(states[k], alpha=alpha).ss_residual
             assert values[k] == pytest.approx(expected, abs=1e-11)
+
+
+def test_chunk_states_are_the_normalized_draws_bit_for_bit():
+    # a chunk is built and normalized in place, block by block; its states
+    # keep the bits of the plain z / |z|
+    for n in (3, 4, 8):
+        size = (search.SCAN_CHUNK * 16 >> n) - 5
+        gen = sampler.generator(sampler.derive(sampler.RngSeed(12), 3))
+        z = gen.standard_normal((size, 2**n)) + 1j * gen.standard_normal((size, 2**n))
+        expected = z / np.linalg.norm(z, axis=1, keepdims=True)
+        values = _kernels.batched_ckw_r2(expected, n)
+        task = (2, size, n, sampler.RngSeed(12), "batched_ckw_r2", (n,), 0.5)
+        violations, least, argmin, state = search._chunk_task(task)
+        assert (violations, least, argmin) == (int(np.sum(values < 0.5)), values.min(), int(np.argmin(values)))
+        assert state.tobytes() == expected[argmin].tobytes()
 
 
 def test_haar_scan_summary_fields():

@@ -103,6 +103,9 @@ def test_save_run_is_byte_deterministic(tmp_path, short_record):
     store.save_run(archive, p1)
     store.save_run(archive, p2)
     assert p1.read_bytes() == p2.read_bytes()
+    # written as it is rendered, the text is canonical_json of the whole document
+    doc = store._run_doc(archive)
+    assert p1.read_text(encoding="utf-8") == store.canonical_json({**doc, "trace": list(doc["trace"])})
 
 
 def test_save_run_document_layout(tmp_path, short_record):
