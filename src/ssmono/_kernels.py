@@ -1,18 +1,25 @@
 """Numeric kernels shared by the public measures, the search loop, and the scanner.
 
-Everything here operates on raw, already-validated amplitude arrays. Every
-residual term goes through one batched kernel, `batched_terms`, whose rows do
-not depend on the batch size, so the objective value driving an acceptance is
-bit-identical to the value stored in the trace and to a later batch-of-one
-`residual_report`. Every singular value, and with it every Wootters lambda
-and every bipartite spectrum at alpha != 2, comes from one compiled 4x4
-kernel, sv4 in `_svd4.c`, built on first import: through `singular_values4`,
-and inside the same library's ckw_r2, which computes `batched_ckw_r2` row by row.
+Every number here comes from one compiled library, `_svd4.c`, built on first
+import and called through ctypes wrappers that refuse bad input before a
+pointer reaches C. There is one path for each quantity:
+
+- `batched_terms`: the bipartite term and the pair terms of each 4-qubit row
+  (terms in _svd4.c). Row r depends only on states[r], so the objective value
+  driving an acceptance is bit-identical to the value stored in the trace and
+  to a later batch-of-one `residual_report`;
+- `batched_ckw_r2`: the CKW-R2 residual of 3..8-qubit rows (ckw_r2);
+- `singular_values4`, `spin_flip_lambdas`, `renyi_from_c` and
+  `renyi_entropies`: the same library's 4x4 singular values (sv4), Wootters
+  lambdas (spin_flip4) and Renyi maps, which the two kernels above use inside
+  C and the density-matrix entries in `measures` call from Python.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
+import math
+import operator
 import os
 import shlex
 import subprocess
@@ -23,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-LN2 = float(np.log(2.0))
 ALPHA_ONE_TOL = 1e-9
 # det(rho^G) at or above this proves a two-qubit pair PPT, so separable (batched_ckw_r2)
 SEPARABLE_DET = 1e-12
@@ -33,8 +39,9 @@ _CKW_QUBITS = range(3, 9)
 
 # plain -O2: no -march or -ffast-math, and no multiply-adds fused by the
 # compiler, so every build computes the same bits (the source's explicit fma()
-# calls are correctly rounded on every machine)
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# calls are correctly rounded on every machine); -fno-math-errno only drops
+# the errno check after each sqrt, which IEEE rounds correctly either way
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 
 def _compiler() -> list:
@@ -75,28 +82,41 @@ def _load_svd4() -> ctypes.CDLL:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     lib = ctypes.CDLL(str(target))
-    lib.svd4.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t)
-    lib.svd4.restype = None
+    for name in ("svd4", "lambdas"):
+        getattr(lib, name).argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t)
+    lib.renyi_of_c.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double)
+    lib.renyi_of_spectra.argtypes = (
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_double,
+    )
+    lib.terms.argtypes = (
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double, ctypes.c_void_p,
+    )
     lib.ckw_r2.argtypes = (
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double,
         ctypes.c_void_p, ctypes.c_void_p,
     )
-    lib.ckw_r2.restype = None
+    for name in ("svd4", "lambdas", "renyi_of_c", "renyi_of_spectra", "terms", "ckw_r2"):
+        getattr(lib, name).restype = None
     return lib
 
 
 _SVD4 = _load_svd4()
 
 
-def singular_values4(a: np.ndarray) -> np.ndarray:
-    """Descending singular values (..., 4) of each matrix of a complex128
-    (..., 4, 4) array, by one-sided Jacobi one matrix at a time (_svd4.c)."""
+def _matrices4(a) -> np.ndarray:
+    """a as a C-contiguous complex128 (..., 4, 4) array, or ValueError."""
     if not isinstance(a, np.ndarray) or a.dtype != np.complex128 or a.ndim < 2 or a.shape[-2:] != (4, 4):
         raise ValueError(
             f"need a complex128 array of 4x4 matrices, got {getattr(a, 'dtype', type(a).__name__)} "
             f"{getattr(a, 'shape', '')}"
         )
-    a = np.ascontiguousarray(a)
+    return np.ascontiguousarray(a)
+
+
+def singular_values4(a: np.ndarray) -> np.ndarray:
+    """Descending singular values (..., 4) of each matrix of a complex128
+    (..., 4, 4) array, by one-sided Jacobi one matrix at a time (_svd4.c)."""
+    a = _matrices4(a)
     out = np.empty(a.shape[:-1])
     _SVD4.svd4(a.ctypes.data, out.ctypes.data, a.size // 16)
     return out
@@ -106,38 +126,42 @@ def is_alpha_one(alpha: float) -> bool:
     return abs(alpha - 1.0) < ALPHA_ONE_TOL
 
 
-def renyi_from_c_raw(c, alpha: float):
-    """Measure value for concurrence c: Renyi entropy of (x, 1-x), x=(1+sqrt(1-c^2))/2.
-
-    Vectorized over c. Assumes alpha >= 1 and c already clipped to [0, 1].
-    """
-    c = np.asarray(c, dtype=float)
-    if alpha == 2.0:
-        return -np.log2(1.0 - 0.5 * c * c) + 0.0  # x^2 + (1-x)^2 = 1 - c^2/2
-    u = np.sqrt(np.maximum(0.0, 1.0 - c * c))
-    y = c * c / (2.0 * (1.0 + u))  # (1 - u)/2 without cancellation for small c
-    x = 1.0 - y
-    if is_alpha_one(alpha):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hy = np.where(y > 0.0, y * np.log2(y), 0.0)
-        return -(x * np.log2(x)) - hy + 0.0
-    # x^a + y^a - 1 via expm1 stays accurate as alpha -> 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = x * np.expm1((alpha - 1.0) * np.log(x))
-        s = s + np.where(y > 0.0, y * np.expm1((alpha - 1.0) * np.log(y)), 0.0)
-    return np.log1p(s) / ((1.0 - alpha) * LN2) + 0.0
+def _checked_alpha(alpha) -> float:
+    """alpha as a float for the C Renyi maps: finite and >= 1, snapped to
+    exactly 1 (their von Neumann branch) within ALPHA_ONE_TOL."""
+    if not (isinstance(alpha, (int, float, np.integer, np.floating)) and math.isfinite(alpha) and alpha >= 1.0):
+        raise ValueError(f"alpha must be a finite real number >= 1, got {alpha!r}")
+    return 1.0 if is_alpha_one(alpha) else float(alpha)
 
 
-def entropy_from_eigs_raw(w, alpha: float):
-    """Renyi entropy in bits from eigenvalue rows (vectorized, assumes w >= 0)."""
-    w = np.asarray(w, dtype=float)
-    if is_alpha_one(alpha):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(w > 0.0, w * np.log2(w), 0.0)
-        return -np.sum(terms, axis=-1) + 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(w > 0.0, w * np.expm1((alpha - 1.0) * np.log(w)), 0.0)
-    return np.log1p(np.sum(terms, axis=-1)) / ((1.0 - alpha) * LN2) + 0.0
+def _reals(x, what: str) -> np.ndarray:
+    """x as a C-contiguous float64 array; strings, complex numbers and objects are refused."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be real numbers, got {x.dtype}")
+    return np.asarray(x, dtype=float, order="C")
+
+
+def renyi_from_c(c, alpha) -> np.ndarray:
+    """The two-qubit measure of each concurrence c in [0, 1] (not checked):
+    the Renyi entropy in bits of (x, 1 - x), x = (1 + sqrt(1 - c^2))/2."""
+    c = _reals(c, "concurrences")
+    alpha = _checked_alpha(alpha)
+    out = np.empty(c.shape)
+    _SVD4.renyi_of_c(c.ctypes.data, out.ctypes.data, c.size, alpha)
+    return out
+
+
+def renyi_entropies(w, alpha) -> np.ndarray:
+    """Renyi entropy in bits of each row of eigenvalues (..., n); entries
+    <= 0 add nothing."""
+    w = _reals(w, "eigenvalues")
+    if w.ndim == 0:
+        raise ValueError("need eigenvalue rows, got a scalar")
+    alpha = _checked_alpha(alpha)
+    out = np.empty(w.shape[:-1])
+    _SVD4.renyi_of_spectra(w.ctypes.data, out.ctypes.data, out.size, w.shape[-1], alpha)
+    return out
 
 
 def _pair_perm(i: int, j: int) -> tuple[int, ...]:
@@ -145,62 +169,62 @@ def _pair_perm(i: int, j: int) -> tuple[int, ...]:
     return (i, j, rest[0], rest[1])
 
 
-@functools.lru_cache(maxsize=128)
 def _block_index(perms: tuple) -> np.ndarray:
-    """Flat gather index: row p of the result reads the 4x4 block of
+    """Flat gather index (len(perms), 16): row p reads the 4x4 block of
     amplitudes with qubits perms[p][:2] as the row index."""
-    flat = np.arange(16).reshape(2, 2, 2, 2)
-    index = np.stack([flat.transpose(perm).reshape(16) for perm in perms])
+    flat = np.arange(16, dtype=np.intp).reshape(2, 2, 2, 2)
+    return np.stack([flat.transpose(perm).reshape(16) for perm in perms])
+
+
+@functools.lru_cache(maxsize=128)
+def _terms_index(layout: tuple, k: int) -> tuple:
+    """The blocks _svd4.c's terms reads, (1 + k, 16): the (a1 a2 | b1 b2) cut,
+    then the first k pairs of (a1b1, a2b2, a1b2, a2b1); and its address,
+    which stays valid while the cache holds the array."""
+    a1, a2, b1, b2 = layout
+    pairs = ((a1, b1), (a2, b2), (a1, b2), (a2, b1))[:k]
+    index = _block_index((layout,) + tuple(_pair_perm(i, j) for i, j in pairs))
     index.flags.writeable = False  # shared by every caller through the cache
-    return index
+    return index, index.ctypes.data
 
 
 def spin_flip_lambdas(blocks: np.ndarray) -> np.ndarray:
-    """Wootters lambdas of rho = B B^dagger for each (..., 4, 4) factor B, descending.
-
-    They are the singular values of tau = B^T S B (S the spin flip), which
-    equal the square roots of the eigenvalues of rho rho~ on the nonzero part.
-    With r_i the rows of B, tau = D + D^T for D = r_1 (x) r_2 - r_0 (x) r_3:
-    elementwise outer products, a third of the cost of two stacked matmuls.
-    """
-    r = [blocks[..., i, :] for i in range(4)]
-    d = r[1][..., :, None] * r[2][..., None, :] - r[0][..., :, None] * r[3][..., None, :]
-    return singular_values4(d + np.swapaxes(d, -1, -2))
-
-
-def _bipartite(states: np.ndarray, layout, alpha: float) -> np.ndarray:
-    """Renyi entropy of the (a1, a2) reduction for each row of (m, 16) amplitudes.
-
-    rho = B B^dagger for the 4x4 amplitude block B, so its spectrum is sv(B)^2.
-    """
-    blocks = states[:, _block_index((tuple(layout),))[0]].reshape(-1, 4, 4)
-    if alpha == 2.0:
-        rho = np.matmul(blocks, blocks.conj().transpose(0, 2, 1))
-        return -np.log2(np.sum(np.abs(rho) ** 2, axis=(1, 2)))
-    return entropy_from_eigs_raw(singular_values4(blocks) ** 2, alpha)
-
-
-def _pair_terms(states: np.ndarray, pairs, alpha: float) -> np.ndarray:
-    """(m, k) entanglement of the k two-qubit reductions `pairs` of each row.
-
-    All m*k pair blocks go through one spin_flip_lambdas call.
-    """
-    index = _block_index(tuple(_pair_perm(i, j) for i, j in pairs))
-    lam = spin_flip_lambdas(states[:, index].reshape(-1, 4, 4))
-    c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
-    return renyi_from_c_raw(np.minimum(c, 1.0), alpha).reshape(-1, len(pairs))
+    """Wootters lambdas (..., 4) of rho = B B^dagger for each complex128
+    (..., 4, 4) factor B, descending: the singular values of tau = B^T S B
+    (S the spin flip), the square roots of the eigenvalues of rho rho~ on its
+    nonzero part, from _svd4.c's spin_flip4."""
+    blocks = _matrices4(blocks)
+    out = np.empty(blocks.shape[:-1])
+    _SVD4.lambdas(blocks.ctypes.data, out.ctypes.data, blocks.size // 16)
+    return out
 
 
 def batched_terms(states: np.ndarray, layout, alpha: float, k: int = 4):
     """Bipartite term (m,) and the first k pair terms (m, k) of each row of
-    (m, 16) normalized amplitudes; the pairs are (a1b1, a2b2, a1b2, a2b1).
-
-    Every step loops per matrix or per element, so row r depends only on
-    states[r], never on m or k; the tests check this bit for bit.
-    """
-    a1, a2, b1, b2 = layout
-    pairs = ((a1, b1), (a2, b2), (a1, b2), (a2, b1))[:k]
-    return _bipartite(states, layout, alpha), _pair_terms(states, pairs, alpha)
+    complex128 (m, 16) normalized amplitudes; the pairs are (a1b1, a2b2, a1b2,
+    a2b1) of the layout (a1, a2, b1, b2), a permutation of 0..3. Computed row
+    by row by _svd4.c's terms, so row r depends only on states[r], never on
+    m, k or the strides; the tests check this bit for bit."""
+    if not (isinstance(states, np.ndarray) and states.dtype == np.complex128 and states.ndim == 2
+            and states.shape[1] == 16):
+        raise ValueError(
+            f"need a complex128 (m, 16) array, got {getattr(states, 'dtype', type(states).__name__)} "
+            f"{getattr(states, 'shape', '')}"
+        )
+    try:
+        roles = tuple(map(operator.index, layout))
+    except TypeError:
+        roles = ()
+    if sorted(roles) != [0, 1, 2, 3]:
+        raise ValueError(f"layout must be a permutation of 0..3, got {layout!r}")
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= 4):
+        raise ValueError(f"k must be an integer in 1..4, got {k!r}")
+    alpha = _checked_alpha(alpha)
+    _, index = _terms_index(roles, int(k))
+    states = np.ascontiguousarray(states)
+    out = np.empty((states.shape[0], 1 + k))  # one buffer: an address costs about 2 us
+    _SVD4.terms(states.ctypes.data, index, states.shape[0], k, alpha, out.ctypes.data)
+    return out[:, 0], out[:, 1:]
 
 
 def batched_ss(states: np.ndarray, layout, alpha: float) -> np.ndarray:
@@ -218,11 +242,12 @@ def pair_block(amps: np.ndarray, i: int, j: int) -> np.ndarray:
 
 
 def pair_term(amps: np.ndarray, i: int, j: int, alpha: float) -> float:
-    return float(_pair_terms(amps[None], ((i, j),), alpha)[0, 0])
+    a2, b2 = (q for q in range(4) if q not in (i, j))
+    return float(batched_terms(amps[None], (i, a2, j, b2), alpha, 1)[1][0, 0])
 
 
 def bipartite_term(amps: np.ndarray, a1: int, a2: int, b1: int, b2: int, alpha: float) -> float:
-    return float(_bipartite(amps[None], (a1, a2, b1, b2), alpha)[0])
+    return float(batched_terms(amps[None], (a1, a2, b1, b2), alpha, 1)[0][0])
 
 
 def ss_value(amps: np.ndarray, layout, alpha: float) -> float:
@@ -230,7 +255,7 @@ def ss_value(amps: np.ndarray, layout, alpha: float) -> float:
 
 
 def renyi_from_c_scalar(c: float, alpha: float) -> float:
-    return float(renyi_from_c_raw(c, alpha))
+    return float(renyi_from_c(c, alpha))
 
 
 @functools.lru_cache(maxsize=64)

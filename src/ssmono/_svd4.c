@@ -1,5 +1,10 @@
-/* Singular values of 4x4 complex matrices by cyclic one-sided Jacobi
- * (Hestenes; Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)).
+/* The compiled numerics of ssmono: the singular values of 4x4 complex
+ * matrices (svd4), the Wootters lambdas of two-qubit factors (lambdas), the
+ * Renyi maps (renyi_of_c, renyi_of_spectra), the SS / monogamy terms of
+ * 4-qubit states (terms) and the CKW R2 residual of 3..8 qubits (ckw_r2).
+ *
+ * Singular values come from cyclic one-sided Jacobi (Hestenes; Demmel &
+ * Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)).
  *
  * Each matrix is handled on its own, so a result never depends on the batch.
  * Columns p < q are rotated until every pair is orthogonal to within TOL
@@ -83,34 +88,18 @@ void svd4(const double *a, double *out, ptrdiff_t count)
         sv4(a + 2 * N * N * m, out + N * m);
 }
 
-/* CKW R2 monogamy residual of one focus qubit against the rest, row by row.
- *
- * Each row is a 2^n-amplitude state. index holds, for each of the n - 1 other
- * qubits in turn, the flat amplitude index of the 4 x 2^(n-2) pair matrix k
- * whose row is (focus bit, that qubit's bit), so that rho = k k^H is the
- * pair's reduced density matrix. The focus purity comes from the first pair's
- * rho traced over its second qubit.
- *
- * A pair with det(rho^G) >= separable_det is separable (PPT) and adds
- * nothing. Every other pair takes the Wootters lambdas of a 4x4 factor B with
- * B B^H = rho: k itself, zero-padded, while 2^(n-2) <= 4, and beyond that
- * R^H from a Householder QR of k^H = QR, which is backward stable, so zero
- * modes stay at machine scale. Each pair's lambdas, zeros for a screened
- * pair, are stored at lam[4 * ((n - 1) * row + pair)].
- */
-#define PAIR_COLS 64 /* columns of k at the largest n, 8 qubits */
-
-/* products fused as numpy's complex multiply fuses them on FMA hardware:
- * re = fma(ar, br, -(ai bi)), im = fma(ar, bi, ai br) */
+/* complex products with one fused multiply-add each, as numpy's complex
+ * multiply computes them on FMA hardware: re = fma(ar, br, -(ai bi)),
+ * im = fma(ar, bi, ai br); fma() rounds correctly on every machine */
 static void cmul(double ar, double ai, double br, double bi, double *re, double *im)
 {
     *re = fma(ar, br, -(ai * bi));
     *im = fma(ar, bi, ai * br);
 }
 
-/* Wootters lambdas of rho = B B^H for one C-contiguous 4x4 complex B, as
- * spin_flip_lambdas computes them: the singular values of tau = D + D^T,
- * D = r1 (x) r2 - r0 (x) r3 for the rows r_i of B */
+/* Wootters lambdas of rho = B B^H for one C-contiguous 4x4 complex B,
+ * descending: the singular values of tau = B^T S B (S the spin flip), which
+ * is D + D^T for D = r1 (x) r2 - r0 (x) r3, r_i the rows of B */
 static void spin_flip4(const double *b, double *lam)
 {
     double d[N][N][2], tau[2 * N * N];
@@ -129,6 +118,131 @@ static void spin_flip4(const double *b, double *lam)
         }
     sv4(tau, lam);
 }
+
+/* b: count C-contiguous 4x4 complex128 factors; lam: count rows of 4 doubles */
+void lambdas(const double *b, double *lam, ptrdiff_t count)
+{
+    for (ptrdiff_t m = 0; m < count; m++)
+        spin_flip4(b + 2 * N * N * m, lam + N * m);
+}
+
+/* Renyi entropies in bits; alpha == 1 is the von Neumann branch. Near
+ * alpha = 1, sum w^alpha - 1 is summed as w expm1((alpha - 1) ln w), which
+ * keeps its relative accuracy. Entries <= 0 add nothing; a NaN is passed
+ * through. Adding 0.0 turns a -0.0 result into 0.0. */
+#define LN2 0.69314718055994530942
+
+static double renyi(const double *w, ptrdiff_t n, double alpha)
+{
+    double s = 0.0;
+    for (ptrdiff_t i = 0; i < n; i++)
+        if (!(w[i] <= 0.0))
+            s += alpha == 1.0 ? w[i] * log2(w[i]) : w[i] * expm1((alpha - 1.0) * log(w[i]));
+    return (alpha == 1.0 ? -s : log1p(s) / ((1.0 - alpha) * LN2)) + 0.0;
+}
+
+/* the two-qubit measure of concurrence c in [0, 1]: the entropy of (x, y),
+ * x = (1 + u)/2, u = sqrt(1 - c^2), with y = (1 - u)/2 = c^2 / (2 (1 + u))
+ * free of cancellation at small c; x^2 + y^2 = 1 - c^2/2 at alpha = 2 */
+static double renyi_c(double c, double alpha)
+{
+    if (alpha == 2.0)
+        return -log2(1.0 - 0.5 * c * c) + 0.0;
+    double y = c * c / (2.0 * (1.0 + sqrt(fmax(0.0, 1.0 - c * c))));
+    double w[2] = {1.0 - y, y};
+    return renyi(w, 2, alpha);
+}
+
+/* c: count concurrences; out: count values */
+void renyi_of_c(const double *c, double *out, ptrdiff_t count, double alpha)
+{
+    for (ptrdiff_t m = 0; m < count; m++)
+        out[m] = renyi_c(c[m], alpha);
+}
+
+/* w: count rows of dim eigenvalues; out: count entropies */
+void renyi_of_spectra(const double *w, double *out, ptrdiff_t count, ptrdiff_t dim, double alpha)
+{
+    for (ptrdiff_t m = 0; m < count; m++)
+        out[m] = renyi(w + dim * m, dim, alpha);
+}
+
+/* The SS / two-pair monogamy terms of 4-qubit states, row by row.
+ *
+ * Each row is 16 complex128 amplitudes. index holds 1 + k rows of 16 flat
+ * amplitude indices: the 4x4 block B of the (a1 a2 | b1 b2) cut, row index
+ * the a qubits, then the k pair blocks (a1b1, a2b2, a1b2, a2b1 in turn), row
+ * index the pair. The bipartite term is the Renyi entropy of rho = B B^H:
+ * -log2 Tr rho^2 at alpha = 2, else the entropy of its spectrum sv(B)^2. A
+ * pair term is the measure of c = min(1, max(0, l0 - l1 - l2 - l3)) from the
+ * block's Wootters lambdas. A NaN amplitude gives NaN terms.
+ */
+static void gather(const double *psi, const ptrdiff_t *at, double *b)
+{
+    for (int x = 0; x < N * N; x++) {
+        b[2 * x] = psi[2 * at[x]];
+        b[2 * x + 1] = psi[2 * at[x] + 1];
+    }
+}
+
+/* states: count rows of 16 complex128 amplitudes; index: (1 + k) x 16
+ * amplitude indices; out: count rows of the bipartite term and k pair terms */
+void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k, double alpha,
+           double *out)
+{
+    for (ptrdiff_t row = 0; row < count; row++) {
+        const double *psi = states + 2 * N * N * row;
+        double *bip = out + (1 + k) * row, *pair = bip + 1;
+        double b[2 * N * N], l[N];
+        gather(psi, index, b);
+        if (alpha == 2.0) {
+            double purity = 0.0; /* sum of |rho_rs|^2, the upper triangle twice */
+            for (int r = 0; r < N; r++)
+                for (int s = r; s < N; s++) {
+                    double sr = 0.0, si = 0.0;
+                    for (int c = 0; c < N; c++) {
+                        const double *x = b + 2 * (N * r + c), *y = b + 2 * (N * s + c);
+                        sr += x[0] * y[0] + x[1] * y[1];
+                        si += x[1] * y[0] - x[0] * y[1];
+                    }
+                    purity += (s == r ? 1.0 : 2.0) * (sr * sr + si * si);
+                }
+            *bip = -log2(purity);
+        } else {
+            sv4(b, l);
+            for (int x = 0; x < N; x++)
+                l[x] *= l[x];
+            *bip = renyi(l, N, alpha);
+        }
+        for (int p = 0; p < k; p++) {
+            gather(psi, index + N * N * (1 + p), b);
+            spin_flip4(b, l);
+            double c = l[0] - l[1] - l[2] - l[3];
+            if (c < 0.0)
+                c = 0.0;
+            else if (c > 1.0)
+                c = 1.0;
+            pair[p] = renyi_c(c, alpha);
+        }
+    }
+}
+
+/* CKW R2 monogamy residual of one focus qubit against the rest, row by row.
+ *
+ * Each row is a 2^n-amplitude state. index holds, for each of the n - 1 other
+ * qubits in turn, the flat amplitude index of the 4 x 2^(n-2) pair matrix k
+ * whose row is (focus bit, that qubit's bit), so that rho = k k^H is the
+ * pair's reduced density matrix. The focus purity comes from the first pair's
+ * rho traced over its second qubit.
+ *
+ * A pair with det(rho^G) >= separable_det is separable (PPT) and adds
+ * nothing. Every other pair takes the Wootters lambdas of a 4x4 factor B with
+ * B B^H = rho: k itself, zero-padded, while 2^(n-2) <= 4, and beyond that
+ * R^H from a Householder QR of k^H = QR, which is backward stable, so zero
+ * modes stay at machine scale. Each pair's lambdas, zeros for a screened
+ * pair, are stored at lam[4 * ((n - 1) * row + pair)].
+ */
+#define PAIR_COLS 64 /* columns of k at the largest n, 8 qubits */
 
 /* det(rho^G), rho^G[(a, b), (a', b')] = rho[(a, b'), (a', b)], by Laplace
  * expansion in the 2x2 minors of rows (0, 1) and of their complement (2, 3) */

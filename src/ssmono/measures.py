@@ -81,7 +81,7 @@ def renyi_entropy(rho, alpha) -> float:
     """Renyi alpha-entropy in bits; alpha = 1 is the von Neumann branch."""
     a = normalize_alpha(alpha)
     w = linalg.hermitian_eigenvalues(rho)
-    return float(_kernels.entropy_from_eigs_raw(w, a))
+    return float(_kernels.renyi_entropies(w, a))
 
 
 def renyi_from_concurrence(c, alpha) -> float:
@@ -94,7 +94,7 @@ def renyi_from_concurrence(c, alpha) -> float:
     cf = float(c)
     if cf < -1e-12 or cf > 1.0 + 1e-12:
         raise ValueError(f"concurrence must lie in [0, 1], got {c}")
-    return float(_kernels.renyi_from_c_raw(min(1.0, max(0.0, cf)), a))
+    return float(_kernels.renyi_from_c(min(1.0, max(0.0, cf)), a))
 
 
 def pair_entanglement(psi, i: int, j: int, alpha) -> float:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -351,6 +350,9 @@ def haar_minimum(
     if processes == 1:
         results = [_chunk_task(t) for t in tasks]
     else:
+        # imported here: multiprocessing costs every process about 1.5 MiB
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_chunk_task, tasks))
     # min keeps the first of equal values, which is the lowest draw index

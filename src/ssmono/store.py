@@ -6,6 +6,7 @@ would write and checks the stored one against it with `_agree`.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -64,6 +65,49 @@ class _Rows:
         return self._make(self._items[n])
 
 
+class _Pairs:
+    """A state in a document: its [re, im] rows, held as one float (n, 2)
+    array instead of a list per amplitude. The renderer writes it in one
+    pass, and the parser builds one from each stored state (`_parsed_states`),
+    so a stored state and its re-derivation compare as two of these."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
+
+    def __eq__(self, other):
+        return isinstance(other, _Pairs) and np.array_equal(self.values, other.values)
+
+    def __repr__(self) -> str:
+        return repr(self.values.tolist())
+
+    def text(self, sig: int, indent: int | None) -> str:
+        """The rows as _render writes a list of [re, im] lists."""
+        flat = self.values.ravel()
+        if not np.isfinite(flat).all():
+            format_float(flat[~np.isfinite(flat)][0])  # raises its ValueError
+        if (flat == np.trunc(flat)).any():  # %g writes these without ".0"; rare
+            texts = [format_float(x, sig) for x in flat.tolist()]
+            rows = [f"[{re}, {im}]" for re, im in zip(texts[0::2], texts[1::2])]
+            return _pairs_template("%s", len(rows), indent) % tuple(rows)
+        return _pairs_template(f"[%.{sig}g, %.{sig}g]", len(flat) // 2, indent) % tuple(flat.tolist())
+
+
+@functools.lru_cache(maxsize=32)
+def _pairs_template(row: str, n: int, indent: int | None) -> str:
+    """%-template of n rows laid out as _pieces lays out a list of lists."""
+    if not n:
+        return "[]"
+    if indent is None:
+        return "[" + ", ".join([row] * n) + "]"
+    pad = "\n" + "  " * (indent + 1)
+    return "[" + pad + ("," + pad).join([row] * n) + "\n" + "  " * indent + "]"
+
+
 def _scalar(value, sig: int) -> str:
     if isinstance(value, (bool, str)) or value is None:
         return json.dumps(value)
@@ -77,6 +121,11 @@ def _scalar(value, sig: int) -> str:
 _CONTAINERS = (dict, list, tuple, _Rows)
 
 
+@functools.lru_cache(maxsize=256)
+def _key_text(key) -> str:
+    return f"{json.dumps(str(key))}: "
+
+
 def _pieces(value, sig: int, indent: int | None):
     """JSON text with floats at `sig` significant digits, in pieces. With an
     indent, objects and lists of non-scalars span lines, and each item is one
@@ -85,7 +134,7 @@ def _pieces(value, sig: int, indent: int | None):
         yield _scalar(value, sig)
         return
     if isinstance(value, dict):
-        brackets, items = "{}", ((f"{json.dumps(str(k))}: ", v) for k, v in value.items())
+        brackets, items = "{}", ((_key_text(k), v) for k, v in value.items())
     else:
         brackets, items = "[]", (("", v) for v in value)
     if not len(value):
@@ -108,6 +157,8 @@ def _pieces(value, sig: int, indent: int | None):
 
 
 def _render(value, sig: int, indent: int | None = None) -> str:
+    if isinstance(value, _Pairs):
+        return value.text(sig, indent)
     if isinstance(value, _CONTAINERS):
         return "".join(_pieces(value, sig, indent))
     return _scalar(value, sig)
@@ -125,9 +176,9 @@ def compact_json(doc: dict, sig: int = 10) -> str:
 # ---------------------------------------------------------------------------
 # document builders
 
-def _state_doc(amps: np.ndarray) -> list:
+def _state_doc(amps: np.ndarray) -> _Pairs:
     # a complex128 array viewed as float64 is its [re, im] pairs, bit for bit
-    return np.ascontiguousarray(amps, dtype=complex).view(float).reshape(-1, 2).tolist()
+    return _Pairs(np.ascontiguousarray(amps, dtype=complex).view(float).reshape(-1, 2))
 
 
 def _state_from_doc(pairs, what: str) -> np.ndarray:
@@ -249,11 +300,36 @@ def _finite(value) -> float:
     return number
 
 
+_STATE_KEYS = ("state", "seed_state", "final_state", "argmin_state")
+# bool too: a stored true compared equal to a re-derived 1.0 as a list item
+_NUMBER_TYPES = (float, int, bool)
+
+
+def _parsed_states(obj: dict) -> dict:
+    """json object_hook: each state of a parsed object, a list of [re, im]
+    number pairs, becomes _Pairs as soon as it is parsed, so that a long
+    trace never holds a list per amplitude. Anything else is left as parsed,
+    for the loader to judge as before."""
+    for key in _STATE_KEYS:
+        pairs = obj.get(key)
+        if type(pairs) is list and all(
+            type(p) is list and len(p) == 2 and type(p[0]) in _NUMBER_TYPES and type(p[1]) in _NUMBER_TYPES
+            for p in pairs
+        ):
+            try:
+                obj[key] = _Pairs(np.array(pairs, dtype=float))
+            except OverflowError:  # an integer beyond float range; _state_from_doc says so
+                pass
+    return obj
+
+
 def _read(source, what: str) -> dict:
     """Parse a document once: a JSON object without NaN or Infinity, of this
     format version when it names one (bare state documents do not)."""
     try:
-        doc = json.loads(Path(source).read_text(encoding="utf-8"), parse_constant=_finite)
+        doc = json.loads(
+            Path(source).read_text(encoding="utf-8"), parse_constant=_finite, object_hook=_parsed_states
+        )
     except ValueError as exc:
         raise ArchiveError(f"malformed {what}: {exc}") from None
     if not isinstance(doc, dict):

@@ -1,5 +1,5 @@
-"""The compiled 4x4 singular-value kernel: edge cases, input checks, the
-40-digit oracle in oracle.py, LAPACK as a reference, the build cache and a
+"""The compiled kernels of _svd4.c: edge cases, input checks, the 40-digit
+oracle in oracle.py, LAPACK as a reference, the build cache and a
 warning-free C source."""
 
 import importlib.util
@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import oracle
 from conftest import bell_product, ghz_state, random_state, w_state
@@ -138,6 +139,103 @@ def test_batched_terms_match_the_oracle(seed0_optimum):
             want_bip, want_pair = expected[r][alpha]
             assert abs(e_bip[r] - float(want_bip)) < 1e-13, (alpha, r)
             assert np.max(np.abs(pair[r] - [float(x) for x in want_pair])) < 1e-13, (alpha, r)
+
+
+def test_batched_terms_refuse_bad_input_before_the_kernel_runs(monkeypatch):
+    class Refuse:
+        def __getattr__(self, name):
+            raise AssertionError(f"the C kernel {name} was called")
+
+    monkeypatch.setattr(_kernels, "_SVD4", Refuse())
+    good, layout = np.zeros((3, 16), dtype=complex), (0, 1, 2, 3)
+    for bad in (good.real, good.astype(np.complex64), good[:, :15], good.reshape(3, 4, 4), good[0], good.tolist()):
+        with pytest.raises(ValueError, match=r"complex128 \(m, 16\)"):
+            _kernels.batched_terms(bad, layout, 2.0)
+    for bad in ((0, 1, 2), (0, 1, 2, 2), (0, 1, 2, 4), (0, 1, 2, 3, 4), (-1, 1, 2, 3), (0.0, 1, 2, 3), "0123", None):
+        with pytest.raises(ValueError, match="layout"):
+            _kernels.batched_terms(good, bad, 2.0)
+    for bad in (0, 5, 2.0, None):
+        with pytest.raises(ValueError, match="k must"):
+            _kernels.batched_terms(good, layout, 2.0, bad)
+    for bad in (0.5, 1.0 - 1e-6, np.nan, np.inf, -np.inf, "2", None, 2j):
+        with pytest.raises(ValueError, match="alpha"):
+            _kernels.batched_terms(good, layout, bad)
+        with pytest.raises(ValueError, match="alpha"):
+            _kernels.renyi_from_c(0.5, bad)
+        with pytest.raises(ValueError, match="alpha"):
+            _kernels.renyi_entropies([0.5, 0.5], bad)
+    for bad in (["0.5"], [0.5 + 0j], None):
+        with pytest.raises(ValueError, match="real numbers"):
+            _kernels.renyi_from_c(bad, 2.0)
+    with pytest.raises(ValueError, match="rows"):
+        _kernels.renyi_entropies(0.5, 2.0)
+    with pytest.raises(ValueError, match="4x4"):
+        _kernels.spin_flip_lambdas(np.zeros((4, 4)))
+    with pytest.raises(AssertionError):
+        _kernels.batched_terms(good, layout, 2.0)
+
+
+def _oracle_entropy(w, alpha):
+    """The oracle's entropy of w, its negative entries dropped and the rest
+    scaled to sum to 1 exactly: the kernel sums w (w^(alpha-1) - 1), which
+    assumes that sum, and near alpha = 1 a float spectrum's own deficit (about
+    1e-17) divided by alpha - 1 would dominate a direct comparison."""
+    with mp.workdps(oracle.DPS):
+        p = [max(mp.mpf(0), mp.mpf(v)) for v in w]
+        total = mp.fsum(p)
+        return float(oracle.entropy([v / total for v in p], alpha))
+
+
+def test_renyi_maps_match_the_oracle():
+    # the concurrence map and the spectrum entropy that every term ends in,
+    # down to c = 1e-8, where y = (1 - sqrt(1 - c^2))/2 is 2.5e-17
+    spectra = ([0.4, 0.3, 0.2, 0.1], [0.7, 0.3, 0.0, -1e-17], [1.0, 0.0, 0.0, 0.0], [0.125] * 8)
+    for alpha in (1, 1 + 1e-6, 1.02, 1.5, 2, 3):
+        for c in (0.0, 1e-8, 1e-4, 0.5, 1.0):
+            want = float(oracle.renyi_from_c(mp.mpf(c), alpha))
+            assert abs(_kernels.renyi_from_c(c, alpha) - want) < 1e-14, (alpha, c)
+            assert abs(measures.renyi_from_concurrence(c, alpha) - want) < 1e-14, (alpha, c)
+            y = c * c / (2 * (1 + np.sqrt(1 - c * c)))
+            assert abs(_kernels.renyi_entropies([1 - y, y], alpha) - want) < 1e-14, (alpha, c)
+        for w in spectra:
+            assert abs(_kernels.renyi_entropies(w, alpha) - _oracle_entropy(w, alpha)) < 1e-14, (alpha, w)
+        rows = _kernels.renyi_entropies(np.array(spectra[:3]), alpha)
+        assert rows.tolist() == [float(_kernels.renyi_entropies(w, alpha)) for w in spectra[:3]]
+
+
+def _local_unitaries(rng, count):
+    z = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+    return np.linalg.qr(z)[0]
+
+
+def test_pair_terms_of_maximally_entangled_pairs_stay_at_one_bit():
+    # Bell pairs on (0, 2) and (1, 3) under local unitaries: roundoff puts
+    # l0 - l1 - l2 - l3 above 1 for about a fifth of them, and the kernel clips it
+    rng = np.random.default_rng(211)
+    states = np.empty((200, 16), dtype=complex)
+    for r in range(200):
+        t = bell_product().reshape(2, 2, 2, 2)
+        for q, u in enumerate(_local_unitaries(rng, 4)):
+            t = np.moveaxis(np.tensordot(u, t, axes=([1], [q])), 0, q)
+        states[r] = t.reshape(16)
+    blocks = states.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+    lam = _kernels.spin_flip_lambdas(blocks)
+    assert np.any(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3] > 1.0)
+    _, pair = _kernels.batched_terms(states, (0, 1, 2, 3), 2.0, 2)
+    assert pair.max() == 1.0
+    assert np.all(np.abs(pair - 1.0) < 1e-14)
+
+
+def test_a_nan_row_gives_nan_terms_and_leaves_the_others_alone():
+    states = _haar_blocks(212, 4).reshape(4, 16)
+    clean = {alpha: _kernels.batched_terms(states, (0, 1, 2, 3), alpha) for alpha in (2.0, 1.5, 1.0)}
+    states[2, 5] = np.nan
+    for alpha, (e_bip, pair) in clean.items():
+        got_bip, got_pair = _kernels.batched_terms(states, (0, 1, 2, 3), alpha)
+        assert np.isnan(got_bip[2]) and np.isnan(got_pair[2]).all(), alpha
+        keep = [0, 1, 3]
+        assert got_bip[keep].tolist() == e_bip[keep].tolist()
+        assert got_pair[keep].tolist() == pair[keep].tolist()
 
 
 def test_c_source_compiles_without_warnings():

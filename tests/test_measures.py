@@ -310,7 +310,7 @@ def test_residual_report_defaults_give_the_full_report():
     assert report == measures.residual_report(psi, measures.CANONICAL_LAYOUT, 2.0)
 
 
-@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("alpha", [1.0, 1.02, 1.5, 2.0])
 def test_batched_rows_do_not_depend_on_batch_size(alpha):
     # the descent scores blocks of candidates and the trace stores their
     # values, so row r of any batch must carry the bits of a batch of one
@@ -326,6 +326,16 @@ def test_batched_rows_do_not_depend_on_batch_size(alpha):
         single = measures.residual_report(states[r], layout, alpha)
         assert single == batch[r]
         assert ss[r] == single.ss_residual
+    # nor on k, the pair terms asked for, nor on the strides of the batch
+    e_bip, pair = _kernels.batched_terms(states, layout.as_tuple(), alpha)
+    for k in (1, 2, 3):
+        e_k, pair_k = _kernels.batched_terms(states, layout.as_tuple(), alpha, k)
+        assert e_k.tolist() == e_bip.tolist() and pair_k.tolist() == pair[:, :k].tolist()
+    wide = np.zeros((70, 3, 16), dtype=complex)
+    wide[:, 1] = states
+    for strided in (wide[:, 1], np.repeat(states, 2, axis=0)[::2], np.asfortranarray(states)):
+        e_s, pair_s = _kernels.batched_terms(strided, layout.as_tuple(), alpha)
+        assert e_s.tolist() == e_bip.tolist() and pair_s.tolist() == pair.tolist()
 
 
 def test_ckw_r2_residual_w3_oracle():
@@ -437,18 +447,9 @@ def test_ppt_screen_matches_unscreened_reference_on_boundary_states():
         assert c == pytest.approx(max(0.0, (3.0 * p - 1.0) / 2.0), abs=1e-12), p
 
 
-def _numpy_fuses_complex_products():
-    a = _haar_chunk(176, 64, 4).reshape(-1)
-    b = a[::-1].copy()
-    return (a * b).real.tolist() != (a.real * b.real - a.imag * b.imag).tolist()
-
-
-@pytest.mark.skipif(
-    not _numpy_fuses_complex_products(),
-    reason="numpy multiplies complex numbers without fused multiply-adds here, unlike the kernel's tau",
-)
 def test_kernel_lambdas_equal_spin_flip_lambdas_bit_for_bit():
-    # the pair matrix is the kernel's factor for n = 3 (zero-padded) and n = 4
+    # the pair matrix is the kernel's factor for n = 3 (zero-padded) and n = 4;
+    # both entries run the same spin_flip4, so this checks ckw_r2's gather
     for n in (3, 4):
         states = _haar_chunk(175 + n, 300, n)
         t = states.reshape((-1,) + (2,) * n)

@@ -1,6 +1,10 @@
 """Search loop semantics, region walks, continuation, and scans."""
 
+import concurrent.futures
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,7 +350,7 @@ def test_haar_minimum_pool_has_no_more_workers_than_chunks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     pooled = search.haar_scan(3 * search.SCAN_CHUNK - 5, rng=sampler.RngSeed(8), workers=64)
     assert opened == [3]
@@ -359,6 +363,16 @@ def test_haar_minimum_pool_has_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process, no pool
     assert search.haar_minimum(40 * 256, 8, sampler.RngSeed(9), "batched_ckw_r2", (8,), 0.0, 10_000)[1:3] == many[1:3]
     assert opened == [3, 3]
+
+
+def test_import_leaves_multiprocessing_out():
+    # the pool is imported only when one opens; multiprocessing costs every process about 1.5 MiB
+    code = "import sys, ssmono; print('multiprocessing' in sys.modules)"
+    src = str(Path(search.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_haar_scan_validation():

@@ -308,3 +308,42 @@ def test_load_state_document_rejects_unknown_shape(tmp_path):
     path.write_text(json.dumps({"something": 1}))
     with pytest.raises(store.ArchiveError):
         store.load_state_document(path)
+
+
+def test_states_render_as_the_list_renderer_writes_them():
+    # _state_doc's one-pass text against the per-float rendering of the same
+    # [re, im] lists, with the integral values that %g writes without ".0"
+    rng = np.random.default_rng(172)
+    states = [bell_product(), np.zeros(16, dtype=complex), rng.standard_normal(16) + 1j * rng.standard_normal(16)]
+    states[1][[0, 3]] = [-0.0 + 1j, 1e-300 - 2.0j]
+    for state in states:
+        pairs = [[z.real, z.imag] for z in state]
+        nested = {"a": {"state": pairs}, "b": [pairs]}
+        fast = {"a": {"state": store._state_doc(state)}, "b": [store._state_doc(state)]}
+        assert store.canonical_json(fast) == store.canonical_json(nested)
+        assert store.compact_json(fast, 17) == store.compact_json(nested, 17)
+        assert store.compact_json(fast) == store.compact_json(nested)
+    with pytest.raises(ValueError, match="non-finite"):
+        store.canonical_json({"state": store._state_doc(np.full(16, np.nan, dtype=complex))})
+
+
+def test_documents_load_whatever_their_layout_and_number_spelling(tmp_path):
+    # states are parsed straight into arrays; a document written on one line,
+    # with another indent, or with integral amplitudes spelled as integers or
+    # booleans must load as it did when they were parsed as lists
+    basis = np.zeros(16, dtype=complex)
+    basis[0] = 1.0
+    record = search.minimize_residual(
+        search.SearchConfig(delta0=1e-3, delta_min=1e-2, rng=sampler.RngSeed(7), seed_state=basis)
+    )
+    path = tmp_path / "run.json"
+    store.save_run(store.make_archive(record, PINNED_TIME), path)
+    doc = json.loads(path.read_text())
+    for text in (json.dumps(doc), json.dumps(doc, indent=3), path.read_text().replace("1.0, 0.0]", "1, false]")):
+        path.write_text(text)
+        loaded = store.load_run(path)
+        np.testing.assert_array_equal(loaded.record.final_state, basis)
+        np.testing.assert_array_equal(loaded.record.config.seed_state, basis)
+    bare = tmp_path / "state.json"
+    bare.write_text(json.dumps({"state": [[1, 0]] + [[0, 0]] * 15}))
+    np.testing.assert_array_equal(store.load_state_document(bare)[0], basis)
