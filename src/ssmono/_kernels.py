@@ -7,7 +7,8 @@ pointer reaches C. There is one path for each quantity:
 - `batched_terms`: the bipartite term and the pair terms of each 4-qubit row
   (terms in _svd4.c). Row r depends only on states[r], so the objective value
   driving an acceptance is bit-identical to the value stored in the trace and
-  to a later batch-of-one `residual_report`;
+  to a later batch-of-one `residual_report`, and `fingerprint_terms` gives
+  the archive fingerprint from the same kernel and amplitude blocks;
 - `batched_ckw_r2`: the CKW-R2 residual of 3..8-qubit rows (ckw_r2);
 - `singular_values4`, `spin_flip_lambdas`, `renyi_from_c` and
   `renyi_entropies`: the same library's 4x4 singular values (sv4), Wootters
@@ -122,16 +123,22 @@ def singular_values4(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_alpha_one(alpha: float) -> bool:
-    return abs(alpha - 1.0) < ALPHA_ONE_TOL
+def normalize_alpha(alpha) -> float:
+    """The package's one check of the Renyi order: a real number, not a string
+    or a bool, finite and >= 1 - ALPHA_ONE_TOL; returned as a float, snapped to
+    exactly 1 (the von Neumann branch) within ALPHA_ONE_TOL. measures exports it."""
+    if type(alpha) is not bool and isinstance(alpha, (int, float, np.integer, np.floating)):
+        a = float(alpha)  # OverflowError for an integer beyond float range, as float() gives
+        if 1.0 - ALPHA_ONE_TOL <= a < math.inf:  # False for NaN too
+            return 1.0 if a - 1.0 < ALPHA_ONE_TOL else a
+    raise ValueError(f"alpha must be a real number >= 1, got {alpha!r}")
 
 
-def _checked_alpha(alpha) -> float:
-    """alpha as a float for the C Renyi maps: finite and >= 1, snapped to
-    exactly 1 (their von Neumann branch) within ALPHA_ONE_TOL."""
-    if not (isinstance(alpha, (int, float, np.integer, np.floating)) and math.isfinite(alpha) and alpha >= 1.0):
-        raise ValueError(f"alpha must be a finite real number >= 1, got {alpha!r}")
-    return 1.0 if is_alpha_one(alpha) else float(alpha)
+def checked_index(value, what: str) -> int:
+    """value as an int: an integer type other than bool, or ValueError."""
+    if type(value) not in (bool, np.bool_) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _reals(x, what: str) -> np.ndarray:
@@ -146,7 +153,7 @@ def renyi_from_c(c, alpha) -> np.ndarray:
     """The two-qubit measure of each concurrence c in [0, 1] (not checked):
     the Renyi entropy in bits of (x, 1 - x), x = (1 + sqrt(1 - c^2))/2."""
     c = _reals(c, "concurrences")
-    alpha = _checked_alpha(alpha)
+    alpha = normalize_alpha(alpha)
     out = np.empty(c.shape)
     _SVD4.renyi_of_c(c.ctypes.data, out.ctypes.data, c.size, alpha)
     return out
@@ -158,7 +165,7 @@ def renyi_entropies(w, alpha) -> np.ndarray:
     w = _reals(w, "eigenvalues")
     if w.ndim == 0:
         raise ValueError("need eigenvalue rows, got a scalar")
-    alpha = _checked_alpha(alpha)
+    alpha = normalize_alpha(alpha)
     out = np.empty(w.shape[:-1])
     _SVD4.renyi_of_spectra(w.ctypes.data, out.ctypes.data, out.size, w.shape[-1], alpha)
     return out
@@ -179,10 +186,10 @@ def _block_index(perms: tuple) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def _terms_index(layout: tuple, k: int) -> tuple:
     """The blocks _svd4.c's terms reads, (1 + k, 16): the (a1 a2 | b1 b2) cut,
-    then the first k pairs of (a1b1, a2b2, a1b2, a2b1); and its address,
-    which stays valid while the cache holds the array."""
+    then the first k pairs of (a1b1, a2b2, a1b2, a2b1, a1a2, b1b2); and its
+    address, which stays valid while the cache holds the array."""
     a1, a2, b1, b2 = layout
-    pairs = ((a1, b1), (a2, b2), (a1, b2), (a2, b1))[:k]
+    pairs = ((a1, b1), (a2, b2), (a1, b2), (a2, b1), (a1, a2), (b1, b2))[:k]
     index = _block_index((layout,) + tuple(_pair_perm(i, j) for i, j in pairs))
     index.flags.writeable = False  # shared by every caller through the cache
     return index, index.ctypes.data
@@ -199,32 +206,47 @@ def spin_flip_lambdas(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked_states(states, dim: int) -> np.ndarray:
+    """states as a C-contiguous complex128 (m, dim) array, or ValueError."""
+    if not (isinstance(states, np.ndarray) and states.dtype == np.complex128 and states.ndim == 2
+            and states.shape[1] == dim):
+        raise ValueError(
+            f"need a complex128 (m, {dim}) array, got {getattr(states, 'dtype', type(states).__name__)} "
+            f"{getattr(states, 'shape', '')}"
+        )
+    return np.ascontiguousarray(states)
+
+
 def batched_terms(states: np.ndarray, layout, alpha: float, k: int = 4):
     """Bipartite term (m,) and the first k pair terms (m, k) of each row of
     complex128 (m, 16) normalized amplitudes; the pairs are (a1b1, a2b2, a1b2,
-    a2b1) of the layout (a1, a2, b1, b2), a permutation of 0..3. Computed row
-    by row by _svd4.c's terms, so row r depends only on states[r], never on
-    m, k or the strides; the tests check this bit for bit."""
-    if not (isinstance(states, np.ndarray) and states.dtype == np.complex128 and states.ndim == 2
-            and states.shape[1] == 16):
-        raise ValueError(
-            f"need a complex128 (m, 16) array, got {getattr(states, 'dtype', type(states).__name__)} "
-            f"{getattr(states, 'shape', '')}"
-        )
+    a2b1, a1a2, b1b2) of the layout (a1, a2, b1, b2), a permutation of 0..3:
+    the residuals' four, then the two only the fingerprint stores. Computed
+    row by row by _svd4.c's terms, so row r depends only on states[r], never
+    on m, k or the strides; the tests check this bit for bit."""
+    states = _checked_states(states, 16)
     try:
         roles = tuple(map(operator.index, layout))
     except TypeError:
         roles = ()
     if sorted(roles) != [0, 1, 2, 3]:
         raise ValueError(f"layout must be a permutation of 0..3, got {layout!r}")
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= 4):
-        raise ValueError(f"k must be an integer in 1..4, got {k!r}")
-    alpha = _checked_alpha(alpha)
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= 6):
+        raise ValueError(f"k must be an integer in 1..6, got {k!r}")
+    alpha = normalize_alpha(alpha)
     _, index = _terms_index(roles, int(k))
-    states = np.ascontiguousarray(states)
     out = np.empty((states.shape[0], 1 + k))  # one buffer: an address costs about 2 us
     _SVD4.terms(states.ctypes.data, index, states.shape[0], k, alpha, out.ctypes.data)
     return out[:, 0], out[:, 1:]
+
+
+def fingerprint_terms(states: np.ndarray, layout, alpha: float) -> tuple:
+    """The six pair terms (m, 6) of batched_terms, and the descending spectra
+    (m, 3, 4) of the a1a2, a1b1 and a2b2 reductions: the squared singular
+    values of the first three blocks batched_terms reads."""
+    _, pairs = batched_terms(states, layout, alpha, 6)  # checks every argument
+    index, _ = _terms_index(tuple(map(operator.index, layout)), 6)
+    return pairs, singular_values4(states[:, index[:3]].reshape(-1, 3, 4, 4)) ** 2
 
 
 def batched_ss(states: np.ndarray, layout, alpha: float) -> np.ndarray:
@@ -279,13 +301,7 @@ def _ckw_r2(states: np.ndarray, n_qubits: int, focus: int, separable_det: float)
         raise ValueError(f"n_qubits must be an integer in 3..{_CKW_QUBITS[-1]}, got {n_qubits!r}")
     if not (isinstance(focus, (int, np.integer)) and 0 <= focus < n_qubits):
         raise ValueError(f"focus qubit {focus!r} out of range for {n_qubits} qubits")
-    if not (isinstance(states, np.ndarray) and states.dtype == np.complex128 and states.ndim == 2
-            and states.shape[1] == 2**n_qubits):
-        raise ValueError(
-            f"need a complex128 (m, {2**n_qubits}) array, got "
-            f"{getattr(states, 'dtype', type(states).__name__)} {getattr(states, 'shape', '')}"
-        )
-    states = np.ascontiguousarray(states)
+    states = _checked_states(states, 2**n_qubits)
     index = _pair_index(int(n_qubits), int(focus))
     out = np.empty(states.shape[0])
     lambdas = np.empty((states.shape[0], n_qubits - 1, 4))

@@ -171,8 +171,8 @@ void renyi_of_spectra(const double *w, double *out, ptrdiff_t count, ptrdiff_t d
  *
  * Each row is 16 complex128 amplitudes. index holds 1 + k rows of 16 flat
  * amplitude indices: the 4x4 block B of the (a1 a2 | b1 b2) cut, row index
- * the a qubits, then the k pair blocks (a1b1, a2b2, a1b2, a2b1 in turn), row
- * index the pair. The bipartite term is the Renyi entropy of rho = B B^H:
+ * the a qubits, then the k pair blocks (a1b1, a2b2, a1b2, a2b1, a1a2, b1b2 in
+ * turn), row index the pair. The bipartite term is the Renyi entropy of rho = B B^H:
  * -log2 Tr rho^2 at alpha = 2, else the entropy of its spectrum sv(B)^2. A
  * pair term is the measure of c = min(1, max(0, l0 - l1 - l2 - l3)) from the
  * block's Wootters lambdas. A NaN amplitude gives NaN terms.

@@ -153,16 +153,21 @@ def _cmd_verify_monogamy(args) -> int:
     return 1 if violations else 0
 
 
+def _admissible_vectors(gen: np.random.Generator, count: int) -> np.ndarray:
+    """count squared-concurrence vectors, zero-padded to 7: a length uniform in
+    2..7, uniform entries scaled by uniform / max(1, their sum); drawn in bulk."""
+    lengths = gen.integers(2, 8, size=count)
+    raw = gen.uniform(size=(count, 7)) * (np.arange(7) < lengths[:, None])
+    scale = gen.uniform(size=count) / np.maximum(1.0, raw.sum(axis=1))
+    return raw * scale[:, None]
+
+
 def _cmd_verify_sum(args) -> int:
     gen = sampler.generator(sampler.RngSeed(args.rng_seed))
     worst = np.inf
     violations = 0
     for lo in range(0, args.samples, SUM_CHUNK):
-        vectors = np.zeros((min(SUM_CHUNK, args.samples - lo), 7))  # lengths 2..7, zero-padded
-        for row in vectors:
-            length = int(gen.integers(2, 8))
-            raw = gen.uniform(size=length)
-            row[:length] = raw * (gen.uniform() / max(1.0, float(raw.sum())))
+        vectors = _admissible_vectors(gen, min(SUM_CHUNK, args.samples - lo))
         residuals = measures.sum_inequality_residuals(vectors)
         worst = min(worst, float(residuals.min()))
         violations += int(np.sum(residuals < SUM_TOLERANCE))
@@ -188,10 +193,7 @@ def _cmd_analyze(args) -> int:
             "command": "analyze",
             "file": args.file,
             "alpha": report.alpha,
-            "spectrum_a1a2": fingerprint["spectrum_a1a2"],
-            "spectrum_a1b1": fingerprint["spectrum_a1b1"],
-            "spectrum_a2b2": fingerprint["spectrum_a2b2"],
-            "pair_entanglements": fingerprint["pair_entanglements"],
+            **fingerprint,  # the three spectra, then the pair entanglements
             "e_bipartite": report.e_bipartite,
             "ss_residual": report.ss_residual,
             "monogamy_residual": report.monogamy_residual,

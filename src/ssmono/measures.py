@@ -9,19 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, linalg
+from ._kernels import normalize_alpha
 
 # residuals below this are genuine violations rather than roundoff
 VIOLATION_THRESHOLD = -1e-7
 # rows per kernel call in residual_reports: its working memory is about 3 KB a row
 REPORT_CHUNK = 64
-
-
-def normalize_alpha(alpha) -> float:
-    """Validate alpha >= 1; values within 1e-9 of 1 snap to exactly 1 (EoF branch)."""
-    a = float(alpha)
-    if not np.isfinite(a) or a < 1.0 - _kernels.ALPHA_ONE_TOL:
-        raise ValueError(f"alpha must be a real number >= 1, got {alpha}")
-    return 1.0 if _kernels.is_alpha_one(a) else a
 
 
 @dataclass(frozen=True)
@@ -34,9 +27,9 @@ class PairingLayout:
     b2: int = 3
 
     def __post_init__(self):
-        roles = (self.a1, self.a2, self.b1, self.b2)
-        if len(set(roles)) != 4 or any(not 0 <= int(q) < 4 for q in roles):
-            raise ValueError(f"layout must name four distinct qubits in [0, 4): {roles}")
+        roles = [_kernels.checked_index(q, "a layout role") for q in (self.a1, self.a2, self.b1, self.b2)]
+        if sorted(roles) != [0, 1, 2, 3]:
+            raise ValueError(f"layout must name four distinct qubits in [0, 4): {tuple(roles)}")
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a1, self.a2, self.b1, self.b2)
@@ -65,9 +58,11 @@ def concurrence(rho) -> float:
     C = max(0, l1 - l2 - l3 - l4) with li the descending square roots of the
     eigenvalues of rho @ rho~, rho~ the spin-flipped complex conjugate. The li
     are evaluated as singular values of W^T S W for a decomposition
-    rho = W W^dagger, which gives the same values without the sqrt noise floor
-    of the non-Hermitian eigenproblem (zero modes would otherwise surface at
-    the 1e-8 scale and corrupt the subtraction).
+    rho = W W^dagger, which avoids the non-Hermitian eigenproblem. W comes
+    from eigh(rho): on a rank-deficient rho the roundoff of the zero
+    eigenvalues enters W at sqrt(eps), so C carries a floor of about 1e-8
+    (measured on locally rotated W states). The pipeline takes a pure state's
+    amplitude block as W instead (_kernels.batched_terms), which has no floor.
     """
     m = linalg.as_density_matrix(rho)
     if m.shape != (4, 4):
@@ -79,9 +74,7 @@ def concurrence(rho) -> float:
 
 def renyi_entropy(rho, alpha) -> float:
     """Renyi alpha-entropy in bits; alpha = 1 is the von Neumann branch."""
-    a = normalize_alpha(alpha)
-    w = linalg.hermitian_eigenvalues(rho)
-    return float(_kernels.renyi_entropies(w, a))
+    return float(_kernels.renyi_entropies(linalg.hermitian_eigenvalues(rho), alpha))
 
 
 def renyi_from_concurrence(c, alpha) -> float:
@@ -90,33 +83,32 @@ def renyi_from_concurrence(c, alpha) -> float:
     Renyi entropy of the pair (x, 1-x) with x = (1 + sqrt(1 - c^2))/2; the
     alpha = 1 branch is the binary entropy (EoF).
     """
-    a = normalize_alpha(alpha)
     cf = float(c)
     if cf < -1e-12 or cf > 1.0 + 1e-12:
         raise ValueError(f"concurrence must lie in [0, 1], got {c}")
-    return float(_kernels.renyi_from_c(min(1.0, max(0.0, cf)), a))
+    return float(_kernels.renyi_from_c(min(1.0, max(0.0, cf)), alpha))
 
 
 def pair_entanglement(psi, i: int, j: int, alpha) -> float:
-    """Measure of the (i, j) two-qubit reduction of a pure state, in bits."""
-    a = normalize_alpha(alpha)
+    """Measure of the (i, j) two-qubit reduction of a pure state, in bits.
+    Through the density matrix and `concurrence`, so it carries that
+    function's floor of about 1e-8 on rank-deficient entangled reductions."""
     state = linalg.as_state(psi)
     n = linalg.n_qubits_of(state)
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"need two distinct qubit indices in [0, {n}), got ({i}, {j})")
     rho = linalg.partial_trace(state, tuple(sorted((i, j))))
-    return renyi_from_concurrence(concurrence(rho), a)
+    return renyi_from_concurrence(concurrence(rho), alpha)
 
 
 def bipartite_pure_entanglement(psi, partition_a, alpha) -> float:
     """Renyi entropy of the reduction onto partition_a (pure-state convex roof)."""
-    a = normalize_alpha(alpha)
     state = linalg.as_state(psi)
     n = linalg.n_qubits_of(state)
     mask = tuple(partition_a)
     if len(mask) >= n:
         raise ValueError("partition_a must be a proper subset of the qubits")
-    return renyi_entropy(linalg.partial_trace(state, mask), a)
+    return renyi_entropy(linalg.partial_trace(state, mask), alpha)
 
 
 def residual_report(psi, layout: PairingLayout = CANONICAL_LAYOUT, alpha=2.0) -> ResidualReport:
@@ -152,13 +144,8 @@ def ckw_r2_residual(psi, focus: int = 0) -> float:
     side: the same curve on each pairwise concurrence. Expected >= 0 for all
     pure states.
     """
-    state = linalg.as_state(psi)
-    n = linalg.n_qubits_of(state)
-    if n < 3:
-        raise ValueError(f"need at least 3 qubits, got {n}")
-    if not 0 <= focus < n:
-        raise ValueError(f"focus qubit {focus} out of range for {n} qubits")
-    return float(_kernels.batched_ckw_r2(state.reshape(1, -1), n, focus)[0])
+    state = linalg.as_state(psi)  # batched_ckw_r2 checks the qubit count and the focus
+    return float(_kernels.batched_ckw_r2(state[None], linalg.n_qubits_of(state), focus)[0])
 
 
 def sum_inequality_residual(c_squared) -> float:

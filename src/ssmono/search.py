@@ -45,7 +45,7 @@ class SearchConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         # delta0 below delta_min is legal: the run evaluates its seed and stops
         _check_deltas(delta0=self.delta0, delta_min=self.delta_min)
-        if self.counter_max < 1:
+        if _kernels.checked_index(self.counter_max, "counter_max") < 1:
             raise ValueError(f"counter_max must be >= 1, got {self.counter_max}")
         if self.seed_state is not None:
             state = linalg.as_state(self.seed_state)

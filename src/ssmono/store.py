@@ -2,7 +2,9 @@
 
 Each writer's document builder is the only description of its format: a
 reload parses a document's inputs, builds from them the document this build
-would write and checks the stored one against it with `_agree`.
+would write and checks the stored one against it with `_agree`. Every number
+a run archive stores, the fingerprint included, comes from the compiled
+amplitude kernels in `_kernels`, never from a density matrix.
 """
 from __future__ import annotations
 
@@ -15,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg, measures, sampler, search
+from . import _kernels, linalg, measures, sampler, search
 
 FORMAT_VERSION = 1
 # reload checks: norm drift, and drift of every stored number from its re-derivation
 LOAD_NORM_TOL = 1e-9
 LOAD_RESIDUAL_TOL = 1e-9
-_PAIR_ROLE_NAMES = ("a1a2", "a1b1", "a1b2", "a2b1", "a2b2", "b1b2")
+_KERNEL_PAIRS = ("a1b1", "a2b2", "a1b2", "a2b1", "a1a2", "b1b2")  # fingerprint_terms' pair order
 
 
 class ArchiveError(ValueError):
@@ -211,26 +213,18 @@ def _config_from_doc(doc: dict) -> search.SearchConfig:
     })
 
 
-def _layout_pairs(layout: measures.PairingLayout):
-    roles = asdict(layout)
-    for name in _PAIR_ROLE_NAMES:
-        yield name, roles[name[:2]], roles[name[2:]]
-
-
-def run_fingerprint(state: np.ndarray, layout: measures.PairingLayout, alpha: float) -> dict:
-    """Invariant identification of an optimum: reduction spectra plus all six
-    pairwise entanglements (the state's amplitudes are gauge-dependent)."""
-    fingerprint = {}
-    for name, i, j in (
-        ("spectrum_a1a2", layout.a1, layout.a2),
-        ("spectrum_a1b1", layout.a1, layout.b1),
-        ("spectrum_a2b2", layout.a2, layout.b2),
-    ):
-        rho = linalg.partial_trace(state, tuple(sorted((i, j))))
-        fingerprint[name] = [float(w) for w in linalg.hermitian_eigenvalues(rho)]
-    fingerprint["pair_entanglements"] = {
-        name: measures.pair_entanglement(state, i, j, alpha) for name, i, j in _layout_pairs(layout)
-    }
+def run_fingerprint(state, layout: measures.PairingLayout, alpha: float) -> dict:
+    """Invariant identification of a 4-qubit optimum (its amplitudes are
+    gauge-dependent): the spectra of the a1a2, a1b1 and a2b2 reductions and
+    all six pair entanglements, from the blocks the residuals read
+    (`_kernels.fingerprint_terms`)."""
+    state = linalg.as_state(state)
+    if state.shape[0] != 16:
+        raise ValueError("fingerprints are defined for 4-qubit states")
+    pairs, spectra = _kernels.fingerprint_terms(state[None], layout.as_tuple(), alpha)
+    fingerprint = dict(zip(("spectrum_a1a2", "spectrum_a1b1", "spectrum_a2b2"), spectra[0].tolist()))
+    # sorted names: a1a2, a1b1, a1b2, a2b1, a2b2, b1b2
+    fingerprint["pair_entanglements"] = dict(sorted(zip(_KERNEL_PAIRS, pairs[0].tolist())))
     return fingerprint
 
 

@@ -69,9 +69,18 @@ def pair_lambdas(amps, i, j):
 
 
 def terms(amps, layout, alphas):
-    """{alpha: (bipartite term, [pair terms a1b1, a2b2, a1b2, a2b1])}, the
-    order of batched_terms; the spectra are computed once for every alpha."""
+    """{alpha: (bipartite term, [pair terms a1b1, a2b2, a1b2, a2b1, a1a2,
+    b1b2])}, the order of batched_terms with k = 6; the spectra are computed
+    once for every alpha.
+
+    The spectrum is scaled to sum to 1, so the terms are those of the
+    normalized state, as the kernels assume: a float state's norm misses 1 by
+    about 1e-16, which the Renyi entropy divides by 1 - alpha (1e-13 at
+    alpha = 1.002)."""
     a1, a2, b1, b2 = layout
     spectrum = bipartite_spectrum(amps, layout)
-    c = [concurrence(pair_lambdas(amps, i, j)) for i, j in ((a1, b1), (a2, b2), (a1, b2), (a2, b1))]
+    with mp.workdps(DPS):
+        spectrum = [x / mp.fsum(spectrum) for x in spectrum]
+    pairs = ((a1, b1), (a2, b2), (a1, b2), (a2, b1), (a1, a2), (b1, b2))
+    c = [concurrence(pair_lambdas(amps, i, j)) for i, j in pairs]
     return {alpha: (entropy(spectrum, alpha), [renyi_from_c(x, alpha) for x in c]) for alpha in alphas}

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import bell_product
 
-from ssmono import _kernels, cli, measures, sampler, search, store
+from ssmono import _kernels, cli, linalg, measures, sampler, search, store
 
 
 def run_cli(argv, capsys):
@@ -167,6 +167,43 @@ def test_continue_rejects_non_violating_start(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("counter_max", [1000.5, True])
+def test_continue_refuses_an_archive_with_a_non_integer_counter(tmp_path, capsys, counter_max):
+    # such an archive used to load and the continuation died with a numpy
+    # TypeError traceback and exit code 1, the code for "violations found"
+    run_path = tmp_path / "run.json"
+    assert cli.main(["search", "--delta0", "0.5", "--delta-min", "1e-2", "--out", str(run_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(run_path.read_text())
+    doc["config"]["counter_max"] = counter_max
+    run_path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["continue", "--from", str(run_path), "--schedule", "1.5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed archive document") and "counter_max must be an integer" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_archives_and_analyze_stay_off_the_density_matrix_path(tmp_path, capsys, monkeypatch):
+    # the fingerprint and every residual come from the compiled amplitude
+    # kernels; the density-matrix functions are public references only
+    record = search.minimize_residual(search.SearchConfig(alpha=1.5, delta0=0.5, delta_min=1e-2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline reached the density-matrix path")
+
+    for module, name in ((linalg, "partial_trace"), (linalg, "hermitian_eigenvalues"),
+                         (measures, "pair_entanglement"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        monkeypatch.setattr(module, name, refuse)
+    archive = store.make_archive(record)
+    path = tmp_path / "run.json"
+    store.save_run(archive, path)
+    assert store.load_run(path).fingerprint == archive.fingerprint
+    code, out, _ = run_cli(["analyze", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["pair_entanglements"] == pytest.approx(archive.fingerprint["pair_entanglements"])
+
+
 def test_continue_rejects_bad_schedule_before_any_stage(tmp_path, capsys, monkeypatch):
     # "1.5,nan" used to run the whole alpha = 1.5 stage before failing
     seed_doc, run_path = tmp_path / "seed.json", tmp_path / "run.json"
@@ -253,6 +290,17 @@ def test_verify_sum_inequality_scores_in_bounded_chunks(capsys, monkeypatch):
     code, _, _ = run_cli(["verify", "sum-inequality", "--samples", "9000"], capsys)
     assert code == 0
     assert shapes == [(cli.SUM_CHUNK, 7), (cli.SUM_CHUNK, 7), (9000 - 2 * cli.SUM_CHUNK, 7)]
+
+
+def test_admissible_vectors_keep_the_draw_distribution_support():
+    vectors = cli._admissible_vectors(sampler.generator(sampler.RngSeed(8)), 5000)
+    lengths = np.count_nonzero(vectors, axis=1)
+    assert vectors.shape == (5000, 7)
+    assert set(lengths.tolist()) == set(range(2, 8))
+    # nonzero entries form a prefix, and every vector is admissible
+    assert all(not vectors[r, n:].any() for r, n in enumerate(lengths))
+    assert vectors.min() >= 0.0 and vectors.sum(axis=1).max() <= 1.0
+    assert cli._admissible_vectors(sampler.generator(sampler.RngSeed(8)), 5000).tolist() == vectors.tolist()
 
 
 def test_analyze_bare_state_defaults_to_alpha_two(tmp_path, capsys):

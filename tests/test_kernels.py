@@ -134,7 +134,7 @@ def test_batched_terms_match_the_oracle(seed0_optimum):
     alphas = (2.0, 1.5, 1.02, 1.0)
     expected = [oracle.terms(psi, layout, alphas) for psi in states]
     for alpha in alphas:
-        e_bip, pair = _kernels.batched_terms(states, layout, alpha)
+        e_bip, pair = _kernels.batched_terms(states, layout, alpha, 6)
         for r, psi in enumerate(states):
             want_bip, want_pair = expected[r][alpha]
             assert abs(e_bip[r] - float(want_bip)) < 1e-13, (alpha, r)
@@ -154,7 +154,7 @@ def test_batched_terms_refuse_bad_input_before_the_kernel_runs(monkeypatch):
     for bad in ((0, 1, 2), (0, 1, 2, 2), (0, 1, 2, 4), (0, 1, 2, 3, 4), (-1, 1, 2, 3), (0.0, 1, 2, 3), "0123", None):
         with pytest.raises(ValueError, match="layout"):
             _kernels.batched_terms(good, bad, 2.0)
-    for bad in (0, 5, 2.0, None):
+    for bad in (0, 7, 2.0, None):
         with pytest.raises(ValueError, match="k must"):
             _kernels.batched_terms(good, layout, 2.0, bad)
     for bad in (0.5, 1.0 - 1e-6, np.nan, np.inf, -np.inf, "2", None, 2j):

@@ -33,19 +33,30 @@ def test_violation_threshold_value():
 
 
 def test_normalize_alpha_snap_and_validation():
-    assert measures.normalize_alpha(1.0 + 5e-10) == 1.0
+    assert measures.normalize_alpha is _kernels.normalize_alpha  # one definition of the domain
+    for near_one in (1.0 + 5e-10, 1.0 - 5e-10, np.float32(1.0), 1):
+        assert measures.normalize_alpha(near_one) == 1.0
+        assert type(measures.normalize_alpha(near_one)) is float
     assert measures.normalize_alpha(2) == 2.0
-    for bad in (0.99, 0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+    assert measures.normalize_alpha(np.int64(3)) == 3.0
+    assert measures.normalize_alpha(1.5) == 1.5
+    for bad in (0.99, 1.0 - 2e-9, 0.0, -1.0, float("nan"), float("inf"), "2", "2.0", True, np.True_,
+                None, 2j, [2.0], np.array([2.0])):
+        with pytest.raises(ValueError, match="^alpha must be a real number"):
             measures.normalize_alpha(bad)
+    with pytest.raises(OverflowError):  # as float() of it raises
+        measures.normalize_alpha(10**400)
+    # the kernels take the same domain: a value just below 1 snaps there too
+    assert _kernels.renyi_from_c(0.5, 1.0 - 5e-10) == _kernels.renyi_from_c(0.5, 1.0)
 
 
 def test_pairing_layout_validation():
     assert measures.CANONICAL_LAYOUT.as_tuple() == (0, 1, 2, 3)
-    with pytest.raises(ValueError):
-        measures.PairingLayout(0, 1, 2, 2)
-    with pytest.raises(ValueError):
-        measures.PairingLayout(0, 1, 2, 4)
+    assert measures.PairingLayout(np.int64(3), 2, 1, 0).as_tuple() == (3, 2, 1, 0)
+    for bad in ((0, 1, 2, 2), (0, 1, 2, 4), (0, 1.5, 2, 3), (0, 1.0, 2, 3), ("0", 1, 2, 3),
+                (0, True, 2, 3), (0, np.True_, 2, 3), (None, 1, 2, 3)):
+        with pytest.raises(ValueError, match="layout"):
+            measures.PairingLayout(*bad)
 
 
 def test_concurrence_pure_state_oracle():
@@ -327,14 +338,14 @@ def test_batched_rows_do_not_depend_on_batch_size(alpha):
         assert single == batch[r]
         assert ss[r] == single.ss_residual
     # nor on k, the pair terms asked for, nor on the strides of the batch
-    e_bip, pair = _kernels.batched_terms(states, layout.as_tuple(), alpha)
-    for k in (1, 2, 3):
+    e_bip, pair = _kernels.batched_terms(states, layout.as_tuple(), alpha, 6)
+    for k in (1, 2, 3, 4, 5):
         e_k, pair_k = _kernels.batched_terms(states, layout.as_tuple(), alpha, k)
         assert e_k.tolist() == e_bip.tolist() and pair_k.tolist() == pair[:, :k].tolist()
     wide = np.zeros((70, 3, 16), dtype=complex)
     wide[:, 1] = states
     for strided in (wide[:, 1], np.repeat(states, 2, axis=0)[::2], np.asfortranarray(states)):
-        e_s, pair_s = _kernels.batched_terms(strided, layout.as_tuple(), alpha)
+        e_s, pair_s = _kernels.batched_terms(strided, layout.as_tuple(), alpha, 6)
         assert e_s.tolist() == e_bip.tolist() and pair_s.tolist() == pair.tolist()
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import bell_product
+from conftest import apply_local_unitary, bell_product, random_state, w_state
 
 from ssmono import measures, sampler, search, store
 
@@ -65,6 +65,44 @@ def test_run_fingerprint_of_bell_product():
     assert pe["a2b2"] == pytest.approx(1.0, abs=1e-12)
     for name in ("a1a2", "a1b2", "a2b1", "b1b2"):
         assert abs(pe[name]) < 1e-12
+
+
+def test_run_fingerprint_of_a_rotated_w_state_is_exact():
+    # every pair of W4 has c = 1/2 and spectrum (1/2, 1/2, 0, 0), whatever the
+    # local unitaries; the density-matrix route missed c = 1/2 by 1e-8 here
+    rng = np.random.default_rng(3)
+    psi = w_state(4)
+    for q, u in enumerate(np.linalg.qr(rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2)))[0]):
+        psi = apply_local_unitary(psi, q, u)
+    for layout in (measures.CANONICAL_LAYOUT, measures.PairingLayout(2, 0, 3, 1)):
+        for alpha in (2.0, 1.5, 1.0):
+            fp = store.run_fingerprint(psi, layout, alpha)
+            want = measures.renyi_from_concurrence(0.5, alpha)
+            assert max(abs(v - want) for v in fp["pair_entanglements"].values()) < 1e-14, alpha
+            for name in ("spectrum_a1a2", "spectrum_a1b1", "spectrum_a2b2"):
+                assert np.max(np.abs(np.array(fp[name]) - [0.5, 0.5, 0.0, 0.0])) < 1e-14, name
+
+
+def test_run_fingerprint_pairs_are_the_residual_terms_bit_for_bit():
+    rng = np.random.default_rng(42)
+    layouts = (measures.CANONICAL_LAYOUT, measures.PairingLayout(0, 2, 1, 3), measures.PairingLayout(3, 1, 0, 2))
+    for psi in [random_state(rng, 4) for _ in range(20)] + [bell_product(), w_state(4)]:
+        for layout in layouts:
+            for alpha in (2.0, 1.5, 1.0):
+                pairs = store.run_fingerprint(psi, layout, alpha)["pair_entanglements"]
+                report = measures.residual_report(psi, layout, alpha)
+                assert list(pairs) == ["a1a2", "a1b1", "a1b2", "a2b1", "a2b2", "b1b2"]
+                for name in ("a1b1", "a2b2", "a1b2", "a2b1"):
+                    assert pairs[name] == getattr(report, f"e_{name}")
+
+
+def test_run_fingerprint_refuses_other_than_four_qubit_states():
+    with pytest.raises(ValueError, match="4-qubit"):
+        store.run_fingerprint(w_state(3), measures.CANONICAL_LAYOUT, 2.0)
+    with pytest.raises(ValueError, match="norm"):
+        store.run_fingerprint(2 * w_state(4), measures.CANONICAL_LAYOUT, 2.0)
+    with pytest.raises(ValueError, match="alpha"):
+        store.run_fingerprint(w_state(4), measures.CANONICAL_LAYOUT, "2")
 
 
 def test_save_and_load_run_round_trip(tmp_path, short_record):
@@ -226,6 +264,23 @@ def test_load_run_checks_the_whole_archive(tmp_path, short_record, damage, messa
     damage(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(store.ArchiveError, match=message):
+        store.load_run(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("a2", 1.0), ("a2", True), ("a2", "1"), ("counter_max", 1000.5), ("counter_max", True), ("counter_max", 1000.0)],
+)
+def test_load_run_refuses_non_integer_layout_roles_and_counters(tmp_path, short_record, field, value):
+    # "a2": 1.0 used to reach the kernel's own ValueError, and a counter_max of
+    # 1000.5 or true loaded and then broke a continuation with a TypeError
+    path = tmp_path / "run.json"
+    store.save_run(store.make_archive(short_record), path)
+    doc = json.loads(path.read_text())
+    config = doc["config"]["layout"] if field == "a2" else doc["config"]
+    config[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(store.ArchiveError, match=f"{'a layout role' if field == 'a2' else field} must be an integer"):
         store.load_run(path)
 
 
