@@ -128,7 +128,10 @@ def normalize_alpha(alpha) -> float:
     or a bool, finite and >= 1 - ALPHA_ONE_TOL; returned as a float, snapped to
     exactly 1 (the von Neumann branch) within ALPHA_ONE_TOL. measures exports it."""
     if type(alpha) is not bool and isinstance(alpha, (int, float, np.integer, np.floating)):
-        a = float(alpha)  # OverflowError for an integer beyond float range, as float() gives
+        try:
+            a = float(alpha)
+        except OverflowError:  # an integer beyond float range
+            a = math.inf
         if 1.0 - ALPHA_ONE_TOL <= a < math.inf:  # False for NaN too
             return 1.0 if a - 1.0 < ALPHA_ONE_TOL else a
     raise ValueError(f"alpha must be a real number >= 1, got {alpha!r}")
@@ -226,15 +229,15 @@ def batched_terms(states: np.ndarray, layout, alpha: float, k: int = 4):
     on m, k or the strides; the tests check this bit for bit."""
     states = _checked_states(states, 16)
     try:
-        roles = tuple(map(operator.index, layout))
-    except TypeError:
+        roles = tuple(checked_index(q, "a layout role") for q in layout)
+    except (TypeError, ValueError):
         roles = ()
     if sorted(roles) != [0, 1, 2, 3]:
         raise ValueError(f"layout must be a permutation of 0..3, got {layout!r}")
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= 6):
+    if not 1 <= (k := checked_index(k, "k")) <= 6:
         raise ValueError(f"k must be an integer in 1..6, got {k!r}")
     alpha = normalize_alpha(alpha)
-    _, index = _terms_index(roles, int(k))
+    _, index = _terms_index(roles, k)
     out = np.empty((states.shape[0], 1 + k))  # one buffer: an address costs about 2 us
     _SVD4.terms(states.ctypes.data, index, states.shape[0], k, alpha, out.ctypes.data)
     return out[:, 0], out[:, 1:]
@@ -297,16 +300,16 @@ def _ckw_r2(states: np.ndarray, n_qubits: int, focus: int, separable_det: float)
     """batched_ckw_r2 with its PPT screen at `separable_det`: the (m,) residuals
     and each pair's Wootters lambdas (m, n-1, 4), zeros where the screen skipped
     the pair."""
-    if not (isinstance(n_qubits, (int, np.integer)) and n_qubits in _CKW_QUBITS):
+    if (n_qubits := checked_index(n_qubits, "n_qubits")) not in _CKW_QUBITS:
         raise ValueError(f"n_qubits must be an integer in 3..{_CKW_QUBITS[-1]}, got {n_qubits!r}")
-    if not (isinstance(focus, (int, np.integer)) and 0 <= focus < n_qubits):
+    if not 0 <= (focus := checked_index(focus, "focus qubit")) < n_qubits:
         raise ValueError(f"focus qubit {focus!r} out of range for {n_qubits} qubits")
     states = _checked_states(states, 2**n_qubits)
-    index = _pair_index(int(n_qubits), int(focus))
+    index = _pair_index(n_qubits, focus)
     out = np.empty(states.shape[0])
     lambdas = np.empty((states.shape[0], n_qubits - 1, 4))
     _SVD4.ckw_r2(
-        states.ctypes.data, index.ctypes.data, states.shape[0], int(n_qubits), float(separable_det),
+        states.ctypes.data, index.ctypes.data, states.shape[0], n_qubits, float(separable_det),
         out.ctypes.data, lambdas.ctypes.data,
     )
     return out, lambdas

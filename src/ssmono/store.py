@@ -4,11 +4,12 @@ Each writer's document builder is the only description of its format: a
 reload parses a document's inputs, builds from them the document this build
 would write and checks the stored one against it with `_agree`. Every number
 a run archive stores, the fingerprint included, comes from the compiled
-amplitude kernels in `_kernels`, never from a density matrix.
+amplitude kernels in `_kernels`, never from a density matrix. All text comes
+from one stdlib JSON encoder, which spells each float as its shortest
+round-trip repr, so every stored number reloads bit for bit.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -39,7 +40,7 @@ class RunArchive:
 
 
 # ---------------------------------------------------------------------------
-# canonical JSON text: floats at 17 significant digits, stable layout
+# JSON text, all of it from one stdlib encoder
 
 def format_float(x, sig: int = 17) -> str:
     value = float(x)
@@ -53,9 +54,7 @@ def format_float(x, sig: int = 17) -> str:
 
 class _Rows:
     """A document list whose row n is built as make(items[n]) when it is read,
-    so that a long list is written and compared one row at a time. Not a
-    collections.abc.Sequence: isinstance against an ABC would slow the
-    renderer's test of every scalar."""
+    so that a long list is written and compared one row at a time."""
 
     def __init__(self, items, make):
         self._items, self._make = items, make
@@ -69,9 +68,10 @@ class _Rows:
 
 class _Pairs:
     """A state in a document: its [re, im] rows, held as one float (n, 2)
-    array instead of a list per amplitude. The renderer writes it in one
-    pass, and the parser builds one from each stored state (`_parsed_states`),
-    so a stored state and its re-derivation compare as two of these."""
+    array instead of a list per amplitude. The encoder writes it as that
+    nested list, and the parser builds one from each stored state
+    (`_parsed_states`), so a stored state and its re-derivation compare as
+    two of these."""
 
     __slots__ = ("values",)
 
@@ -87,92 +87,47 @@ class _Pairs:
     def __repr__(self) -> str:
         return repr(self.values.tolist())
 
-    def text(self, sig: int, indent: int | None) -> str:
-        """The rows as _render writes a list of [re, im] lists."""
-        flat = self.values.ravel()
-        if not np.isfinite(flat).all():
-            format_float(flat[~np.isfinite(flat)][0])  # raises its ValueError
-        if (flat == np.trunc(flat)).any():  # %g writes these without ".0"; rare
-            texts = [format_float(x, sig) for x in flat.tolist()]
-            rows = [f"[{re}, {im}]" for re, im in zip(texts[0::2], texts[1::2])]
-            return _pairs_template("%s", len(rows), indent) % tuple(rows)
-        return _pairs_template(f"[%.{sig}g, %.{sig}g]", len(flat) // 2, indent) % tuple(flat.tolist())
 
-
-@functools.lru_cache(maxsize=32)
-def _pairs_template(row: str, n: int, indent: int | None) -> str:
-    """%-template of n rows laid out as _pieces lays out a list of lists."""
-    if not n:
-        return "[]"
-    if indent is None:
-        return "[" + ", ".join([row] * n) + "]"
-    pad = "\n" + "  " * (indent + 1)
-    return "[" + pad + ("," + pad).join([row] * n) + "\n" + "  " * indent + "]"
-
-
-def _scalar(value, sig: int) -> str:
-    if isinstance(value, (bool, str)) or value is None:
-        return json.dumps(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value, sig)
+def _plain(value):
+    """The encoder's fallback for the two non-JSON types a document holds."""
+    if isinstance(value, _Pairs):
+        return value.values.tolist()
+    if isinstance(value, np.integer):
+        return int(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-_CONTAINERS = (dict, list, tuple, _Rows)
+# Floats are written as their shortest round-trip repr. Only encode() takes
+# the C encoder: json.dump and an indent take the pure-Python one.
+_ENCODER = json.JSONEncoder(allow_nan=False, default=_plain)
 
 
-@functools.lru_cache(maxsize=256)
-def _key_text(key) -> str:
-    return f"{json.dumps(str(key))}: "
-
-
-def _pieces(value, sig: int, indent: int | None):
-    """JSON text with floats at `sig` significant digits, in pieces. With an
-    indent, objects and lists of non-scalars span lines, and each item is one
-    piece, or for _Rows one piece per row; without one, all is one line."""
-    if not isinstance(value, _CONTAINERS):
-        yield _scalar(value, sig)
-        return
-    if isinstance(value, dict):
-        brackets, items = "{}", ((_key_text(k), v) for k, v in value.items())
-    else:
-        brackets, items = "[]", (("", v) for v in value)
-    if not len(value):
-        yield brackets
-        return
-    flat = not isinstance(value, dict) and all(
-        isinstance(v, (int, float, bool, str, type(None))) for v in value
-    )
-    if indent is None or flat:
-        yield brackets[0] + ", ".join(key + _render(v, sig) for key, v in items) + brackets[1]
-        return
-    pad = "  " * (indent + 1)
-    for n, (key, v) in enumerate(items):
-        yield (brackets[0] + "\n" if n == 0 else ",\n") + pad + key
-        if isinstance(v, _Rows):
-            yield from _pieces(v, sig, indent + 1)
+def _lines(doc: dict):
+    """A document's text in pieces, each one encode() call: one top-level key
+    per line, and a _Rows value one row per line, so that a long trace is
+    built and encoded one row at a time."""
+    encode = _ENCODER.encode
+    yield "{"
+    for n, (key, value) in enumerate(doc.items()):
+        yield ("\n" if n == 0 else ",\n") + encode(key) + ": "
+        if isinstance(value, _Rows):
+            yield "["
+            yield from (("\n" if m == 0 else ",\n") + encode(row) for m, row in enumerate(value))
+            yield "\n]"
         else:
-            yield _render(v, sig, indent + 1)
-    yield "\n" + "  " * indent + brackets[1]
-
-
-def _render(value, sig: int, indent: int | None = None) -> str:
-    if isinstance(value, _Pairs):
-        return value.text(sig, indent)
-    if isinstance(value, _CONTAINERS):
-        return "".join(_pieces(value, sig, indent))
-    return _scalar(value, sig)
+            yield encode(value)
+    yield "\n}\n"
 
 
 def canonical_json(doc: dict) -> str:
-    return _render(doc, 17, indent=0) + "\n"
+    return "".join(_lines(doc))
 
 
-def compact_json(doc: dict, sig: int = 10) -> str:
-    """Single-line rendering with floats at `sig` significant digits."""
-    return _render(doc, sig)
+def compact_json(doc: dict) -> str:
+    """One line, with floats rounded to 10 significant digits: the document's
+    text parsed back with each float rounded, and encoded again."""
+    rounded = json.loads(_ENCODER.encode(doc), parse_float=lambda text: float(format_float(text, 10)))
+    return _ENCODER.encode(rounded)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +146,7 @@ def _state_from_doc(pairs, what: str) -> np.ndarray:
         raise ArchiveError(f"malformed {what}: {exc}") from None
     if arr.shape != (16, 2):
         raise ArchiveError(f"malformed {what}: expected 16 [re, im] pairs")
-    state = arr[:, 0] + 1j * arr[:, 1]
+    state = np.ascontiguousarray(arr).view(complex).ravel()  # re + 1j * im would turn -0.0 into 0.0
     norm = float(np.linalg.norm(state))
     if not abs(norm - 1.0) <= LOAD_NORM_TOL:
         raise ArchiveError(f"{what} norm {norm} deviates from 1 beyond {LOAD_NORM_TOL}")
@@ -251,12 +206,11 @@ def _run_doc(archive: RunArchive) -> dict:
 
 
 def save_run(archive: RunArchive, destination) -> None:
-    """Write a self-contained archive document; amplitudes keep 17 significant
-    digits. The text of canonical_json is written as it is rendered, so
-    neither the document nor its text is ever held whole."""
+    """Write a self-contained archive document, every float exact. The text
+    of canonical_json is written as it is encoded, so neither the document
+    nor its text is ever held whole."""
     with open(destination, "w", encoding="utf-8") as out:
-        out.writelines(_pieces(_run_doc(archive), 17, 0))
-        out.write("\n")
+        out.writelines(_lines(_run_doc(archive)))
 
 
 def _scan_doc(summary: search.ScanSummary, created_at: str) -> dict:

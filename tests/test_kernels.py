@@ -151,10 +151,11 @@ def test_batched_terms_refuse_bad_input_before_the_kernel_runs(monkeypatch):
     for bad in (good.real, good.astype(np.complex64), good[:, :15], good.reshape(3, 4, 4), good[0], good.tolist()):
         with pytest.raises(ValueError, match=r"complex128 \(m, 16\)"):
             _kernels.batched_terms(bad, layout, 2.0)
-    for bad in ((0, 1, 2), (0, 1, 2, 2), (0, 1, 2, 4), (0, 1, 2, 3, 4), (-1, 1, 2, 3), (0.0, 1, 2, 3), "0123", None):
+    for bad in ((0, 1, 2), (0, 1, 2, 2), (0, 1, 2, 4), (0, 1, 2, 3, 4), (-1, 1, 2, 3), (0.0, 1, 2, 3), "0123", None,
+                (0, True, 2, 3), (np.False_, 1, 2, 3)):
         with pytest.raises(ValueError, match="layout"):
             _kernels.batched_terms(good, bad, 2.0)
-    for bad in (0, 7, 2.0, None):
+    for bad in (0, 7, 2.0, None, True, np.True_):
         with pytest.raises(ValueError, match="k must"):
             _kernels.batched_terms(good, layout, 2.0, bad)
     for bad in (0.5, 1.0 - 1e-6, np.nan, np.inf, -np.inf, "2", None, 2j):
@@ -173,6 +174,8 @@ def test_batched_terms_refuse_bad_input_before_the_kernel_runs(monkeypatch):
         _kernels.spin_flip_lambdas(np.zeros((4, 4)))
     with pytest.raises(AssertionError):
         _kernels.batched_terms(good, layout, 2.0)
+    with pytest.raises(AssertionError):  # numpy integers pass
+        _kernels.batched_terms(good, tuple(np.arange(4)), 2.0, np.int64(2))
 
 
 def _oracle_entropy(w, alpha):

@@ -1,0 +1,104 @@
+"""Property tests: the residuals' symmetries and bounds, and exact archive reloads.
+
+Examples are derived from the test's own source (derandomize), so a run is
+reproducible. The tolerance is the measured roundoff spread: over 300 Haar
+states at alpha = 2, 1.5, 1.02 and 1, local unitaries moved a residual by at
+most 4.9e-15 and the pair and side swaps by at most 2.7e-15.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from conftest import apply_local_unitary, bell_product, ghz_state, random_state, w_state
+
+from ssmono import measures, sampler, search, store
+
+TOL = 1e-14
+ALPHAS = (2.0, 1.5, 1.02, 1.0)
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+seeds = st.integers(0, 2**32 - 1)
+layouts = st.permutations(range(4)).map(lambda roles: measures.PairingLayout(*roles))
+# Haar states, and the special states whose reductions have zero spectra
+states = st.one_of(
+    seeds.map(lambda seed: random_state(np.random.default_rng(seed), 4)),
+    st.sampled_from([w_state(4), ghz_state(4), bell_product(), np.eye(16, dtype=complex)[5]]),
+)
+
+
+def _haar_unitary(rng):
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _residuals(psi, layout, alpha):
+    report = measures.residual_report(psi, layout, alpha)
+    return np.array([report.ss_residual, report.monogamy_residual])
+
+
+def _moved(psi, layout, swaps):
+    """psi with the qubits of each (role, role) pair of `swaps` exchanged."""
+    roles = dict(zip(("a1", "a2", "b1", "b2"), layout.as_tuple()))
+    axes = list(range(4))
+    for x, y in swaps:
+        axes[roles[x]], axes[roles[y]] = roles[y], roles[x]
+    return psi.reshape(2, 2, 2, 2).transpose(axes).reshape(16)
+
+
+@PROPERTY
+@given(states, layouts, seeds)
+def test_residuals_are_invariant_under_local_unitaries(psi, layout, seed):
+    rng = np.random.default_rng(seed)
+    rotated = psi
+    for q in range(4):
+        rotated = apply_local_unitary(rotated, q, _haar_unitary(rng))
+    for alpha in ALPHAS:
+        assert np.max(np.abs(_residuals(rotated, layout, alpha) - _residuals(psi, layout, alpha))) <= TOL, alpha
+
+
+@PROPERTY
+@given(states, layouts)
+def test_residuals_are_invariant_under_pair_and_side_swaps(psi, layout):
+    pair_swap = _moved(psi, layout, (("a1", "a2"), ("b1", "b2")))
+    side_swap = _moved(psi, layout, (("a1", "b1"), ("a2", "b2")))
+    for alpha in ALPHAS:
+        want = _residuals(psi, layout, alpha)
+        for moved in (pair_swap, side_swap):
+            assert np.max(np.abs(_residuals(moved, layout, alpha) - want)) <= TOL, alpha
+
+
+@PROPERTY
+@given(states, layouts, st.sampled_from(ALPHAS) | st.floats(1.0, 8.0))
+def test_residual_bounds(psi, layout, alpha):
+    report = measures.residual_report(psi, layout, alpha)
+    assert report.monogamy_residual <= report.ss_residual  # exactly: it subtracts two terms >= 0
+    assert -TOL <= report.e_bipartite <= 2.0 + TOL
+
+
+# amplitude parts: ordinary values, and exact zeros, -0.0 and subnormals,
+# which keep their bits through the normalization below
+_TINY = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310)
+parts = st.one_of(st.sampled_from(_TINY), st.floats(-1.0, 1.0))
+
+
+@settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hnp.arrays(np.float64, 32, elements=parts))
+def test_any_normalized_state_reloads_bit_for_bit(tmp_path, raw):
+    scale = float(np.linalg.norm(raw))
+    assume(scale > 1e-3)
+    amps = np.where(np.abs(raw) > 1e-300, raw / scale, raw).view(complex)
+    # delta0 below delta_min: the run evaluates its seed and stops
+    config = search.SearchConfig(delta0=1e-3, delta_min=1e-2, rng=sampler.RngSeed(0), seed_state=amps)
+    archive = store.make_archive(search.minimize_residual(config), "2024-01-01T00:00:00+00:00")
+    path = tmp_path / "run.json"
+    store.save_run(archive, path)
+    loaded = store.load_run(path)
+    for state in (loaded.record.final_state, loaded.record.config.seed_state, loaded.record.trace[0].state):
+        assert state.tobytes() == amps.tobytes()
+    # every stored number came back exactly: the reload writes the same bytes
+    assert store.canonical_json(store._run_doc(loaded)) == path.read_text(encoding="utf-8")

@@ -52,6 +52,16 @@ def test_compact_json_is_one_line():
     assert "\n" not in text
     assert "0.3333333333" in text
     assert json.loads(text)["y"] == [1, 2]
+    # the CLI's spelling: floats at 10 significant digits, integral ones with ".0"
+    doc = {
+        "two": 2.0, "negzero": -0.0, "small": 1e-05, "sum": 0.1 + 0.2, "third": 1.0 / 3.0, "int": 7,
+        "none": None, "flag": True, "text": 'a "b"', "nested": {"x": [1.5, {"y": -2.5e-12}]}, "list": [1, 2.0, False],
+    }
+    assert store.compact_json(doc) == (
+        '{"two": 2.0, "negzero": -0.0, "small": 1e-05, "sum": 0.3, "third": 0.3333333333, "int": 7, '
+        '"none": null, "flag": true, "text": "a \\"b\\"", "nested": {"x": [1.5, {"y": -2.5e-12}]}, '
+        '"list": [1, 2.0, false]}'
+    )
 
 
 def test_run_fingerprint_of_bell_product():
@@ -141,9 +151,8 @@ def test_save_run_is_byte_deterministic(tmp_path, short_record):
     store.save_run(archive, p1)
     store.save_run(archive, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    # written as it is rendered, the text is canonical_json of the whole document
-    doc = store._run_doc(archive)
-    assert p1.read_text(encoding="utf-8") == store.canonical_json({**doc, "trace": list(doc["trace"])})
+    # written as it is encoded, the text is canonical_json of the whole document
+    assert p1.read_text(encoding="utf-8") == store.canonical_json(store._run_doc(archive))
 
 
 def test_save_run_document_layout(tmp_path, short_record):
@@ -366,19 +375,18 @@ def test_load_state_document_rejects_unknown_shape(tmp_path):
 
 
 def test_states_render_as_the_list_renderer_writes_them():
-    # _state_doc's one-pass text against the per-float rendering of the same
-    # [re, im] lists, with the integral values that %g writes without ".0"
+    # _state_doc's array against the nested [re, im] lists it stands for,
+    # with the integral values, -0.0 and subnormals among them
     rng = np.random.default_rng(172)
     states = [bell_product(), np.zeros(16, dtype=complex), rng.standard_normal(16) + 1j * rng.standard_normal(16)]
-    states[1][[0, 3]] = [-0.0 + 1j, 1e-300 - 2.0j]
+    states[1][[0, 3, 5]] = [-0.0 + 1j, 1e-300 - 2.0j, 5e-324]
     for state in states:
         pairs = [[z.real, z.imag] for z in state]
         nested = {"a": {"state": pairs}, "b": [pairs]}
         fast = {"a": {"state": store._state_doc(state)}, "b": [store._state_doc(state)]}
         assert store.canonical_json(fast) == store.canonical_json(nested)
-        assert store.compact_json(fast, 17) == store.compact_json(nested, 17)
         assert store.compact_json(fast) == store.compact_json(nested)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="Out of range float"):
         store.canonical_json({"state": store._state_doc(np.full(16, np.nan, dtype=complex))})
 
 
