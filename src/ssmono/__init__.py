@@ -1,92 +1,4 @@
 """Renyi-alpha entanglement measures and a Monte Carlo search for violations of
 strong superadditivity and second-order monogamy in 4-qubit pure states."""
 
-from .linalg import (
-    as_density_matrix,
-    as_state,
-    hermitian_eigenvalues,
-    n_qubits_of,
-    partial_trace,
-)
-from .measures import (
-    CANONICAL_LAYOUT,
-    VIOLATION_THRESHOLD,
-    PairingLayout,
-    ResidualReport,
-    bipartite_pure_entanglement,
-    ckw_r2_residual,
-    concurrence,
-    normalize_alpha,
-    pair_entanglement,
-    renyi_entropy,
-    renyi_from_concurrence,
-    residual_report,
-    sum_inequality_residual,
-)
-from .sampler import RngSeed, generator, haar_random_state, perturb_within
-from .search import (
-    ContinuationSchedule,
-    RunRecord,
-    ScanSummary,
-    SearchConfig,
-    TraceEntry,
-    alpha_continuation,
-    haar_scan,
-    minimize_residual,
-    random_walk_region,
-)
-from .store import (
-    ArchiveError,
-    RunArchive,
-    load_run,
-    load_state_document,
-    make_archive,
-    run_fingerprint,
-    save_run,
-    save_scan,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CANONICAL_LAYOUT",
-    "VIOLATION_THRESHOLD",
-    "ArchiveError",
-    "ContinuationSchedule",
-    "PairingLayout",
-    "ResidualReport",
-    "RngSeed",
-    "RunArchive",
-    "RunRecord",
-    "ScanSummary",
-    "SearchConfig",
-    "TraceEntry",
-    "alpha_continuation",
-    "as_density_matrix",
-    "as_state",
-    "bipartite_pure_entanglement",
-    "ckw_r2_residual",
-    "concurrence",
-    "generator",
-    "haar_random_state",
-    "haar_scan",
-    "hermitian_eigenvalues",
-    "load_run",
-    "load_state_document",
-    "make_archive",
-    "minimize_residual",
-    "n_qubits_of",
-    "normalize_alpha",
-    "pair_entanglement",
-    "partial_trace",
-    "perturb_within",
-    "random_walk_region",
-    "renyi_entropy",
-    "renyi_from_concurrence",
-    "residual_report",
-    "run_fingerprint",
-    "save_run",
-    "save_scan",
-    "sum_inequality_residual",
-    "__version__",
-]

@@ -252,10 +252,15 @@ def fingerprint_terms(states: np.ndarray, layout, alpha: float) -> tuple:
     return pairs, singular_values4(states[:, index[:3]].reshape(-1, 3, 4, 4)) ** 2
 
 
-def batched_ss(states: np.ndarray, layout, alpha: float) -> np.ndarray:
-    """ss residual for each row of (m, 16) normalized amplitudes."""
-    e_bip, pair = batched_terms(states, layout, alpha, 2)
+def ss_residuals(e_bip: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """E(a1a2|b1b2) - E(a1b1) - E(a2b2) of each row of batched_terms' output."""
     return e_bip - pair[:, 0] - pair[:, 1]
+
+
+def batched_ss(states: np.ndarray, layout, alpha: float) -> np.ndarray:
+    """ss residual for each row of (m, 16) normalized amplitudes, from the two
+    pair terms it needs."""
+    return ss_residuals(*batched_terms(states, layout, alpha, 2))
 
 
 # Batch-of-one views over the kernels above. The package itself no longer

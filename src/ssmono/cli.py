@@ -34,7 +34,7 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _default_workers() -> int:
+def _workers() -> int:
     """SSMONO_WORKERS, default 1; handlers call it, so a bad value exits 2."""
     text = os.environ.get("SSMONO_WORKERS", "1")
     if not text.strip().isdecimal() or int(text) < 1:
@@ -47,7 +47,7 @@ def _cmd_scan(args) -> int:
         n_states=args.n,
         alpha=args.alpha,
         rng=sampler.RngSeed(args.rng_seed),
-        workers=args.workers or _default_workers(),
+        workers=_workers(),
     )
     if args.out:
         store.save_scan(summary, args.out)
@@ -135,7 +135,7 @@ def _cmd_verify_monogamy(args) -> int:
         # size n's chunks take streams (n << 32) + 1, 2, ...: no two (size, chunk) pairs share one
         count, least, _, _ = search.haar_minimum(
             args.samples, n, sampler.RngSeed(args.rng_seed, n << 32), "batched_ckw_r2", (n,),
-            CKW_TOLERANCE, _default_workers(),
+            CKW_TOLERANCE, _workers(),
         )
         violations += count
         per_size[str(n)] = least
@@ -211,9 +211,9 @@ def _cmd_trace_csv(args) -> int:
             writer.writerow(
                 [
                     entry.step,
-                    store.format_float(entry.delta, 10),
-                    store.format_float(entry.ss_residual, 10),
-                    store.format_float(entry.monogamy_residual, 10),
+                    store.format_float(entry.delta),
+                    store.format_float(entry.ss_residual),
+                    store.format_float(entry.monogamy_residual),
                     entry.states_since_accept,
                 ]
             )
@@ -231,7 +231,6 @@ def _parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="evaluate the ss residual on Haar-random states")
     scan.add_argument("--n", type=int, required=True, help="number of states")
     scan.add_argument("--alpha", type=float, default=2.0)
-    scan.add_argument("--workers", type=_at_least_one, default=None, help="default: SSMONO_WORKERS")
     scan.add_argument("--rng-seed", type=int, default=0)
     scan.add_argument("--out", default=None, help="write the scan summary document here")
     scan.set_defaults(handler=_cmd_scan)

@@ -9,6 +9,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._kernels import checked_index
+
 NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -71,7 +73,7 @@ def as_density_matrix(entries) -> np.ndarray:
 
 
 def _validated_mask(keep: Iterable[int], n: int) -> tuple[int, ...]:
-    mask = tuple(int(q) for q in keep)
+    mask = tuple(checked_index(q, "a qubit index") for q in keep)
     if not mask:
         raise ValueError("subsystem mask must not be empty")
     if any(q < 0 or q >= n for q in mask):

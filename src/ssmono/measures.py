@@ -13,8 +13,8 @@ from ._kernels import normalize_alpha
 
 # residuals below this are genuine violations rather than roundoff
 VIOLATION_THRESHOLD = -1e-7
-# rows per kernel call in residual_reports: its working memory is about 3 KB a row
-REPORT_CHUNK = 64
+# columns of residual_table that hold the two residuals
+SS, MONO = 5, 6
 
 
 @dataclass(frozen=True)
@@ -118,23 +118,16 @@ def residual_report(psi, layout: PairingLayout = CANONICAL_LAYOUT, alpha=2.0) ->
     state = linalg.as_state(psi)
     if linalg.n_qubits_of(state) != 4:
         raise ValueError("residuals are defined for 4-qubit states")
-    return residual_reports(state[None], layout, a)[0]
+    return ResidualReport(a, *residual_table(state[None], layout, a)[0].tolist())
 
 
-def residual_reports(states: np.ndarray, layout: PairingLayout, alpha: float) -> list:
-    """One ResidualReport per row of (m, 16) normalized amplitudes.
-
-    The batched form of residual_report: row r gives the same bits as a
-    residual_report of states[r]. alpha must already be normalized.
-    """
-    reports = []
-    for lo in range(0, states.shape[0], REPORT_CHUNK):
-        eb, pair = _kernels.batched_terms(states[lo : lo + REPORT_CHUNK], layout.as_tuple(), alpha)
-        ss = eb - pair[:, 0] - pair[:, 1]
-        mono = ss - pair[:, 2] - pair[:, 3]
-        rows = np.column_stack([eb, pair, ss, mono]).tolist()
-        reports += [ResidualReport(alpha, *row) for row in rows]
-    return reports
+def residual_table(states: np.ndarray, layout: PairingLayout, alpha) -> np.ndarray:
+    """ResidualReport's fields after alpha, (m, 7), for each row of complex128
+    (m, 16) normalized amplitudes, from one batched_terms call: row r has the
+    bits of a residual_report of states[r] whatever the batch."""
+    e_bip, pair = _kernels.batched_terms(states, layout.as_tuple(), alpha)
+    ss = _kernels.ss_residuals(e_bip, pair)
+    return np.column_stack([e_bip, pair, ss, ss - pair[:, 2] - pair[:, 3]])
 
 
 def ckw_r2_residual(psi, focus: int = 0) -> float:

@@ -72,15 +72,15 @@ class Trace(Sequence):
     is built on access; one object per row cost about 1 KB, and a
     continuation stage can accept 10^5 states."""
 
-    def __init__(self, rows, states: np.ndarray, reports):
+    def __init__(self, rows, states: np.ndarray, ss: np.ndarray, mono: np.ndarray):
         """rows: (step, delta, states_since_accept) of each entry; states:
-        their (n, 16) amplitudes; reports: their ResidualReports."""
+        their (n, 16) amplitudes; ss, mono: their residuals, copied."""
         self._steps = np.array([row[0] for row in rows], dtype=np.int64)
         self._deltas = np.array([row[1] for row in rows], dtype=float)
         self._since = np.array([row[2] for row in rows], dtype=np.int64)
         self._states = states
-        self._ss = np.array([r.ss_residual for r in reports], dtype=float)
-        self._mono = np.array([r.monogamy_residual for r in reports], dtype=float)
+        self._ss = np.array(ss, dtype=float)
+        self._mono = np.array(mono, dtype=float)
 
     def __len__(self) -> int:
         return len(self._steps)
@@ -131,12 +131,6 @@ def _block_size(events: int, trials: int, cap: int) -> int:
     return min(cap, BLOCK_MAX, max(BLOCK_MIN, round(3.2 / math.sqrt(p))))
 
 
-def _objective_values(states: np.ndarray, layout, alpha: float, k: int) -> np.ndarray:
-    e_bip, pair = _kernels.batched_terms(states, layout, alpha, k)
-    value = e_bip - pair[:, 0] - pair[:, 1]
-    return value if k == 2 else value - pair[:, 2] - pair[:, 3]
-
-
 def minimize_residual(config: SearchConfig) -> RunRecord:
     """Stochastic descent: candidates within trace distance delta of the seed,
     strict improvements accepted, delta halved after counter_max consecutive
@@ -148,13 +142,17 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
     never run past counter_max, so delta only halves at a block boundary.
     """
     gen = sampler.generator(config.rng)
-    layout = config.layout.as_tuple()
-    alpha = config.alpha
-    k = 2 if config.objective == "ss" else 4  # pair terms the objective needs
+    layout, roles, alpha = config.layout, config.layout.as_tuple(), config.alpha
+
+    def objective(states):
+        if config.objective == "ss":  # two pair terms, not the table's four
+            return _kernels.batched_ss(states, roles, alpha)
+        return measures.residual_table(states, layout, alpha)[:, measures.MONO]
+
     current = (
         config.seed_state if config.seed_state is not None else sampler.haar_random_state(4, gen)
     )
-    best = _objective_values(current[None], layout, alpha, k)[0]
+    best = objective(current[None])[0]
     accepted = [(0, config.delta0, current, 0)]  # step, delta, state, since
     delta = config.delta0
     counter = 0
@@ -163,7 +161,7 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
         size = _block_size(len(accepted) - 1, step, config.counter_max - counter)
         saved = gen.bit_generator.state
         candidates = sampler.displace(current, delta, sampler.unit_noise(gen, size))
-        values = _objective_values(candidates, layout, alpha, k)
+        values = objective(candidates)
         better = np.flatnonzero(values < best)
         if better.size == 0:
             step += size
@@ -180,15 +178,19 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
         best = values[j]
         accepted.append((step, delta, current, step - accepted[-1][0]))
         counter = 0
-    # both residuals of every accepted state in one batched pass; a row's bits
-    # depend neither on its batch nor on k, so the objective keeps its accepted value
+    # both residuals of every accepted state in one call; a row's bits depend
+    # neither on its batch nor on the pair terms asked for, so the objective
+    # keeps its accepted value
     states = np.array([row[2] for row in accepted])
-    reports = measures.residual_reports(states, config.layout, alpha)
+    table = measures.residual_table(states, layout, alpha)
     return RunRecord(
         config=config,
-        trace=Trace([(at, at_delta, since) for at, at_delta, _, since in accepted], states, reports),
+        trace=Trace(
+            [(at, at_delta, since) for at, at_delta, _, since in accepted],
+            states, table[:, measures.SS], table[:, measures.MONO],
+        ),
         final_state=current,
-        final_residuals=reports[-1],
+        final_residuals=measures.ResidualReport(alpha, *table[-1].tolist()),
         total_states_generated=step,
         final_delta=delta,
     )
@@ -224,7 +226,7 @@ def random_walk_region(
     """
     a = measures.normalize_alpha(alpha)
     state = linalg.as_state(start)
-    if steps < 0:
+    if (steps := _kernels.checked_index(steps, "steps")) < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     _check_deltas(delta=delta)
     report = measures.residual_report(state, layout, a)
@@ -241,13 +243,13 @@ def random_walk_region(
         r = 0
         while r < z.shape[0]:
             chain = _walk_chain(current, delta, z[r:])
-            block = measures.residual_reports(chain, layout, a)
-            inside = [rep.ss_residual < measures.VIOLATION_THRESHOLD for rep in block]
-            kept = (inside + [False]).index(False)
-            reports += block[:kept]
+            table = measures.residual_table(chain, layout, a)
+            # the first row outside the region, or len(chain) if there is none
+            kept = int(np.argmin(np.append(table[:, measures.SS] < measures.VIOLATION_THRESHOLD, False)))
+            reports += [measures.ResidualReport(a, *row) for row in table[:kept].tolist()]
             if kept:
                 current = chain[kept - 1]
-            rejected += kept < len(block)
+            rejected += kept < len(chain)
             r += kept + 1
         done += z.shape[0]
     return reports
@@ -337,9 +339,9 @@ def haar_minimum(
     chunks, CPU count) processes are opened. The kernel is named,
     not passed, so that workers look it up in their own `_kernels`.
     """
-    if n_states < 1:
+    if _kernels.checked_index(n_states, "n_states") < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
-    if workers < 1:
+    if _kernels.checked_index(workers, "workers") < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     rows = SCAN_CHUNK * 16 >> n_qubits
     sizes = [rows] * (n_states // rows) + ([n_states % rows] if n_states % rows else [])

@@ -42,11 +42,12 @@ class RunArchive:
 # ---------------------------------------------------------------------------
 # JSON text, all of it from one stdlib encoder
 
-def format_float(x, sig: int = 17) -> str:
+def format_float(x) -> str:
+    """x at 10 significant digits, the spelling of every CLI number."""
     value = float(x)
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite float {value}")
-    text = format(value, f".{sig}g")
+    text = format(value, ".10g")
     if "." not in text and "e" not in text and "E" not in text:
         text += ".0"
     return text
@@ -126,7 +127,7 @@ def canonical_json(doc: dict) -> str:
 def compact_json(doc: dict) -> str:
     """One line, with floats rounded to 10 significant digits: the document's
     text parsed back with each float rounded, and encoded again."""
-    rounded = json.loads(_ENCODER.encode(doc), parse_float=lambda text: float(format_float(text, 10)))
+    rounded = json.loads(_ENCODER.encode(doc), parse_float=lambda text: float(format_float(text)))
     return _ENCODER.encode(rounded)
 
 
@@ -326,9 +327,13 @@ def _run_from_doc(doc: dict) -> RunArchive:
             raise
         raise ArchiveError(f"malformed archive document: {exc!r}") from None
     states = np.array([row[2] for row in rows] + [final_state])
-    reports = measures.residual_reports(states, config.layout, config.alpha)
-    trace = search.Trace([(step, delta, since) for step, delta, _, since in rows], states[:-1], reports[:-1])
-    record = search.RunRecord(config, trace, final_state, reports[-1], total, final_delta)
+    table = measures.residual_table(states, config.layout, config.alpha)
+    trace = search.Trace(
+        [(step, delta, since) for step, delta, _, since in rows],
+        states[:-1], table[:-1, measures.SS], table[:-1, measures.MONO],
+    )
+    final_residuals = measures.ResidualReport(config.alpha, *table[-1].tolist())
+    record = search.RunRecord(config, trace, final_state, final_residuals, total, final_delta)
     archive = make_archive(record, created_at)
     _agree(doc, _run_doc(archive))
     return archive

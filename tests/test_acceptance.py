@@ -125,6 +125,20 @@ def test_criterion_04_alpha_continuation_shrinks_the_violation(
     assert 1e-7 <= mags[-1] <= 1e-5
 
 
+def test_criterion_04_violation_vanishes_quadratically_at_alpha_one(continuation_stages):
+    # near alpha = 1 the paper's violation closes as (alpha - 1)^2: a
+    # least-squares fit of m = (alpha - 1)^2 (a + b (alpha - 1)) to the last
+    # four stages leaves a relative residual of about 3e-4
+    x = np.array([r.config.alpha - 1.0 for r in continuation_stages[-4:]])
+    m = np.array([-r.final_residuals.ss_residual for r in continuation_stages[-4:]])
+    (a, b), *_ = np.linalg.lstsq(np.column_stack([x**2, x**3]), m, rcond=None)
+    relative = np.abs((a + b * x) * x**2 - m) / m
+    print(f"[criterion 4] m/(alpha-1)^2 = {', '.join(f'{v:.5f}' for v in m / x**2)}; "
+          f"fit a = {a:.5f}, b = {b:.4f}, worst relative residual {relative.max():.2e} (bound 1e-3)")
+    assert a > 0
+    assert relative.max() <= 1e-3
+
+
 def test_criterion_04_terminals_match_the_oracle(violating_runs, continuation_stages):
     # every term of each stage's terminal, the two fingerprint-only pairs
     # included, against the 40-digit oracle; the alpha = 1.002 ss residual is

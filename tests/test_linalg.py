@@ -141,10 +141,15 @@ def test_partial_trace_keep_all_returns_projector():
     )
 
 
-@pytest.mark.parametrize("keep", [(), (0, 0), (1, 0), (0, 5)])
+@pytest.mark.parametrize("keep", [(), (0, 0), (1, 0), (0, 5), (1.9,), (0, 1.5), (True,), (np.bool_(False),)])
 def test_partial_trace_mask_validation(keep):
+    # a float or a bool index is refused, never truncated to another qubit
     with pytest.raises(ValueError):
         linalg.partial_trace(bell_pair(), keep)
+    with pytest.raises(ValueError):
+        linalg.partial_trace(np.outer(bell_pair(), bell_pair().conj()), keep)
+    # numpy integers are integers
+    assert np.array_equal(linalg.partial_trace(bell_pair(), (np.int64(1),)), linalg.partial_trace(bell_pair(), (1,)))
 
 
 def test_pure_trace_distance_extremes():

@@ -231,6 +231,11 @@ def test_pair_entanglement_validation():
         measures.pair_entanglement(psi, 2, 2, 2.0)
     with pytest.raises(ValueError):
         measures.pair_entanglement(psi, 0, 4, 2.0)
+    # int() would read these as the pairs (0, 1) and (1, 2)
+    for i, j in ((0, 1.5), (True, 2)):
+        with pytest.raises(ValueError, match="qubit index must be an integer"):
+            measures.pair_entanglement(psi, i, j, 2.0)
+    assert measures.pair_entanglement(psi, np.int64(0), np.int64(2), 2.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bipartite_entanglement_known_cuts():
@@ -251,6 +256,9 @@ def test_bipartite_entanglement_rejects_trivial_cuts():
         measures.bipartite_pure_entanglement(bell_pair(), (0, 1), 2.0)
     with pytest.raises(ValueError):
         measures.bipartite_pure_entanglement(bell_pair(), (), 2.0)
+    # int() would read this as the cut (1,)
+    with pytest.raises(ValueError, match="qubit index must be an integer"):
+        measures.bipartite_pure_entanglement(bell_product(), (1.9,), 2.0)
 
 
 def test_residual_report_bell_product_terms():
@@ -326,14 +334,13 @@ def test_batched_rows_do_not_depend_on_batch_size(alpha):
     rng = np.random.default_rng(134)
     states = np.stack([random_state(rng, 4) for _ in range(70)])
     layout = measures.PairingLayout(0, 2, 1, 3)
-    batch = measures.residual_reports(states, layout, alpha)
+    batch = measures.residual_table(states, layout, alpha)
     ss = _kernels.batched_ss(states, layout.as_tuple(), alpha)
     for m in (1, 2, 7, 64):
-        for r, report in enumerate(measures.residual_reports(states[5 : 5 + m], layout, alpha)):
-            assert report == batch[5 + r]
+        assert measures.residual_table(states[5 : 5 + m], layout, alpha).tobytes() == batch[5 : 5 + m].tobytes()
     for r in (0, 1, 33, 69):
         single = measures.residual_report(states[r], layout, alpha)
-        assert single == batch[r]
+        assert single == measures.ResidualReport(alpha, *batch[r].tolist())
         assert ss[r] == single.ss_residual
     # nor on k, the pair terms asked for, nor on the strides of the batch
     e_bip, pair = _kernels.batched_terms(states, layout.as_tuple(), alpha, 6)

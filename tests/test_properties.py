@@ -1,4 +1,5 @@
-"""Property tests: the residuals' symmetries and bounds, and exact archive reloads.
+"""Property tests: the residuals' symmetries and bounds, rows that do not
+depend on their batch, and exact archive reloads.
 
 Examples are derived from the test's own source (derandomize), so a run is
 reproducible. The tolerance is the measured roundoff spread: over 300 Haar
@@ -78,6 +79,17 @@ def test_residual_bounds(psi, layout, alpha):
     report = measures.residual_report(psi, layout, alpha)
     assert report.monogamy_residual <= report.ss_residual  # exactly: it subtracts two terms >= 0
     assert -TOL <= report.e_bipartite <= 2.0 + TOL
+
+
+@PROPERTY
+@given(st.lists(states, min_size=1, max_size=70), layouts, st.sampled_from(ALPHAS) | st.floats(1.0, 8.0), st.data())
+def test_table_rows_do_not_depend_on_the_batch(batch, layout, alpha, data):
+    # a run scores its whole trace in one call and a reload its whole archive,
+    # so a row must carry the bits a batch of one gives it
+    batch = np.stack(batch)
+    r = data.draw(st.integers(0, len(batch) - 1), label="row")
+    table = measures.residual_table(batch, layout, alpha)
+    assert measures.residual_table(batch[r : r + 1], layout, alpha).tobytes() == table[r].tobytes()
 
 
 # amplitude parts: ordinary values, and exact zeros, -0.0 and subnormals,

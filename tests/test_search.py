@@ -203,6 +203,11 @@ def test_random_walk_region_stays_in_violation(violating_record):
 def test_random_walk_region_rejects_negative_steps(violating_record):
     with pytest.raises(ValueError):
         search.random_walk_region(violating_record.final_state, 1e-3, -1)
+    # a non-integer count is a usage error, not a TypeError from numpy
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            search.random_walk_region(violating_record.final_state, 1e-3, bad)
+    assert len(search.random_walk_region(violating_record.final_state, 1e-3, np.int64(0))) == 1
 
 
 def test_random_walk_region_rejects_bad_delta(violating_record):
@@ -365,14 +370,24 @@ def test_haar_minimum_pool_has_no_more_workers_than_chunks(monkeypatch):
     assert opened == [3, 3]
 
 
-def test_import_leaves_multiprocessing_out():
-    # the pool is imported only when one opens; multiprocessing costs every process about 1.5 MiB
-    code = "import sys, ssmono; print('multiprocessing' in sys.modules)"
+def _loaded_after(statement: str, module: str) -> bool:
+    """Whether `module` is in sys.modules of a fresh interpreter after `statement`."""
+    code = f"import sys; {statement}; print({module!r} in sys.modules)"
     src = str(Path(search.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_import_leaves_multiprocessing_out():
+    # the pool is imported only when one opens; multiprocessing costs every process about 1.5 MiB
+    assert not _loaded_after("import ssmono.cli", "multiprocessing")
+
+
+def test_package_import_loads_no_module():
+    # the package is used through its modules: its __init__ re-exports nothing
+    assert not _loaded_after("import ssmono", "ssmono._kernels")
 
 
 def test_haar_scan_validation():
@@ -380,3 +395,8 @@ def test_haar_scan_validation():
         search.haar_scan(0)
     with pytest.raises(ValueError):
         search.haar_scan(10, workers=0)
+    # counts must be integers: True is not one state, nor 1.5 workers one worker
+    for n_states, workers in ((True, 1), (10.5, 1), (100, 1.5), (100, True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            search.haar_scan(n_states, workers=workers)
+    assert search.haar_scan(np.int64(10), workers=np.int64(1)).n_states == 10

@@ -20,12 +20,15 @@ def short_record():
     return search.minimize_residual(cfg)
 
 
-def test_format_float_round_trips_doubles():
+def test_format_float_keeps_ten_significant_digits():
     rng = np.random.default_rng(171)
     values = list(rng.standard_normal(200))
     values += [0.0, 1.0, -1.0, 0.1, 2.0 / 3.0, 1e-300, -1e300]
     for v in values:
-        assert float(store.format_float(v)) == v
+        text = store.format_float(v)
+        assert float(text) == float(f"{v:.10g}")
+        assert abs(float(text) - v) <= 5e-10 * abs(v)
+    assert store.format_float(2.0 / 3.0) == "0.6666666667"
 
 
 def test_format_float_always_looks_like_a_float():
