@@ -13,7 +13,11 @@ pointer reaches C. There is one path for each quantity:
 - `singular_values4`, `spin_flip_lambdas`, `renyi_from_c` and
   `renyi_entropies`: the same library's 4x4 singular values (sv4), Wootters
   lambdas (spin_flip4) and Renyi maps, which the two kernels above use inside
-  C and the density-matrix entries in `measures` call from Python.
+  C and the density-matrix entries in `measures` call from Python;
+- `displace`: normalize(start + delta z[r]) for each row of z, from the start
+  state or chained along the rows (displace): the proposals of the descent,
+  the region walk and `sampler.perturb_within`, with the bits of the numpy
+  expression it replaced.
 """
 from __future__ import annotations
 
@@ -32,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 ALPHA_ONE_TOL = 1e-9
-# det(rho^G) at or above this proves a two-qubit pair PPT, so separable (batched_ckw_r2)
+# det(rho^G) at or above this proves a two-qubit pair PPT, so separable
+# (batched_ckw_r2, and batched_terms' pairs after a1b1 and a2b2)
 SEPARABLE_DET = 1e-12
 # qubit counts batched_ckw_r2 takes: _svd4.c's ckw_r2 holds each pair matrix
 # in fixed buffers of 2^(8-2) columns; linalg.MAX_QUBITS is the same 8
@@ -90,13 +95,18 @@ def _load_svd4() -> ctypes.CDLL:
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_double,
     )
     lib.terms.argtypes = (
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double, ctypes.c_double,
+        ctypes.c_void_p,
     )
     lib.ckw_r2.argtypes = (
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double,
         ctypes.c_void_p, ctypes.c_void_p,
     )
-    for name in ("svd4", "lambdas", "renyi_of_c", "renyi_of_spectra", "terms", "ckw_r2"):
+    lib.displace.argtypes = (
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int,
+        ctypes.c_void_p,
+    )
+    for name in ("svd4", "lambdas", "renyi_of_c", "renyi_of_spectra", "terms", "ckw_r2", "displace"):
         getattr(lib, name).restype = None
     return lib
 
@@ -220,13 +230,9 @@ def _checked_states(states, dim: int) -> np.ndarray:
     return np.ascontiguousarray(states)
 
 
-def batched_terms(states: np.ndarray, layout, alpha: float, k: int = 4):
-    """Bipartite term (m,) and the first k pair terms (m, k) of each row of
-    complex128 (m, 16) normalized amplitudes; the pairs are (a1b1, a2b2, a1b2,
-    a2b1, a1a2, b1b2) of the layout (a1, a2, b1, b2), a permutation of 0..3:
-    the residuals' four, then the two only the fingerprint stores. Computed
-    row by row by _svd4.c's terms, so row r depends only on states[r], never
-    on m, k or the strides; the tests check this bit for bit."""
+def _terms(states: np.ndarray, layout, alpha: float, k: int, separable_det: float):
+    """batched_terms with the PPT screen of its pairs after a1b1 and a2b2 at
+    `separable_det`: +inf screens none of them."""
     states = _checked_states(states, 16)
     try:
         roles = tuple(checked_index(q, "a layout role") for q in layout)
@@ -239,8 +245,27 @@ def batched_terms(states: np.ndarray, layout, alpha: float, k: int = 4):
     alpha = normalize_alpha(alpha)
     _, index = _terms_index(roles, k)
     out = np.empty((states.shape[0], 1 + k))  # one buffer: an address costs about 2 us
-    _SVD4.terms(states.ctypes.data, index, states.shape[0], k, alpha, out.ctypes.data)
+    _SVD4.terms(states.ctypes.data, index, states.shape[0], k, alpha, float(separable_det), out.ctypes.data)
     return out[:, 0], out[:, 1:]
+
+
+def batched_terms(states: np.ndarray, layout, alpha: float, k: int = 4):
+    """Bipartite term (m,) and the first k pair terms (m, k) of each row of
+    complex128 (m, 16) normalized amplitudes; the pairs are (a1b1, a2b2, a1b2,
+    a2b1, a1a2, b1b2) of the layout (a1, a2, b1, b2), a permutation of 0..3:
+    the residuals' four, then the two only the fingerprint stores. Computed
+    row by row by _svd4.c's terms, so row r depends only on states[r], never
+    on m, k or the strides; the tests check this bit for bit.
+
+    The pairs after a1b1 and a2b2 take batched_ckw_r2's PPT screen: one with
+    det(rho^G) >= SEPARABLE_DET is separable, its term is that of c = 0, and
+    it skips the spin-flip singular values. Near a violation this is the
+    common case: the paper's violating states have symmetries that make
+    E(a1b2) = E(a2b1) = 0, so the SS and monogamy residuals agree there. The
+    screened terms are the unscreened ones bit for bit; the tests check this
+    on Haar, walk and boundary states.
+    """
+    return _terms(states, layout, alpha, k, SEPARABLE_DET)
 
 
 def fingerprint_terms(states: np.ndarray, layout, alpha: float) -> tuple:
@@ -250,6 +275,31 @@ def fingerprint_terms(states: np.ndarray, layout, alpha: float) -> tuple:
     _, pairs = batched_terms(states, layout, alpha, 6)  # checks every argument
     index, _ = _terms_index(tuple(map(operator.index, layout)), 6)
     return pairs, singular_values4(states[:, index[:3]].reshape(-1, 3, 4, 4)) ** 2
+
+
+def displace(start: np.ndarray, delta: float, z: np.ndarray, chained: bool = False) -> np.ndarray:
+    """normalize(base + delta * z[r]) for each row of the complex128 (m, dim)
+    array z, dim the length of the complex128 vector start; base is start, or,
+    when chained, the previous row's result (start for the first), so that
+    row r is where r + 1 accepted steps lead. delta is a finite positive real.
+
+    _svd4.c's displace takes numpy's operations in numpy's order, so a row has
+    the bits of `c = base + delta * z[r]; c / np.linalg.norm(c, axis=-1,
+    keepdims=True)`, whatever m; the tests keep that expression as the oracle.
+    """
+    if type(delta) is bool or not isinstance(delta, (int, float, np.integer, np.floating)) \
+            or not 0.0 < delta < math.inf:  # False for NaN too
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    if not (isinstance(start, np.ndarray) and start.dtype == np.complex128 and start.ndim == 1):
+        raise ValueError(
+            f"need a complex128 start vector, got {getattr(start, 'dtype', type(start).__name__)} "
+            f"{getattr(start, 'shape', '')}"
+        )
+    z = _checked_states(z, start.shape[0])
+    start = np.ascontiguousarray(start)
+    out = np.empty_like(z)
+    _SVD4.displace(start.ctypes.data, z.ctypes.data, z.shape[0], z.shape[1], float(delta), chained, out.ctypes.data)
+    return out
 
 
 def ss_residuals(e_bip: np.ndarray, pair: np.ndarray) -> np.ndarray:

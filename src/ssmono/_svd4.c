@@ -1,7 +1,8 @@
 /* The compiled numerics of ssmono: the singular values of 4x4 complex
  * matrices (svd4), the Wootters lambdas of two-qubit factors (lambdas), the
  * Renyi maps (renyi_of_c, renyi_of_spectra), the SS / monogamy terms of
- * 4-qubit states (terms) and the CKW R2 residual of 3..8 qubits (ckw_r2).
+ * 4-qubit states (terms), the CKW R2 residual of 3..8 qubits (ckw_r2) and the
+ * displaced, renormalized states of the descent and the walk (displace).
  *
  * Singular values come from cyclic one-sided Jacobi (Hestenes; Demmel &
  * Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)).
@@ -167,6 +168,51 @@ void renyi_of_spectra(const double *w, double *out, ptrdiff_t count, ptrdiff_t d
         out[m] = renyi(w + dim * m, dim, alpha);
 }
 
+/* rho = K K^H of a 4 x cols complex matrix K, rows of cols interleaved (re,
+ * im) entries: each entry of the upper triangle summed over the columns in
+ * order, then mirrored */
+static void gram(const double *k, int cols, double rr[N][N], double ri[N][N])
+{
+    for (int r = 0; r < N; r++)
+        for (int s = r; s < N; s++) {
+            double sr = 0.0, si = 0.0;
+            for (int c = 0; c < cols; c++) {
+                const double *x = k + 2 * (cols * r + c), *y = k + 2 * (cols * s + c);
+                sr += x[0] * y[0] + x[1] * y[1];
+                si += x[1] * y[0] - x[0] * y[1];
+            }
+            rr[r][s] = rr[s][r] = sr;
+            ri[r][s] = si;
+            ri[s][r] = -si;
+        }
+}
+
+/* det(rho^G), rho^G[(a, b), (a', b')] = rho[(a, b'), (a', b)], by Laplace
+ * expansion in the 2x2 minors of rows (0, 1) and of their complement (2, 3).
+ * A pair with det(rho^G) >= separable_det is separable (PPT): see
+ * _kernels.batched_ckw_r2 for why. */
+static double pt_det(double rr[N][N], double ri[N][N])
+{
+    static const int minors[6][5] = {{0, 1, 2, 3, 1}, {0, 2, 1, 3, -1}, {0, 3, 1, 2, 1},
+                                     {1, 2, 0, 3, 1}, {1, 3, 0, 2, -1}, {2, 3, 0, 1, 1}};
+    double mr[N][N], mi[N][N];
+    for (int r = 0; r < N; r++)
+        for (int c = 0; c < N; c++) {
+            mr[r][c] = rr[2 * (r >> 1) + (c & 1)][2 * (c >> 1) + (r & 1)];
+            mi[r][c] = ri[2 * (r >> 1) + (c & 1)][2 * (c >> 1) + (r & 1)];
+        }
+    double det = 0.0;
+    for (int t = 0; t < 6; t++) {
+        int i = minors[t][0], j = minors[t][1], k = minors[t][2], l = minors[t][3];
+        double topr = mr[0][i] * mr[1][j] - mi[0][i] * mi[1][j] - (mr[0][j] * mr[1][i] - mi[0][j] * mi[1][i]);
+        double topi = mr[0][i] * mi[1][j] + mi[0][i] * mr[1][j] - (mr[0][j] * mi[1][i] + mi[0][j] * mr[1][i]);
+        double botr = mr[2][k] * mr[3][l] - mi[2][k] * mi[3][l] - (mr[2][l] * mr[3][k] - mi[2][l] * mi[3][k]);
+        double boti = mr[2][k] * mi[3][l] + mi[2][k] * mr[3][l] - (mr[2][l] * mi[3][k] + mi[2][l] * mr[3][k]);
+        det += minors[t][4] * (topr * botr - topi * boti);
+    }
+    return det;
+}
+
 /* The SS / two-pair monogamy terms of 4-qubit states, row by row.
  *
  * Each row is 16 complex128 amplitudes. index holds 1 + k rows of 16 flat
@@ -175,7 +221,11 @@ void renyi_of_spectra(const double *w, double *out, ptrdiff_t count, ptrdiff_t d
  * turn), row index the pair. The bipartite term is the Renyi entropy of rho = B B^H:
  * -log2 Tr rho^2 at alpha = 2, else the entropy of its spectrum sv(B)^2. A
  * pair term is the measure of c = min(1, max(0, l0 - l1 - l2 - l3)) from the
- * block's Wootters lambdas. A NaN amplitude gives NaN terms.
+ * block's Wootters lambdas. The pairs after the first two are screened as
+ * ckw_r2 screens its pairs: one with det(rho^G) >= separable_det has c = 0
+ * and skips the lambdas. a1b1 and a2b2 are not screened: near a violation
+ * they are always entangled, so the screen would only cost time. A NaN
+ * amplitude gives NaN terms: a NaN det fails the screen.
  */
 static void gather(const double *psi, const ptrdiff_t *at, double *b)
 {
@@ -188,25 +238,19 @@ static void gather(const double *psi, const ptrdiff_t *at, double *b)
 /* states: count rows of 16 complex128 amplitudes; index: (1 + k) x 16
  * amplitude indices; out: count rows of the bipartite term and k pair terms */
 void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k, double alpha,
-           double *out)
+           double separable_det, double *out)
 {
     for (ptrdiff_t row = 0; row < count; row++) {
         const double *psi = states + 2 * N * N * row;
         double *bip = out + (1 + k) * row, *pair = bip + 1;
-        double b[2 * N * N], l[N];
+        double b[2 * N * N], l[N], rr[N][N], ri[N][N];
         gather(psi, index, b);
         if (alpha == 2.0) {
+            gram(b, N, rr, ri);
             double purity = 0.0; /* sum of |rho_rs|^2, the upper triangle twice */
             for (int r = 0; r < N; r++)
-                for (int s = r; s < N; s++) {
-                    double sr = 0.0, si = 0.0;
-                    for (int c = 0; c < N; c++) {
-                        const double *x = b + 2 * (N * r + c), *y = b + 2 * (N * s + c);
-                        sr += x[0] * y[0] + x[1] * y[1];
-                        si += x[1] * y[0] - x[0] * y[1];
-                    }
-                    purity += (s == r ? 1.0 : 2.0) * (sr * sr + si * si);
-                }
+                for (int s = r; s < N; s++)
+                    purity += (s == r ? 1.0 : 2.0) * (rr[r][s] * rr[r][s] + ri[r][s] * ri[r][s]);
             *bip = -log2(purity);
         } else {
             sv4(b, l);
@@ -216,6 +260,13 @@ void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k,
         }
         for (int p = 0; p < k; p++) {
             gather(psi, index + N * N * (1 + p), b);
+            if (p >= 2) {
+                gram(b, N, rr, ri);
+                if (pt_det(rr, ri) >= separable_det) {
+                    pair[p] = renyi_c(0.0, alpha);
+                    continue;
+                }
+            }
             spin_flip4(b, l);
             double c = l[0] - l[1] - l[2] - l[3];
             if (c < 0.0)
@@ -244,39 +295,16 @@ void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k,
  */
 #define PAIR_COLS 64 /* columns of k at the largest n, 8 qubits */
 
-/* det(rho^G), rho^G[(a, b), (a', b')] = rho[(a, b'), (a', b)], by Laplace
- * expansion in the 2x2 minors of rows (0, 1) and of their complement (2, 3) */
-static double pt_det(double rr[N][N], double ri[N][N])
-{
-    static const int minors[6][5] = {{0, 1, 2, 3, 1}, {0, 2, 1, 3, -1}, {0, 3, 1, 2, 1},
-                                     {1, 2, 0, 3, 1}, {1, 3, 0, 2, -1}, {2, 3, 0, 1, 1}};
-    double mr[N][N], mi[N][N];
-    for (int r = 0; r < N; r++)
-        for (int c = 0; c < N; c++) {
-            mr[r][c] = rr[2 * (r >> 1) + (c & 1)][2 * (c >> 1) + (r & 1)];
-            mi[r][c] = ri[2 * (r >> 1) + (c & 1)][2 * (c >> 1) + (r & 1)];
-        }
-    double det = 0.0;
-    for (int t = 0; t < 6; t++) {
-        int i = minors[t][0], j = minors[t][1], k = minors[t][2], l = minors[t][3];
-        double topr = mr[0][i] * mr[1][j] - mi[0][i] * mi[1][j] - (mr[0][j] * mr[1][i] - mi[0][j] * mi[1][i]);
-        double topi = mr[0][i] * mi[1][j] + mi[0][i] * mr[1][j] - (mr[0][j] * mi[1][i] + mi[0][j] * mr[1][i]);
-        double botr = mr[2][k] * mr[3][l] - mi[2][k] * mi[3][l] - (mr[2][l] * mr[3][k] - mi[2][l] * mi[3][k]);
-        double boti = mr[2][k] * mi[3][l] + mi[2][k] * mr[3][l] - (mr[2][l] * mi[3][k] + mi[2][l] * mr[3][k]);
-        det += minors[t][4] * (topr * botr - topi * boti);
-    }
-    return det;
-}
-
 /* B = R^H, C-contiguous, for a Householder QR k^H = QR of the 4 x cols pair
- * matrix k (Golub & Van Loan, sec. 5.2); B B^H = R^H R = k k^H */
-static void qr_factor(double kr[N][PAIR_COLS], double ki[N][PAIR_COLS], int cols, double *b)
+ * matrix k, rows of cols interleaved entries (Golub & Van Loan, sec. 5.2);
+ * B B^H = R^H R = k k^H */
+static void qr_factor(const double *k, int cols, double *b)
 {
     double ar[N][PAIR_COLS], ai[N][PAIR_COLS]; /* column j of k^H: conj(row j of k) */
     for (int j = 0; j < N; j++)
         for (int c = 0; c < cols; c++) {
-            ar[j][c] = kr[j][c];
-            ai[j][c] = -ki[j][c];
+            ar[j][c] = k[2 * (cols * j + c)];
+            ai[j][c] = -k[2 * (cols * j + c) + 1];
         }
     for (int x = 0; x < 2 * N * N; x++)
         b[x] = 0.0;
@@ -329,23 +357,12 @@ void ckw_r2(const double *states, const ptrdiff_t *index, ptrdiff_t count, int n
         double residual = 0.0;
         for (int pair = 0; pair < n - 1; pair++) {
             const ptrdiff_t *at = index + (ptrdiff_t)N * cols * pair;
-            double kr[N][PAIR_COLS], ki[N][PAIR_COLS], rr[N][N], ri[N][N];
-            for (int r = 0; r < N; r++)
-                for (int c = 0; c < cols; c++) {
-                    kr[r][c] = psi[2 * at[cols * r + c]];
-                    ki[r][c] = psi[2 * at[cols * r + c] + 1];
-                }
-            for (int r = 0; r < N; r++) /* rho = k k^H */
-                for (int s = r; s < N; s++) {
-                    double sr = 0.0, si = 0.0;
-                    for (int c = 0; c < cols; c++) {
-                        sr += kr[r][c] * kr[s][c] + ki[r][c] * ki[s][c];
-                        si += ki[r][c] * kr[s][c] - kr[r][c] * ki[s][c];
-                    }
-                    rr[r][s] = rr[s][r] = sr;
-                    ri[r][s] = si;
-                    ri[s][r] = -si;
-                }
+            double k[2 * N * PAIR_COLS], rr[N][N], ri[N][N];
+            for (int x = 0; x < N * cols; x++) {
+                k[2 * x] = psi[2 * at[x]];
+                k[2 * x + 1] = psi[2 * at[x] + 1];
+            }
+            gram(k, cols, rr, ri);
             if (pair == 0) {
                 /* C^2(focus|rest) = 2 (1 - Tr rho_focus^2) */
                 double p00 = rr[0][0] + rr[1][1], p11 = rr[2][2] + rr[3][3];
@@ -360,11 +377,11 @@ void ckw_r2(const double *states, const ptrdiff_t *index, ptrdiff_t count, int n
                 if (cols <= N) {
                     for (int r = 0; r < N; r++)
                         for (int c = 0; c < N; c++) {
-                            b[2 * (N * r + c)] = c < cols ? kr[r][c] : 0.0;
-                            b[2 * (N * r + c) + 1] = c < cols ? ki[r][c] : 0.0;
+                            b[2 * (N * r + c)] = c < cols ? k[2 * (cols * r + c)] : 0.0;
+                            b[2 * (N * r + c) + 1] = c < cols ? k[2 * (cols * r + c) + 1] : 0.0;
                         }
                 } else {
-                    qr_factor(kr, ki, cols, b);
+                    qr_factor(k, cols, b);
                 }
                 spin_flip4(b, l);
                 double c = fmax(0.0, l[0] - l[1] - l[2] - l[3]);
@@ -374,5 +391,69 @@ void ckw_r2(const double *states, const ptrdiff_t *index, ptrdiff_t count, int n
                 lam[N * ((n - 1) * row + pair) + x] = l[x];
         }
         out[row] = residual;
+    }
+}
+
+/* The displaced states of the descent and the walk: out[r] = normalize(base
+ * + delta z[r]) for count rows of dim complex128 amplitudes, where base is
+ * start, or, when chained, out[r - 1] (start for r = 0). Each step takes
+ * numpy's operations in numpy's order, so out holds the bits of
+ *     c = base + delta * z; c / np.linalg.norm(c, axis=-1, keepdims=True):
+ * c componentwise, the squares |c_j|^2 = fma(re, re, im im) of c.conj() * c
+ * as numpy multiplies on FMA hardware, added in numpy's pairwise order
+ * (norm_sum), and the division by the real norm n as numpy divides by the
+ * complex n + 0i (Smith's method: scl = 1/n, out = ((re + im 0) scl,
+ * (im - re 0) scl)).
+ */
+static double abs2(const double *c)
+{
+    return fma(c[0], c[0], c[1] * c[1]);
+}
+
+/* sum of abs2 over n interleaved complex entries, as numpy's pairwise_sum
+ * adds a row: in sequence below 8 entries, through 8 accumulators up to 128,
+ * and beyond that as two halves split at a multiple of 8 */
+static double norm_sum(const double *c, ptrdiff_t n)
+{
+    if (n < 8) {
+        double s = 0.0;
+        for (ptrdiff_t i = 0; i < n; i++)
+            s += abs2(c + 2 * i);
+        return s;
+    }
+    if (n <= 128) {
+        double a[8];
+        ptrdiff_t i;
+        for (int j = 0; j < 8; j++)
+            a[j] = abs2(c + 2 * j);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                a[j] += abs2(c + 2 * (i + j));
+        double s = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+        for (; i < n; i++)
+            s += abs2(c + 2 * i);
+        return s;
+    }
+    ptrdiff_t half = n / 2;
+    half -= half % 8;
+    return norm_sum(c, half) + norm_sum(c + 2 * half, n - half);
+}
+
+/* start: dim complex128 amplitudes; z, out: count rows of dim */
+void displace(const double *start, const double *z, ptrdiff_t count, ptrdiff_t dim, double delta,
+              int chained, double *out)
+{
+    for (ptrdiff_t row = 0; row < count; row++) {
+        const double *base = chained && row > 0 ? out + 2 * dim * (row - 1) : start;
+        const double *zr = z + 2 * dim * row;
+        double *c = out + 2 * dim * row;
+        for (ptrdiff_t j = 0; j < 2 * dim; j++)
+            c[j] = base[j] + delta * zr[j];
+        double scl = 1.0 / sqrt(norm_sum(c, dim));
+        for (ptrdiff_t j = 0; j < dim; j++) {
+            double re = c[2 * j], im = c[2 * j + 1];
+            c[2 * j] = (re + im * 0.0) * scl;
+            c[2 * j + 1] = (im - re * 0.0) * scl;
+        }
     }
 }

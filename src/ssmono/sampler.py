@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import _kernels, linalg
 
 _U64 = 2 ** 64
 
@@ -19,9 +19,8 @@ class RngSeed:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < _U64:
-                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+            if not 0 <= _kernels.checked_index(getattr(self, name), name) < _U64:
+                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {getattr(self, name)!r}")
 
 
 def derive(rng: RngSeed, offset: int) -> RngSeed:
@@ -37,7 +36,7 @@ def generator(rng: RngSeed) -> np.random.Generator:
 
 def haar_random_state(n_qubits: int, gen: np.random.Generator) -> np.ndarray:
     """Haar-distributed pure state: normalized vector of iid complex Gaussians."""
-    if not 1 <= n_qubits <= linalg.MAX_QUBITS:
+    if not 1 <= _kernels.checked_index(n_qubits, "n_qubits") <= linalg.MAX_QUBITS:
         raise ValueError(f"n_qubits must be in [1, {linalg.MAX_QUBITS}], got {n_qubits}")
     dim = 2 ** n_qubits
     z = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
@@ -55,12 +54,6 @@ def unit_noise(gen: np.random.Generator, m: int, dim: int = 16) -> np.ndarray:
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
-def displace(seed_state: np.ndarray, delta: float, z: np.ndarray) -> np.ndarray:
-    """normalize(seed + delta*z) along the last axis; z holds unit vectors."""
-    candidate = seed_state + delta * z
-    return candidate / np.linalg.norm(candidate, axis=-1, keepdims=True)
-
-
 def perturb_within(seed_state: np.ndarray, delta: float, gen: np.random.Generator) -> np.ndarray:
     """Isotropic random state within trace distance delta of seed_state.
 
@@ -69,7 +62,6 @@ def perturb_within(seed_state: np.ndarray, delta: float, gen: np.random.Generato
     exceeds delta, so no resampling is needed. Full-radius moves keep the walk
     exploring aggressively at every delta level; without them the minimizer
     strands on narrow valley floors well above the attainable minimum.
+    The step is `_kernels.displace`, the descent's and the walk's.
     """
-    if not 0.0 < delta < np.inf:
-        raise ValueError(f"delta must be finite and positive, got {delta}")
-    return displace(seed_state, delta, unit_noise(gen, 1, seed_state.shape[0]))[0]
+    return _kernels.displace(seed_state, delta, unit_noise(gen, 1, seed_state.shape[0]))[0]

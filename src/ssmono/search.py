@@ -160,7 +160,7 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
     while delta >= config.delta_min:
         size = _block_size(len(accepted) - 1, step, config.counter_max - counter)
         saved = gen.bit_generator.state
-        candidates = sampler.displace(current, delta, sampler.unit_noise(gen, size))
+        candidates = _kernels.displace(current, delta, sampler.unit_noise(gen, size))
         values = objective(candidates)
         better = np.flatnonzero(values < best)
         if better.size == 0:
@@ -194,15 +194,6 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
         total_states_generated=step,
         final_delta=delta,
     )
-
-
-def _walk_chain(start: np.ndarray, delta: float, z: np.ndarray) -> np.ndarray:
-    """States visited if every step of z is accepted."""
-    chain = np.empty_like(z)
-    state = start
-    for r in range(z.shape[0]):
-        state = chain[r] = sampler.displace(state, delta, z[r])
-    return chain
 
 
 def random_walk_region(
@@ -242,7 +233,7 @@ def random_walk_region(
         z = sampler.unit_noise(gen, _block_size(rejected, done, steps - done))
         r = 0
         while r < z.shape[0]:
-            chain = _walk_chain(current, delta, z[r:])
+            chain = _kernels.displace(current, delta, z[r:], chained=True)
             table = measures.residual_table(chain, layout, a)
             # the first row outside the region, or len(chain) if there is none
             kept = int(np.argmin(np.append(table[:, measures.SS] < measures.VIOLATION_THRESHOLD, False)))

@@ -241,6 +241,126 @@ def test_a_nan_row_gives_nan_terms_and_leaves_the_others_alone():
         assert got_pair[keep].tolist() == pair[keep].tolist()
 
 
+def _numpy_displace(base, delta, z):
+    """The numpy expression _kernels.displace replaced, kept as its oracle."""
+    c = base + delta * z
+    return c / np.linalg.norm(c, axis=-1, keepdims=True)
+
+
+def test_displace_matches_the_numpy_formula():
+    # numpy's own bits depend on its SIMD loops (fused complex products, the
+    # pairwise sum), so the bound is two ulps of a component near 1; on an
+    # AVX-512 build of numpy 2.4 every row matches exactly
+    for n in range(1, 9):
+        gen = sampler.generator(sampler.RngSeed(8, n))
+        for delta in (1e-8, 1e-5, 1e-3, 2e-2, 0.3, 1.0):
+            start = sampler.haar_random_state(n, gen)
+            z = sampler.unit_noise(gen, 24, 2**n)
+            chain, state = np.empty_like(z), start
+            for r in range(z.shape[0]):
+                state = chain[r] = _numpy_displace(state, delta, z[r])
+            for chained, want in ((False, _numpy_displace(start, delta, z)), (True, chain)):
+                got = _kernels.displace(start, delta, z, chained)
+                assert got.shape == want.shape and got.dtype == np.complex128
+                assert np.max(np.abs(got.view(float) - want.view(float))) <= 2.3e-16, (n, delta, chained)
+                # a row never depends on the rows after it
+                assert _kernels.displace(start, delta, z[:5], chained).tobytes() == got[:5].tobytes()
+
+
+def test_displace_refuses_bad_input_before_the_kernel_runs(monkeypatch):
+    class Refuse:
+        def __getattr__(self, name):
+            raise AssertionError(f"the C kernel {name} was called")
+
+    monkeypatch.setattr(_kernels, "_SVD4", Refuse())
+    start, z = np.full(16, 0.25, dtype=complex), np.zeros((3, 16), dtype=complex)
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -1e-3, True, "1e-3", 1e-3 + 0j, None):
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            _kernels.displace(start, bad, z)
+    for bad in (start.real, start.astype(np.complex64), start[None], start.tolist()):
+        with pytest.raises(ValueError, match="complex128 start"):
+            _kernels.displace(bad, 1e-3, z)
+    for bad in (z.real, z.astype(np.complex64), z[:, :8], z[0], z.reshape(3, 4, 4), z.tolist()):
+        with pytest.raises(ValueError, match=r"complex128 \(m, 16\)"):
+            _kernels.displace(start, 1e-3, bad)
+    with pytest.raises(AssertionError):
+        _kernels.displace(start, np.float64(1e-3), z, chained=True)
+
+
+def _boundary_states():
+    """States whose a1b2 pair (qubits 0 and 3) crosses from separable to
+    entangled: cos t |B02 B13> + sin t |B03 B12>, B a Bell pair, with fine
+    sweeps around the crossing t where det(rho^G) of that pair changes sign;
+    then GHZ, W, product and basis states, whose pair reductions have
+    det(rho^G) = 0 or are separable with a positive margin."""
+    def bells(p, q):
+        t = np.zeros((2,) * 4, dtype=complex)
+        for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            t[(x, y, *((x, y) if (p, q) == ((0, 2), (1, 3)) else (y, x)))] = 0.5
+        return t.reshape(16)
+
+    a, b = bells((0, 2), (1, 3)), bells((0, 3), (1, 2))
+
+    def det_pt(t):
+        psi = np.cos(t) * a + np.sin(t) * b
+        psi /= np.linalg.norm(psi)
+        k = psi.reshape(2, 2, 2, 2).transpose(0, 3, 1, 2).reshape(4, 4)
+        rho = (k @ k.conj().T).reshape(2, 2, 2, 2)
+        return psi, np.linalg.det(rho.transpose(0, 3, 2, 1).reshape(4, 4))
+
+    ts = np.linspace(0.0, np.pi / 2, 2001)
+    dets = np.array([det_pt(t)[1] for t in ts])
+    cross = int(np.flatnonzero(np.diff(np.sign(dets)) != 0)[0])
+    lo, hi = ts[cross], ts[cross + 1]
+    for _ in range(60):  # bisect to the sign change
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.sign(det_pt(mid)[1]) == np.sign(dets[cross]) else (lo, mid)
+    # det(rho^G) within about 2e-7, then within about 2e-11, so some rows
+    # fall on either side of SEPARABLE_DET
+    fine = lo + np.concatenate([np.linspace(-1e-5, 1e-5, 401), np.linspace(-1e-9, 1e-9, 401)])
+    states = [det_pt(t)[0] for t in np.concatenate([ts, fine])]
+    rng = np.random.default_rng(213)
+    product = np.kron(np.kron(random_state(rng, 1), random_state(rng, 1)), random_state(rng, 2))
+    states += [ghz_state(4), w_state(4), bell_product(), product] + list(np.eye(16, dtype=complex))
+    return np.array(states)
+
+
+def test_screened_terms_are_the_unscreened_terms_bit_for_bit(seed0_optimum):
+    gen = sampler.generator(sampler.RngSeed(214))
+    haar = sampler.unit_noise(gen, search.SCAN_CHUNK)
+    walk = np.vstack([
+        _kernels.displace(seed0_optimum, 1e-3, sampler.unit_noise(gen, 1000), chained=True),
+        _kernels.displace(seed0_optimum, 2e-2, sampler.unit_noise(gen, 1000)),
+    ])
+    boundary = _boundary_states()
+    for states in (haar, walk, boundary):
+        for alpha in (2.0, 1.5, 1.02, 1.0):
+            for layout in ((0, 1, 2, 3), (2, 0, 3, 1)):
+                screened = _kernels.batched_terms(states, layout, alpha, 6)
+                unscreened = _kernels._terms(states, layout, alpha, 6, np.inf)
+                assert screened[0].tobytes() == unscreened[0].tobytes()
+                assert screened[1].tobytes() == unscreened[1].tobytes(), (alpha, layout)
+    # the screen is taken near the optimum: the paper's symmetric violating
+    # states have separable cross pairs, E(a1b2) = E(a2b1) = 0
+    _, pair = _kernels.batched_terms(walk, (0, 1, 2, 3), 2.0)
+    assert np.all(pair[:1000, 2:] == 0.0)
+    # a screen that takes every pair leaves the first two and the bipartite term alone
+    all_screened = _kernels._terms(haar, (0, 1, 2, 3), 1.5, 6, -np.inf)
+    plain = _kernels.batched_terms(haar, (0, 1, 2, 3), 1.5, 6)
+    assert all_screened[0].tobytes() == plain[0].tobytes()
+    assert all_screened[1][:, :2].tobytes() == plain[1][:, :2].tobytes()
+    assert np.all(all_screened[1][:, 2:] == 0.0)
+
+
+def test_a_nan_row_gives_nan_terms_whatever_the_screen():
+    states = _haar_blocks(215, 3).reshape(3, 16)
+    states[1, 9] = np.nan
+    for separable_det in (-np.inf, _kernels.SEPARABLE_DET, np.inf):
+        e_bip, pair = _kernels._terms(states, (0, 1, 2, 3), 2.0, 6, separable_det)
+        assert np.isnan(e_bip[1]) and np.isnan(pair[1]).all(), separable_det
+        assert np.isfinite(e_bip[[0, 2]]).all() and np.isfinite(pair[[0, 2]]).all()
+
+
 def test_c_source_compiles_without_warnings():
     # index arithmetic and fixed-size buffers are where a silent sign or size bug would hide
     command = _kernels._compiler() + ["-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(SRC / "_svd4.c")]

@@ -16,6 +16,14 @@ def test_rng_seed_validation():
             sampler.RngSeed(*bad)
 
 
+def test_rng_seed_takes_only_integers():
+    assert sampler.RngSeed(np.int64(3), np.uint64(2)) == sampler.RngSeed(3, 2)
+    # a bool seed would be archived as true
+    for bad in [(True,), (np.True_,), (0, True), (0, False), (3.0,), ("3",)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            sampler.RngSeed(*bad)
+
+
 def test_derive_offsets_wrap():
     assert sampler.derive(sampler.RngSeed(9, 4), 3) == sampler.RngSeed(9, 7)
     assert sampler.derive(sampler.RngSeed(9, 2**64 - 1), 1) == sampler.RngSeed(9, 0)
@@ -48,6 +56,15 @@ def test_haar_random_state_rejects_bad_sizes():
     for n in (0, -1, 9):
         with pytest.raises(ValueError):
             sampler.haar_random_state(n, gen)
+
+
+def test_haar_random_state_takes_only_integer_sizes():
+    gen = sampler.generator(sampler.RngSeed(1))
+    assert sampler.haar_random_state(np.int64(4), gen).shape == (16,)
+    # True used to give a 2-amplitude state and 2.5 numpy's TypeError
+    for bad in (True, np.True_, 2.5, 4.0, "4", None):
+        with pytest.raises(ValueError, match="n_qubits must be an integer"):
+            sampler.haar_random_state(bad, gen)
 
 
 def test_haar_first_amplitude_moment():
