@@ -2,7 +2,10 @@
 
 Every number here comes from one compiled library, `_svd4.c`, built on first
 import and called through ctypes wrappers that refuse bad input before a
-pointer reaches C. There is one path for each quantity:
+pointer reaches C. Every 4x4 singular value, the Wootters lambdas included,
+comes from one routine, sv4w, which runs eight matrices in lockstep; a
+matrix's bits never depend on the other seven, so no result depends on the
+batch. There is one path for each quantity:
 
 - `batched_terms`: the bipartite term and the pair terms of each 4-qubit row
   (terms in _svd4.c). Row r depends only on states[r], so the objective value
@@ -11,7 +14,7 @@ pointer reaches C. There is one path for each quantity:
   the archive fingerprint from the same kernel and amplitude blocks;
 - `batched_ckw_r2`: the CKW-R2 residual of 3..8-qubit rows (ckw_r2);
 - `singular_values4`, `spin_flip_lambdas`, `renyi_from_c` and
-  `renyi_entropies`: the same library's 4x4 singular values (sv4), Wootters
+  `renyi_entropies`: the same library's 4x4 singular values (sv4w), Wootters
   lambdas (spin_flip4) and Renyi maps, which the two kernels above use inside
   C and the density-matrix entries in `measures` call from Python;
 - `displace`: normalize(start + delta z[r]) for each row of z, from the start
@@ -126,25 +129,40 @@ def _matrices4(a) -> np.ndarray:
 
 def singular_values4(a: np.ndarray) -> np.ndarray:
     """Descending singular values (..., 4) of each matrix of a complex128
-    (..., 4, 4) array, by one-sided Jacobi one matrix at a time (_svd4.c)."""
+    (..., 4, 4) array, by one-sided Jacobi on eight matrices in lockstep
+    (sv4w in _svd4.c); each matrix's values are those it gets on its own."""
     a = _matrices4(a)
     out = np.empty(a.shape[:-1])
     _SVD4.svd4(a.ctypes.data, out.ctypes.data, a.size // 16)
     return out
 
 
+def _real(value) -> float:
+    """value as a float if it is a real number other than a bool, else NaN,
+    which every range check below refuses; an integer beyond float range is inf."""
+    if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def normalize_alpha(alpha) -> float:
     """The package's one check of the Renyi order: a real number, not a string
     or a bool, finite and >= 1 - ALPHA_ONE_TOL; returned as a float, snapped to
-    exactly 1 (the von Neumann branch) within ALPHA_ONE_TOL. measures exports it."""
-    if type(alpha) is not bool and isinstance(alpha, (int, float, np.integer, np.floating)):
-        try:
-            a = float(alpha)
-        except OverflowError:  # an integer beyond float range
-            a = math.inf
-        if 1.0 - ALPHA_ONE_TOL <= a < math.inf:  # False for NaN too
-            return 1.0 if a - 1.0 < ALPHA_ONE_TOL else a
+    exactly 1 (the von Neumann branch) within ALPHA_ONE_TOL."""
+    if 1.0 - ALPHA_ONE_TOL <= (a := _real(alpha)) < math.inf:  # False for NaN too
+        return 1.0 if a - 1.0 < ALPHA_ONE_TOL else a
     raise ValueError(f"alpha must be a real number >= 1, got {alpha!r}")
+
+
+def checked_delta(value, what: str = "delta") -> float:
+    """The package's one check of a step length: a real number, not a string
+    or a bool, finite and > 0; returned as a float, or ValueError."""
+    if 0.0 < (d := _real(value)) < math.inf:  # False for NaN too
+        return d
+    raise ValueError(f"{what} must be finite and positive, got {value!r}")
 
 
 def checked_index(value, what: str) -> int:
@@ -287,9 +305,7 @@ def displace(start: np.ndarray, delta: float, z: np.ndarray, chained: bool = Fal
     the bits of `c = base + delta * z[r]; c / np.linalg.norm(c, axis=-1,
     keepdims=True)`, whatever m; the tests keep that expression as the oracle.
     """
-    if type(delta) is bool or not isinstance(delta, (int, float, np.integer, np.floating)) \
-            or not 0.0 < delta < math.inf:  # False for NaN too
-        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    delta = checked_delta(delta)
     if not (isinstance(start, np.ndarray) and start.dtype == np.complex128 and start.ndim == 1):
         raise ValueError(
             f"need a complex128 start vector, got {getattr(start, 'dtype', type(start).__name__)} "
@@ -298,7 +314,7 @@ def displace(start: np.ndarray, delta: float, z: np.ndarray, chained: bool = Fal
     z = _checked_states(z, start.shape[0])
     start = np.ascontiguousarray(start)
     out = np.empty_like(z)
-    _SVD4.displace(start.ctypes.data, z.ctypes.data, z.shape[0], z.shape[1], float(delta), chained, out.ctypes.data)
+    _SVD4.displace(start.ctypes.data, z.ctypes.data, z.shape[0], z.shape[1], delta, chained, out.ctypes.data)
     return out
 
 

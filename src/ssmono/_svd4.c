@@ -5,14 +5,24 @@
  * displaced, renormalized states of the descent and the walk (displace).
  *
  * Singular values come from cyclic one-sided Jacobi (Hestenes; Demmel &
- * Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)).
+ * Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)). Columns p < q are
+ * rotated until every pair is orthogonal to within TOL relative to their
+ * norms; the singular values are then the column norms. Both squared norms
+ * are recomputed from the columns before each rotation, never carried over
+ * by an update, so they cannot drift negative on rank-deficient input. A NaN
+ * fails the rotation test and is passed through.
  *
- * Each matrix is handled on its own, so a result never depends on the batch.
- * Columns p < q are rotated until every pair is orthogonal to within TOL
- * relative to their norms; the singular values are then the column norms.
- * Both squared norms are recomputed from the columns before each rotation,
- * never carried over by an update, so they cannot drift negative on
- * rank-deficient input. A NaN fails the rotation test and is passed through.
+ * The kernels queue their matrices, and sv4w runs W of them in lockstep:
+ * each step is W independent operations instead of one link in a chain of
+ * dependent ones, so the processor overlaps them. A lane's bits never depend
+ * on its partners, its position or the batch. Each lane does exactly the
+ * arithmetic of a matrix handled on its own; a lane whose pair fails the
+ * rotation test keeps its columns through a select; and the sweeps stop only
+ * when no lane rotated. A lane that took no rotation in a whole sweep has
+ * the same columns, so the same dot products and the same test results, in
+ * every later sweep: it never rotates again, and it ends with the columns it
+ * had when it would have stopped alone. Unused lanes hold zeros, which never
+ * rotate, so they add no sweeps.
  */
 #include <float.h>
 #include <math.h>
@@ -23,70 +33,136 @@
  * above the test for every sweep (1 in 4e5 Haar spin-flip blocks did) */
 #define TOL (2.0 * DBL_EPSILON)
 #define MAX_SWEEPS 30
+/* matrices per lockstep run, in plain arrays that -O2 turns into 2-wide SSE2
+ * operations: on Haar matrices W = 4 and W = 16 ran slower than 8 */
+#define W 8
+/* rows per block of terms and ckw_r2: a block's matrices are queued, the
+ * queue is emptied, and then the rows' terms are formed from the results */
+#define ROWS 32
 
-static void sv4(const double *a, double *out)
+/* up to W matrices waiting for their singular values */
+struct lanes {
+    double re[N][N][W], im[N][N][W]; /* column-major: re[column][row][lane] */
+    double *out[W];                  /* where each lane's 4 values go, descending */
+    int used;
+};
+
+/* columns p and q of every lane through the rotation (c, s) after the phase
+ * (ur, ui), in the lanes that take it; the others keep their columns. p != q,
+ * and restrict says so: without it -O2 reloads the columns after every
+ * store, and sv4w ran 1.3x slower. */
+static void rotate(double (*restrict rp)[W], double (*restrict ip)[W], double (*restrict rq)[W],
+                   double (*restrict iq)[W], const int *take, const double *ur, const double *ui,
+                   const double *c, const double *s)
 {
-    double re[N][N], im[N][N]; /* column-major: re[column][row] */
     for (int r = 0; r < N; r++)
-        for (int c = 0; c < N; c++) {
-            re[c][r] = a[2 * (N * r + c)];
-            im[c][r] = a[2 * (N * r + c) + 1];
+        for (int w = 0; w < W; w++) {
+            double qr = rq[r][w] * ur[w] - iq[r][w] * ui[w];
+            double qi = rq[r][w] * ui[w] + iq[r][w] * ur[w];
+            double pr = rp[r][w], pi = ip[r][w];
+            double pr2 = c[w] * pr - s[w] * qr, pi2 = c[w] * pi - s[w] * qi;
+            double qr2 = s[w] * pr + c[w] * qr, qi2 = s[w] * pi + c[w] * qi;
+            rp[r][w] = take[w] ? pr2 : pr;
+            ip[r][w] = take[w] ? pi2 : pi;
+            rq[r][w] = take[w] ? qr2 : rq[r][w];
+            iq[r][w] = take[w] ? qi2 : iq[r][w];
         }
+}
+
+/* cyclic one-sided Jacobi on every lane of L at once, then each used lane's
+ * column norms sorted into its out; L is left empty */
+static void sv4w(struct lanes *L)
+{
+    if (L->used == 0)
+        return;
+    for (int w = L->used; w < W; w++)
+        for (int c = 0; c < N; c++)
+            for (int r = 0; r < N; r++)
+                L->re[c][r][w] = L->im[c][r][w] = 0.0;
     for (int sweep = 0; sweep < MAX_SWEEPS; sweep++) {
         int rotated = 0;
         for (int p = 0; p < N - 1; p++)
             for (int q = p + 1; q < N; q++) {
-                double np = 0.0, nq = 0.0, gr = 0.0, gi = 0.0; /* g = a_p^H a_q */
-                for (int r = 0; r < N; r++) {
-                    np += re[p][r] * re[p][r] + im[p][r] * im[p][r];
-                    nq += re[q][r] * re[q][r] + im[q][r] * im[q][r];
-                    gr += re[p][r] * re[q][r] + im[p][r] * im[q][r];
-                    gi += re[p][r] * im[q][r] - im[p][r] * re[q][r];
+                double (*rp)[W] = L->re[p], (*ip)[W] = L->im[p], (*rq)[W] = L->re[q], (*iq)[W] = L->im[q];
+                double np[W], nq[W], gr[W], gi[W]; /* g = a_p^H a_q */
+                int take[W], any = 0;
+                for (int w = 0; w < W; w++)
+                    np[w] = nq[w] = gr[w] = gi[w] = 0.0;
+                for (int r = 0; r < N; r++)
+                    for (int w = 0; w < W; w++) {
+                        np[w] += rp[r][w] * rp[r][w] + ip[r][w] * ip[r][w];
+                        nq[w] += rq[r][w] * rq[r][w] + iq[r][w] * iq[r][w];
+                        gr[w] += rp[r][w] * rq[r][w] + ip[r][w] * iq[r][w];
+                        gi[w] += rp[r][w] * iq[r][w] - ip[r][w] * rq[r][w];
+                    }
+                for (int w = 0; w < W; w++) {
+                    double g2 = gr[w] * gr[w] + gi[w] * gi[w];
+                    take[w] = g2 > TOL * TOL * np[w] * nq[w] && g2 != 0.0;
+                    any |= take[w];
                 }
-                double g2 = gr * gr + gi * gi;
-                if (!(g2 > TOL * TOL * np * nq) || g2 == 0.0)
+                if (!any)
                     continue;
                 /* a_q * conj(g)/|g| makes the pair's inner product real and
                  * positive, |g|; then the real symmetric Schur rotation of
-                 * [[np, |g|], [|g|, nq]] (Golub & Van Loan, sec. 8.5) */
-                double ga = sqrt(g2);
-                double ur = gr / ga, ui = -gi / ga;
-                double zeta = (nq - np) / (2.0 * ga);
-                double t = (zeta >= 0.0 ? 1.0 : -1.0) / (fabs(zeta) + sqrt(1.0 + zeta * zeta));
-                double c = 1.0 / sqrt(1.0 + t * t), s = c * t;
-                for (int r = 0; r < N; r++) {
-                    double qr = re[q][r] * ur - im[q][r] * ui;
-                    double qi = re[q][r] * ui + im[q][r] * ur;
-                    double pr = re[p][r], pi = im[p][r];
-                    re[p][r] = c * pr - s * qr;
-                    im[p][r] = c * pi - s * qi;
-                    re[q][r] = s * pr + c * qr;
-                    im[q][r] = s * pi + c * qi;
+                 * [[np, |g|], [|g|, nq]] (Golub & Van Loan, sec. 8.5). A lane
+                 * that does not take it computes it anyway, maybe from 0/0,
+                 * and drops it in rotate. */
+                double ur[W], ui[W], c[W], s[W];
+                for (int w = 0; w < W; w++) {
+                    double ga = sqrt(gr[w] * gr[w] + gi[w] * gi[w]);
+                    ur[w] = gr[w] / ga;
+                    ui[w] = -gi[w] / ga;
+                    double zeta = (nq[w] - np[w]) / (2.0 * ga);
+                    double t = (zeta >= 0.0 ? 1.0 : -1.0) / (fabs(zeta) + sqrt(1.0 + zeta * zeta));
+                    c[w] = 1.0 / sqrt(1.0 + t * t);
+                    s[w] = c[w] * t;
                 }
+                rotate(rp, ip, rq, iq, take, ur, ui, c, s);
                 rotated = 1;
             }
         if (!rotated)
             break;
     }
-    for (int c = 0; c < N; c++) {
-        double n2 = 0.0;
-        for (int r = 0; r < N; r++)
-            n2 += re[c][r] * re[c][r] + im[c][r] * im[c][r];
-        double v = sqrt(n2);
-        int k = c; /* insertion sort, descending */
-        while (k > 0 && out[k - 1] < v) {
-            out[k] = out[k - 1];
-            k--;
+    for (int w = 0; w < L->used; w++) {
+        double *out = L->out[w];
+        for (int c = 0; c < N; c++) {
+            double n2 = 0.0;
+            for (int r = 0; r < N; r++)
+                n2 += L->re[c][r][w] * L->re[c][r][w] + L->im[c][r][w] * L->im[c][r][w];
+            double v = sqrt(n2);
+            int k = c; /* insertion sort, descending */
+            while (k > 0 && out[k - 1] < v) {
+                out[k] = out[k - 1];
+                k--;
+            }
+            out[k] = v;
         }
-        out[k] = v;
     }
+    L->used = 0;
+}
+
+/* queue the C-contiguous 4x4 complex matrix a, its singular values to go to
+ * out[0..3] once L is full or its owner runs sv4w on the rest */
+static void push(struct lanes *L, const double *a, double *out)
+{
+    int w = L->used;
+    for (int r = 0; r < N; r++)
+        for (int c = 0; c < N; c++) {
+            L->re[c][r][w] = a[2 * (N * r + c)];
+            L->im[c][r][w] = a[2 * (N * r + c) + 1];
+        }
+    L->out[w] = out;
+    if (++L->used == W)
+        sv4w(L);
 }
 
 /* a: count C-contiguous 4x4 complex128 matrices; out: count rows of 4 doubles */
 void svd4(const double *a, double *out, ptrdiff_t count)
 {
+    struct lanes L = {.used = 0};
     for (ptrdiff_t m = 0; m < count; m++)
-        sv4(a + 2 * N * N * m, out + N * m);
+        push(&L, a + 2 * N * N * m, out + N * m);
+    sv4w(&L);
 }
 
 /* complex products with one fused multiply-add each, as numpy's complex
@@ -98,10 +174,11 @@ static void cmul(double ar, double ai, double br, double bi, double *re, double 
     *im = fma(ar, bi, ai * br);
 }
 
-/* Wootters lambdas of rho = B B^H for one C-contiguous 4x4 complex B,
- * descending: the singular values of tau = B^T S B (S the spin flip), which
- * is D + D^T for D = r1 (x) r2 - r0 (x) r3, r_i the rows of B */
-static void spin_flip4(const double *b, double *lam)
+/* queue the Wootters lambdas of rho = B B^H for one C-contiguous 4x4 complex
+ * B, to go to lam[0..3] descending: the singular values of tau = B^T S B (S
+ * the spin flip), which is D + D^T for D = r1 (x) r2 - r0 (x) r3, r_i the
+ * rows of B */
+static void spin_flip4(const double *b, struct lanes *L, double *lam)
 {
     double d[N][N][2], tau[2 * N * N];
     for (int x = 0; x < N; x++)
@@ -117,14 +194,16 @@ static void spin_flip4(const double *b, double *lam)
             tau[2 * (N * x + y)] = d[x][y][0] + d[y][x][0];
             tau[2 * (N * x + y) + 1] = d[x][y][1] + d[y][x][1];
         }
-    sv4(tau, lam);
+    push(L, tau, lam);
 }
 
 /* b: count C-contiguous 4x4 complex128 factors; lam: count rows of 4 doubles */
 void lambdas(const double *b, double *lam, ptrdiff_t count)
 {
+    struct lanes L = {.used = 0};
     for (ptrdiff_t m = 0; m < count; m++)
-        spin_flip4(b + 2 * N * N * m, lam + N * m);
+        spin_flip4(b + 2 * N * N * m, &L, lam + N * m);
+    sv4w(&L);
 }
 
 /* Renyi entropies in bits; alpha == 1 is the von Neumann branch. Near
@@ -240,40 +319,56 @@ static void gather(const double *psi, const ptrdiff_t *at, double *b)
 void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k, double alpha,
            double separable_det, double *out)
 {
-    for (ptrdiff_t row = 0; row < count; row++) {
-        const double *psi = states + 2 * N * N * row;
-        double *bip = out + (1 + k) * row, *pair = bip + 1;
-        double b[2 * N * N], l[N], rr[N][N], ri[N][N];
-        gather(psi, index, b);
-        if (alpha == 2.0) {
-            gram(b, N, rr, ri);
-            double purity = 0.0; /* sum of |rho_rs|^2, the upper triangle twice */
-            for (int r = 0; r < N; r++)
-                for (int s = r; s < N; s++)
-                    purity += (s == r ? 1.0 : 2.0) * (rr[r][s] * rr[r][s] + ri[r][s] * ri[r][s]);
-            *bip = -log2(purity);
-        } else {
-            sv4(b, l);
-            for (int x = 0; x < N; x++)
-                l[x] *= l[x];
-            *bip = renyi(l, N, alpha);
-        }
-        for (int p = 0; p < k; p++) {
-            gather(psi, index + N * N * (1 + p), b);
-            if (p >= 2) {
+    struct lanes L = {.used = 0};
+    for (ptrdiff_t row0 = 0; row0 < count; row0 += ROWS) {
+        int rows = count - row0 < ROWS ? (int)(count - row0) : ROWS;
+        /* per row: the bipartite block's singular values (alpha != 2), then
+         * each pair's lambdas, zeros for a screened pair, whose c is then 0 */
+        double l[ROWS][1 + 6][N];
+        for (int i = 0; i < rows; i++) {
+            const double *psi = states + 2 * N * N * (row0 + i);
+            double b[2 * N * N], rr[N][N], ri[N][N];
+            gather(psi, index, b);
+            if (alpha == 2.0) {
                 gram(b, N, rr, ri);
-                if (pt_det(rr, ri) >= separable_det) {
-                    pair[p] = renyi_c(0.0, alpha);
-                    continue;
-                }
+                double purity = 0.0; /* sum of |rho_rs|^2, the upper triangle twice */
+                for (int r = 0; r < N; r++)
+                    for (int s = r; s < N; s++)
+                        purity += (s == r ? 1.0 : 2.0) * (rr[r][s] * rr[r][s] + ri[r][s] * ri[r][s]);
+                out[(1 + k) * (row0 + i)] = -log2(purity);
+            } else {
+                push(&L, b, l[i][0]);
             }
-            spin_flip4(b, l);
-            double c = l[0] - l[1] - l[2] - l[3];
-            if (c < 0.0)
-                c = 0.0;
-            else if (c > 1.0)
-                c = 1.0;
-            pair[p] = renyi_c(c, alpha);
+            for (int p = 0; p < k; p++) {
+                gather(psi, index + N * N * (1 + p), b);
+                if (p >= 2) {
+                    gram(b, N, rr, ri);
+                    if (pt_det(rr, ri) >= separable_det) {
+                        for (int x = 0; x < N; x++)
+                            l[i][1 + p][x] = 0.0;
+                        continue;
+                    }
+                }
+                spin_flip4(b, &L, l[i][1 + p]);
+            }
+        }
+        sv4w(&L);
+        for (int i = 0; i < rows; i++) {
+            double *bip = out + (1 + k) * (row0 + i), *pair = bip + 1;
+            if (alpha != 2.0) {
+                for (int x = 0; x < N; x++)
+                    l[i][0][x] *= l[i][0][x];
+                *bip = renyi(l[i][0], N, alpha);
+            }
+            for (int p = 0; p < k; p++) {
+                const double *lp = l[i][1 + p];
+                double c = lp[0] - lp[1] - lp[2] - lp[3];
+                if (c < 0.0)
+                    c = 0.0;
+                else if (c > 1.0)
+                    c = 1.0;
+                pair[p] = renyi_c(c, alpha);
+            }
         }
     }
 }
@@ -352,45 +447,61 @@ void ckw_r2(const double *states, const ptrdiff_t *index, ptrdiff_t count, int n
             double separable_det, double *out, double *lam)
 {
     const int cols = 1 << (n - 2);
-    for (ptrdiff_t row = 0; row < count; row++) {
-        const double *psi = states + ((ptrdiff_t)2 << n) * row;
-        double residual = 0.0;
-        for (int pair = 0; pair < n - 1; pair++) {
-            const ptrdiff_t *at = index + (ptrdiff_t)N * cols * pair;
-            double k[2 * N * PAIR_COLS], rr[N][N], ri[N][N];
-            for (int x = 0; x < N * cols; x++) {
-                k[2 * x] = psi[2 * at[x]];
-                k[2 * x + 1] = psi[2 * at[x] + 1];
-            }
-            gram(k, cols, rr, ri);
-            if (pair == 0) {
-                /* C^2(focus|rest) = 2 (1 - Tr rho_focus^2) */
-                double p00 = rr[0][0] + rr[1][1], p11 = rr[2][2] + rr[3][3];
-                double p01r = rr[0][2] + rr[1][3], p01i = ri[0][2] + ri[1][3];
-                double purity = p00 * p00 + p11 * p11 + 2.0 * (p01r * p01r + p01i * p01i);
-                double c2 = fmax(0.0, 2.0 * (1.0 - purity));
-                residual = -log2(1.0 - 0.5 * c2);
-            }
-            double l[N] = {0.0, 0.0, 0.0, 0.0};
-            if (pt_det(rr, ri) < separable_det) {
-                double b[2 * N * N];
-                if (cols <= N) {
-                    for (int r = 0; r < N; r++)
-                        for (int c = 0; c < N; c++) {
-                            b[2 * (N * r + c)] = c < cols ? k[2 * (cols * r + c)] : 0.0;
-                            b[2 * (N * r + c) + 1] = c < cols ? k[2 * (cols * r + c) + 1] : 0.0;
-                        }
-                } else {
-                    qr_factor(k, cols, b);
+    struct lanes L = {.used = 0};
+    for (ptrdiff_t row0 = 0; row0 < count; row0 += ROWS) {
+        int rows = count - row0 < ROWS ? (int)(count - row0) : ROWS;
+        unsigned char npt[ROWS][7]; /* which of a row's n - 1 <= 7 pairs took the lambdas */
+        for (int i = 0; i < rows; i++) {
+            ptrdiff_t row = row0 + i;
+            const double *psi = states + ((ptrdiff_t)2 << n) * row;
+            for (int pair = 0; pair < n - 1; pair++) {
+                const ptrdiff_t *at = index + (ptrdiff_t)N * cols * pair;
+                double k[2 * N * PAIR_COLS], rr[N][N], ri[N][N];
+                double *l = lam + N * ((n - 1) * row + pair);
+                for (int x = 0; x < N * cols; x++) {
+                    k[2 * x] = psi[2 * at[x]];
+                    k[2 * x + 1] = psi[2 * at[x] + 1];
                 }
-                spin_flip4(b, l);
-                double c = fmax(0.0, l[0] - l[1] - l[2] - l[3]);
-                residual += log2(1.0 - 0.5 * c * c);
+                gram(k, cols, rr, ri);
+                if (pair == 0) {
+                    /* C^2(focus|rest) = 2 (1 - Tr rho_focus^2) */
+                    double p00 = rr[0][0] + rr[1][1], p11 = rr[2][2] + rr[3][3];
+                    double p01r = rr[0][2] + rr[1][3], p01i = ri[0][2] + ri[1][3];
+                    double purity = p00 * p00 + p11 * p11 + 2.0 * (p01r * p01r + p01i * p01i);
+                    double c2 = fmax(0.0, 2.0 * (1.0 - purity));
+                    out[row] = -log2(1.0 - 0.5 * c2);
+                }
+                npt[i][pair] = pt_det(rr, ri) < separable_det;
+                if (npt[i][pair]) {
+                    double b[2 * N * N];
+                    if (cols <= N) {
+                        for (int r = 0; r < N; r++)
+                            for (int c = 0; c < N; c++) {
+                                b[2 * (N * r + c)] = c < cols ? k[2 * (cols * r + c)] : 0.0;
+                                b[2 * (N * r + c) + 1] = c < cols ? k[2 * (cols * r + c) + 1] : 0.0;
+                            }
+                    } else {
+                        qr_factor(k, cols, b);
+                    }
+                    spin_flip4(b, &L, l);
+                } else {
+                    for (int x = 0; x < N; x++)
+                        l[x] = 0.0;
+                }
             }
-            for (int x = 0; x < N; x++)
-                lam[N * ((n - 1) * row + pair) + x] = l[x];
         }
-        out[row] = residual;
+        sv4w(&L);
+        /* the pair terms in pair order; a screened pair adds nothing, so a
+         * -0.0 bipartite term stays -0.0 */
+        for (int i = 0; i < rows; i++) {
+            ptrdiff_t row = row0 + i;
+            for (int pair = 0; pair < n - 1; pair++)
+                if (npt[i][pair]) {
+                    const double *l = lam + N * ((n - 1) * row + pair);
+                    double c = fmax(0.0, l[0] - l[1] - l[2] - l[3]);
+                    out[row] += log2(1.0 - 0.5 * c * c);
+                }
+        }
     }
 }
 

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, linalg
-from ._kernels import normalize_alpha
 
 # residuals below this are genuine violations rather than roundoff
 VIOLATION_THRESHOLD = -1e-7
@@ -114,7 +113,7 @@ def bipartite_pure_entanglement(psi, partition_a, alpha) -> float:
 def residual_report(psi, layout: PairingLayout = CANONICAL_LAYOUT, alpha=2.0) -> ResidualReport:
     """Evaluate every term of the SS and second-order-monogamy inequalities;
     a negative ss_residual or monogamy_residual certifies a violation."""
-    a = normalize_alpha(alpha)
+    a = _kernels.normalize_alpha(alpha)
     state = linalg.as_state(psi)
     if linalg.n_qubits_of(state) != 4:
         raise ValueError("residuals are defined for 4-qubit states")

@@ -22,12 +22,6 @@ SCORE_BLOCK = 2**12
 BLOCK_MIN, BLOCK_MAX = 8, 64
 
 
-def _check_deltas(**deltas) -> None:
-    for name, value in deltas.items():
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
 @dataclass(frozen=True, eq=False)
 class SearchConfig:
     alpha: float = 2.0
@@ -40,11 +34,12 @@ class SearchConfig:
     seed_state: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", measures.normalize_alpha(self.alpha))
+        object.__setattr__(self, "alpha", _kernels.normalize_alpha(self.alpha))
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         # delta0 below delta_min is legal: the run evaluates its seed and stops
-        _check_deltas(delta0=self.delta0, delta_min=self.delta_min)
+        _kernels.checked_delta(self.delta0, "delta0")
+        _kernels.checked_delta(self.delta_min, "delta_min")
         if _kernels.checked_index(self.counter_max, "counter_max") < 1:
             raise ValueError(f"counter_max must be >= 1, got {self.counter_max}")
         if self.seed_state is not None:
@@ -111,14 +106,15 @@ class ContinuationSchedule:
     delta_min: float = 1e-8
 
     def __post_init__(self):
-        alphas = tuple(measures.normalize_alpha(a) for a in self.alphas)
+        alphas = tuple(_kernels.normalize_alpha(a) for a in self.alphas)
         if not alphas:
             raise ValueError("schedule needs at least one alpha")
         if any(a <= 1.0 for a in alphas):
             raise ValueError(f"every schedule alpha must exceed 1, got {alphas}")
         if any(x <= y for x, y in zip(alphas, alphas[1:])):
             raise ValueError(f"schedule alphas must be strictly decreasing, got {alphas}")
-        _check_deltas(delta0=self.delta0, delta_min=self.delta_min)
+        _kernels.checked_delta(self.delta0, "delta0")
+        _kernels.checked_delta(self.delta_min, "delta_min")
         object.__setattr__(self, "alphas", alphas)
 
 
@@ -215,11 +211,11 @@ def random_walk_region(
     the prefix before the first rejection is kept, and the walk carries on
     from the step after it.
     """
-    a = measures.normalize_alpha(alpha)
+    a = _kernels.normalize_alpha(alpha)
     state = linalg.as_state(start)
     if (steps := _kernels.checked_index(steps, "steps")) < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    _check_deltas(delta=delta)
+    _kernels.checked_delta(delta)
     report = measures.residual_report(state, layout, a)
     if report.ss_residual >= measures.VIOLATION_THRESHOLD:
         raise ValueError(
@@ -362,7 +358,7 @@ def haar_scan(
 ) -> ScanSummary:
     """Evaluate the ss residual on n_states Haar draws through `haar_minimum`;
     the summary is identical for every worker count."""
-    a = measures.normalize_alpha(alpha)
+    a = _kernels.normalize_alpha(alpha)
     violations, least, index, state = haar_minimum(
         n_states, 4, rng, "batched_ss", (layout.as_tuple(), a), measures.VIOLATION_THRESHOLD, workers
     )

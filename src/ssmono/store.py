@@ -350,7 +350,7 @@ def _scan_from_doc(doc: dict) -> search.ScanSummary:
     try:
         config = doc["config"]
         layout = measures.PairingLayout(**config["layout"])
-        alpha = measures.normalize_alpha(config["alpha"])
+        alpha = _kernels.normalize_alpha(config["alpha"])
         state = _state_from_doc(doc["argmin_state"], "argmin_state")
         summary = search.ScanSummary(
             n_states=int(config["n_states"]), alpha=alpha, layout=layout, rng=sampler.RngSeed(**config["rng"]),

@@ -2,6 +2,7 @@
 oracle in oracle.py, LAPACK as a reference, the build cache and a
 warning-free C source."""
 
+import hashlib
 import importlib.util
 import os
 import shutil
@@ -274,7 +275,7 @@ def test_displace_refuses_bad_input_before_the_kernel_runs(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_SVD4", Refuse())
     start, z = np.full(16, 0.25, dtype=complex), np.zeros((3, 16), dtype=complex)
-    for bad in (np.nan, np.inf, -np.inf, 0.0, -1e-3, True, "1e-3", 1e-3 + 0j, None):
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -1e-3, True, np.True_, "1e-3", 1e-3 + 0j, None, 10**400):
         with pytest.raises(ValueError, match="delta must be finite and positive"):
             _kernels.displace(start, bad, z)
     for bad in (start.real, start.astype(np.complex64), start[None], start.tolist()):
@@ -361,11 +362,111 @@ def test_a_nan_row_gives_nan_terms_whatever_the_screen():
         assert np.isfinite(e_bip[[0, 2]]).all() and np.isfinite(pair[[0, 2]]).all()
 
 
-def test_c_source_compiles_without_warnings():
-    # index arithmetic and fixed-size buffers are where a silent sign or size bug would hide
-    command = _kernels._compiler() + ["-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(SRC / "_svd4.c")]
+def _lane_kinds():
+    """One 4x4 matrix of each kind the lockstep SVD must keep apart: Haar,
+    rank one, zero, NaN, subnormal, and a slow one: a complex Gaussian draw
+    scaled to 1e-80, where TOL^2 np nq underflows into the subnormals and the
+    one-matrix kernel took 16 sweeps (counted in an instrumented build)
+    against the 5 to 7 of a Haar matrix."""
+    rng = np.random.default_rng(216)
+    haar = _haar_blocks(216, 1)[0]
+    u, v = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    nan = _haar_blocks(217, 1)[0]
+    nan[2, 1] = np.nan
+    slow = np.random.default_rng(2).standard_normal((2, 20000, 4, 4))[:, 13328]
+    return {
+        "haar": haar, "rank one": np.outer(u, v.conj()), "zero": np.zeros((4, 4), dtype=complex),
+        "nan": nan, "subnormal": _haar_blocks(218, 1)[0] * 1e-310, "slow": 1e-80 * (slow[0] + 1j * slow[1]),
+    }
+
+
+def test_a_lane_never_depends_on_its_partners_or_its_position():
+    kinds = _lane_kinds()
+    names = list(kinds)
+    for kernel in (_kernels.singular_values4, _kernels.spin_flip_lambdas):
+        alone = {name: kernel(a).tobytes() for name, a in kinds.items()}
+        for size in range(1, 18):
+            for name in names:
+                partners = [other for other in names if other != name]
+                for at in range(size):
+                    batch = [kinds[partners[j % len(partners)]] for j in range(size)]
+                    batch[at] = kinds[name]
+                    got = kernel(np.stack(batch))
+                    assert got[at].tobytes() == alone[name], (kernel.__name__, name, size, at)
+
+
+def _kernel_outputs():
+    """The outputs of every compiled kernel that runs the lockstep SVD, on
+    Haar, rank-one, zero, NaN, subnormal and slow matrices, Haar states, and
+    states near a Bell product, whose cross pairs the screen skips."""
+    kinds = _lane_kinds()
+    rng = np.random.default_rng(219)
+    matrices = np.concatenate([_haar_blocks(220, 300), np.stack(list(kinds.values()) * 3)])
+    matrices = matrices[rng.permutation(len(matrices))]
+    near = _kernels.displace(bell_product(), 1e-2, sampler.unit_noise(sampler.generator(sampler.RngSeed(221)), 64))
+    states = np.vstack([matrices.reshape(-1, 16), near])
+    yield "singular_values4", "", _kernels.singular_values4(matrices)
+    yield "spin_flip_lambdas", "", _kernels.spin_flip_lambdas(matrices)
+    for alpha in (2.0, 1.5, 1.0):
+        for k in (1, 2, 4, 6):
+            for det in (_kernels.SEPARABLE_DET, np.inf, -np.inf):
+                for layout in ((0, 1, 2, 3), (2, 0, 3, 1)):
+                    yield "_terms", f"{alpha} {k} {det} {layout}", np.hstack(
+                        [x.reshape(len(states), -1) for x in _kernels._terms(states, layout, alpha, k, det)])
+    for n in range(3, 9):
+        rows = rng.standard_normal((40, 2**n)) + 1j * rng.standard_normal((40, 2**n))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows[0] = 0.0
+        rows[0, 0] = 1.0  # a product state: its bipartite term is -0.0
+        rows[1] = w_state(n)
+        rows[2, 3] = np.nan
+        for det in (_kernels.SEPARABLE_DET, np.inf, -np.inf):
+            out, lam = _kernels._ckw_r2(rows, n, n % 3, det)
+            yield "_ckw_r2", f"{n} {det}", np.hstack([out[:, None], lam.reshape(len(rows), -1)])
+
+
+def _digests() -> dict:
+    """sha256 of each kernel's outputs in _kernel_outputs, the first 16 hex digits."""
+    digests = {}
+    for kernel, case, x in _kernel_outputs():
+        h = digests.setdefault(kernel, hashlib.sha256())
+        h.update(case.encode())
+        h.update(np.ascontiguousarray(x).tobytes())
+    return {kernel: h.hexdigest()[:16] for kernel, h in digests.items()}
+
+
+# _digests() at the commit before the lockstep SVD, which ran one matrix at a
+# time; the bits rest on numpy's default_rng streams and on libm's log2,
+# expm1, log1p and log, as on x86-64 glibc
+GOLDEN_DIGESTS = {
+    "singular_values4": "40ae90246f9ad2f5",
+    "spin_flip_lambdas": "9cdc6c67a6814439",
+    "_terms": "837c6f7999763099",
+    "_ckw_r2": "a99e26ed541ad25b",
+}
+
+
+def test_kernel_outputs_keep_the_bits_of_the_one_matrix_kernel():
+    assert _digests() == GOLDEN_DIGESTS
+    # a screened pair adds nothing: a product state's -0.0 stays -0.0 when
+    # every pair is screened, and an unscreened pair's 0.0 makes it 0.0
+    for n in range(3, 9):
+        product = np.zeros((1, 2**n), dtype=complex)
+        product[0, 0] = 1.0
+        assert np.signbit(_kernels._ckw_r2(product, n, 0, -np.inf)[0][0]), n
+        assert not np.signbit(_kernels._ckw_r2(product, n, 0, np.inf)[0][0]), n
+
+
+def test_c_source_compiles_without_warnings(tmp_path):
+    # index arithmetic and fixed-size buffers are where a silent sign or size bug would hide;
+    # the build's own flags, since some warnings (-Wmaybe-uninitialized on partly filled
+    # lane arrays) come only from the optimizer
+    command = _kernels._compiler() + list(_kernels._CFLAGS) + [
+        "-Wall", "-Wextra", "-Werror", "-c", "-o", str(tmp_path / "_svd4.o"), str(SRC / "_svd4.c"),
+    ]
     done = subprocess.run(command, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    assert (tmp_path / "_svd4.o").stat().st_size > 0
 
 
 def _load_copy(directory: Path):

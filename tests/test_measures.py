@@ -33,17 +33,17 @@ def test_violation_threshold_value():
 
 
 def test_normalize_alpha_snap_and_validation():
-    assert measures.normalize_alpha is _kernels.normalize_alpha  # one definition of the domain
+    assert not hasattr(measures, "normalize_alpha")  # one definition of the domain
     for near_one in (1.0 + 5e-10, 1.0 - 5e-10, np.float32(1.0), 1):
-        assert measures.normalize_alpha(near_one) == 1.0
-        assert type(measures.normalize_alpha(near_one)) is float
-    assert measures.normalize_alpha(2) == 2.0
-    assert measures.normalize_alpha(np.int64(3)) == 3.0
-    assert measures.normalize_alpha(1.5) == 1.5
+        assert _kernels.normalize_alpha(near_one) == 1.0
+        assert type(_kernels.normalize_alpha(near_one)) is float
+    assert _kernels.normalize_alpha(2) == 2.0
+    assert _kernels.normalize_alpha(np.int64(3)) == 3.0
+    assert _kernels.normalize_alpha(1.5) == 1.5
     for bad in (0.99, 1.0 - 2e-9, 0.0, -1.0, float("nan"), float("inf"), "2", "2.0", True, np.True_,
                 None, 2j, [2.0], np.array([2.0]), 10**400):
         with pytest.raises(ValueError, match="^alpha must be a real number"):
-            measures.normalize_alpha(bad)
+            _kernels.normalize_alpha(bad)
     # the kernels take the same domain: a value just below 1 snaps there too
     assert _kernels.renyi_from_c(0.5, 1.0 - 5e-10) == _kernels.renyi_from_c(0.5, 1.0)
 

@@ -77,6 +77,11 @@ def test_block_descent_matches_sequential_reference(objective, alpha):
     assert rec.final_residuals == measures.residual_report(rows[-1][2], cfg.layout, cfg.alpha)
 
 
+# what every step length refuses, through one check (_kernels.checked_delta)
+BAD_DELTAS = (0.0, -1e-3, float("inf"), float("nan"), True, False, np.True_, "1e-3", None, 1e-3 + 0j,
+              [1e-3], 10**400)
+
+
 def test_search_config_validation():
     search.SearchConfig()
     with pytest.raises(ValueError):
@@ -88,9 +93,12 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         search.SearchConfig(counter_max=0)
     for name in ("delta0", "delta_min"):
-        for bad in (float("inf"), float("nan")):
-            with pytest.raises(ValueError, match=name):
+        for bad in BAD_DELTAS:
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
                 search.SearchConfig(**{name: bad})
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+                search.ContinuationSchedule(alphas=(1.5,), **{name: bad})
+    search.SearchConfig(delta0=1, delta_min=np.float32(1e-3))
     with pytest.raises(ValueError):
         search.SearchConfig(seed_state=np.array([1, 0, 0, 0], dtype=complex))
 
@@ -211,8 +219,8 @@ def test_random_walk_region_rejects_negative_steps(violating_record):
 
 
 def test_random_walk_region_rejects_bad_delta(violating_record):
-    for bad in (0.0, -1e-3, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="delta"):
+    for bad in BAD_DELTAS:
+        with pytest.raises(ValueError, match="^delta must be finite and positive"):
             search.random_walk_region(violating_record.final_state, bad, 10)
 
 
