@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -67,15 +68,22 @@ class Trace(Sequence):
     is built on access; one object per row cost about 1 KB, and a
     continuation stage can accept 10^5 states."""
 
-    def __init__(self, rows, states: np.ndarray, ss: np.ndarray, mono: np.ndarray):
-        """rows: (step, delta, states_since_accept) of each entry; states:
-        their (n, 16) amplitudes; ss, mono: their residuals, copied."""
-        self._steps = np.array([row[0] for row in rows], dtype=np.int64)
-        self._deltas = np.array([row[1] for row in rows], dtype=float)
-        self._since = np.array([row[2] for row in rows], dtype=np.int64)
+    def __init__(self, steps, deltas, since, states: np.ndarray, ss, mono):
+        """The columns of n entries: steps, deltas, states_since_accept, the
+        (n, 16) amplitudes (held, not copied) and the two residuals."""
+        self._steps = np.array(steps, dtype=np.int64)
+        self._deltas = np.array(deltas, dtype=float)
+        self._since = np.array(since, dtype=np.int64)
         self._states = states
         self._ss = np.array(ss, dtype=float)
         self._mono = np.array(mono, dtype=float)
+
+    _COLUMNS = ("_steps", "_deltas", "_since", "_states", "_ss", "_mono")  # the constructor's order
+
+    @classmethod
+    def joined(cls, parts) -> Trace:
+        """One trace of the entries of `parts` (at least one), in order."""
+        return cls(*(np.concatenate([getattr(part, name) for part in parts]) for name in cls._COLUMNS))
 
     def __len__(self) -> int:
         return len(self._steps)
@@ -149,12 +157,14 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
         config.seed_state if config.seed_state is not None else sampler.haar_random_state(4, gen)
     )
     best = objective(current[None])[0]
-    accepted = [(0, config.delta0, current, 0)]  # step, delta, state, since
+    # the accepted states' amplitudes, one after another, and their columns
+    kept = bytearray(current.tobytes())
+    steps, deltas, since = array("q", [0]), array("d", [config.delta0]), array("q", [0])
     delta = config.delta0
     counter = 0
     step = 0
     while delta >= config.delta_min:
-        size = _block_size(len(accepted) - 1, step, config.counter_max - counter)
+        size = _block_size(len(steps) - 1, step, config.counter_max - counter)
         saved = gen.bit_generator.state
         candidates = _kernels.displace(current, delta, sampler.unit_noise(gen, size))
         values = objective(candidates)
@@ -172,19 +182,20 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
         step += j + 1
         current = candidates[j].copy()  # a row view would pin the whole block
         best = values[j]
-        accepted.append((step, delta, current, step - accepted[-1][0]))
+        kept += current.tobytes()
+        since.append(step - steps[-1])
+        steps.append(step)
+        deltas.append(delta)
         counter = 0
     # both residuals of every accepted state in one call; a row's bits depend
     # neither on its batch nor on the pair terms asked for, so the objective
     # keeps its accepted value
-    states = np.array([row[2] for row in accepted])
+    states = np.frombuffer(kept, dtype=complex).reshape(len(steps), -1).copy()
+    del kept
     table = measures.residual_table(states, layout, alpha)
     return RunRecord(
         config=config,
-        trace=Trace(
-            [(at, at_delta, since) for at, at_delta, _, since in accepted],
-            states, table[:, measures.SS], table[:, measures.MONO],
-        ),
+        trace=Trace(steps, deltas, since, states, table[:, measures.SS], table[:, measures.MONO]),
         final_state=current,
         final_residuals=measures.ResidualReport(alpha, *table[-1].tolist()),
         total_states_generated=step,

@@ -2,7 +2,8 @@
 
 Each writer's document builder is the only description of its format: a
 reload parses a document's inputs, builds from them the document this build
-would write and checks the stored one against it with `_agree`. Every number
+would write and checks the stored one against it with `_agree`; a run
+archive's trace is checked a block of rows at a time as it is read. Every number
 a run archive stores, the fingerprint included, comes from the compiled
 amplitude kernels in `_kernels`, never from a density matrix. All text comes
 from one stdlib JSON encoder, which spells each float as its shortest
@@ -10,8 +11,11 @@ round-trip repr, so every stored number reloads bit for bit.
 """
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
+import re
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -191,13 +195,17 @@ def make_archive(record: search.RunRecord, created_at: str | None = None) -> Run
     return RunArchive(FORMAT_VERSION, created_at, record, fingerprint)
 
 
+def _trace_row(entry: search.TraceEntry) -> dict:
+    return {**vars(entry), "state": _state_doc(entry.state)}
+
+
 def _run_doc(archive: RunArchive) -> dict:
     record = archive.record
     return {
         "format_version": archive.format_version,
         "created_at": archive.created_at,
         "config": _config_doc(record.config),
-        "trace": _Rows(record.trace, lambda entry: {**vars(entry), "state": _state_doc(entry.state)}),
+        "trace": _Rows(record.trace, _trace_row),
         "final_state": _state_doc(record.final_state),
         "final_residuals": asdict(record.final_residuals),
         "fingerprint": archive.fingerprint,
@@ -272,20 +280,121 @@ def _parsed_states(obj: dict) -> dict:
     return obj
 
 
+@contextlib.contextmanager
+def _malformed(what: str):
+    """A missing key or a value of the wrong type or range in a document,
+    reported as ArchiveError."""
+    try:
+        yield
+    except ArchiveError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ArchiveError(f"malformed {what}: {exc!r}") from None
+
+
+# characters per read of a document, and the decoder of its values
+_READ_CHARS = 1 << 16
+_DECODER = json.JSONDecoder(parse_constant=_finite, object_hook=_parsed_states)
+_SPACE = re.compile(r"[ \t\n\r]*")
+_NUMBER_CHARS = frozenset("0123456789.eE+-")  # what may go on after a number's last digit
+
+
+class _Stream:
+    """A document's JSON text, read a window at a time: each value is decoded
+    as soon as the window holds all of it, and the text before it is dropped,
+    so that a long trace is never held as text."""
+
+    def __init__(self, file, what: str):
+        self._file, self._what = file, what
+        self._text, self._at = "", 0
+        self._dropped = 0  # characters of the file before the window
+
+    def _malformed(self, message: str) -> ArchiveError:
+        return ArchiveError(f"malformed {self._what}: {message}")
+
+    def _more(self) -> bool:
+        """Read as much again as the window still holds, at least _READ_CHARS;
+        False at the end of the file."""
+        try:
+            piece = self._file.read(max(_READ_CHARS, len(self._text) - self._at))
+        except UnicodeDecodeError as exc:
+            raise self._malformed(str(exc)) from None
+        self._dropped += self._at
+        self._text, self._at = self._text[self._at:] + piece, 0
+        return bool(piece)
+
+    def peek(self) -> str:
+        """The next character that is not whitespace; "" at the end."""
+        while True:
+            self._at = _SPACE.match(self._text, self._at).end()
+            if self._at < len(self._text) or not self._more():
+                return self._text[self._at:self._at + 1]
+
+    def take(self, char: str) -> None:
+        if (found := self.peek()) != char:
+            raise self._malformed(f"expected {char!r} but found {found or 'the end'!r}")
+        self._at += 1
+
+    def value(self):
+        self.peek()
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self._text, self._at)
+            except json.JSONDecodeError as exc:
+                where = self._dropped + exc.pos
+                if self._more():  # the value may go on past the window
+                    continue
+                raise self._malformed(f"{exc.msg} at character {where}") from None
+            except ValueError as exc:  # a NaN or an infinity
+                raise self._malformed(str(exc)) from None
+            # a number that ends the window may go on in the next piece
+            if (end < len(self._text) and self._text[end] not in _NUMBER_CHARS) or not self._more():
+                self._at = end
+                return value
+
+    def items(self):
+        """The values of the list that comes next, one at a time."""
+        self.take("[")
+        if self.peek() != "]":
+            yield self.value()
+            while self.peek() == ",":
+                self._at += 1
+                yield self.value()
+        self.take("]")
+
+
 def _read(source, what: str) -> dict:
     """Parse a document once: a JSON object without NaN or Infinity, of this
-    format version when it names one (bare state documents do not)."""
-    try:
-        doc = json.loads(
-            Path(source).read_text(encoding="utf-8"), parse_constant=_finite, object_hook=_parsed_states
-        )
-    except ValueError as exc:
-        raise ArchiveError(f"malformed {what}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ArchiveError(f"malformed {what}: top level must be an object")
-    if doc.get("format_version", FORMAT_VERSION) != FORMAT_VERSION:
-        raise ArchiveError(f"unknown {what} format version {doc['format_version']!r}")
-    return doc
+    format version when it names one (bare state documents do not). A run
+    archive's "trace" list that follows its "config" is checked and packed as
+    it is read (_checked_trace), and the document holds the Trace."""
+    with open(source, encoding="utf-8") as file:
+        stream = _Stream(file, what)
+        if stream.peek() != "{":
+            stream.value()
+            raise ArchiveError(f"malformed {what}: top level must be an object")
+        stream.take("{")
+        doc = {}
+        more = stream.peek() != "}"
+        while more:
+            if type(key := stream.value()) is not str:
+                raise ArchiveError(f"malformed {what}: a key must be a string, not {key!r}")
+            if key in doc:
+                raise ArchiveError(f"malformed {what}: key {key!r} appears twice")
+            stream.take(":")
+            if key == "trace" and "config" in doc and stream.peek() == "[":
+                with _malformed(what):
+                    doc[key] = _checked_trace(_config_from_doc(doc["config"]), stream.items())
+            else:
+                doc[key] = stream.value()
+            if key == "format_version" and doc[key] != FORMAT_VERSION:
+                raise ArchiveError(f"unknown {what} format version {doc[key]!r}")
+            if more := stream.peek() == ",":
+                stream.take(",")
+        stream.take("}")
+        if stream.peek():
+            raise ArchiveError(f"malformed {what}: text after the top-level object")
+    return _parsed_states(doc)
 
 
 def _agree(stored, fresh, where: str = "") -> None:
@@ -310,44 +419,66 @@ def _agree(stored, fresh, where: str = "") -> None:
         )
 
 
+# rows of a stored trace checked per kernel call
+_TRACE_BLOCK = 64
+
+
+def _checked_block(config: search.SearchConfig, rows: list, first: int) -> search.Trace:
+    parsed = [
+        (int(row["step"]), _finite(row["delta"]),
+         _state_from_doc(row["state"], f"trace row {n} state"), int(row["states_since_accept"]))
+        for n, row in enumerate(rows, first)
+    ]
+    states = np.array([state for _, _, state, _ in parsed], dtype=complex).reshape(len(parsed), 16)
+    table = measures.residual_table(states, config.layout, config.alpha)
+    steps, deltas, since = ([row[k] for row in parsed] for k in (0, 1, 3))
+    part = search.Trace(steps, deltas, since, states, table[:, measures.SS], table[:, measures.MONO])
+    for n, (row, entry) in enumerate(zip(rows, part), first):
+        _agree(row, _trace_row(entry), f"trace row {n}")
+    return part
+
+
+def _checked_trace(config: search.SearchConfig, rows) -> search.Trace:
+    """The Trace of stored rows, checked a block at a time: each block is
+    parsed, scored in one kernel call and compared with the rows this build
+    writes for it, so that a long trace is never held as parsed rows."""
+    rows, parts = iter(rows), []
+    while True:
+        block = list(itertools.islice(rows, _TRACE_BLOCK))
+        parts.append(_checked_block(config, block, len(parts) * _TRACE_BLOCK))
+        if len(block) < _TRACE_BLOCK:
+            return search.Trace.joined(parts)
+
+
 def _run_from_doc(doc: dict) -> RunArchive:
-    try:
+    with _malformed("archive document"):
         config = _config_from_doc(doc["config"])
-        rows = [
-            (int(row["step"]), _finite(row["delta"]),
-             _state_from_doc(row["state"], f"trace row {n} state"), int(row["states_since_accept"]))
-            for n, row in enumerate(doc["trace"])
-        ]
+        trace = doc["trace"]
+        if not isinstance(trace, search.Trace):  # parsed whole, not checked as it was read
+            trace = _checked_trace(config, trace)
         final_state = _state_from_doc(doc["final_state"], "final_state")
         created_at = str(doc["created_at"])
         total = int(doc["total_states_generated"])
         final_delta = _finite(doc["final_delta"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ArchiveError):
-            raise
-        raise ArchiveError(f"malformed archive document: {exc!r}") from None
-    states = np.array([row[2] for row in rows] + [final_state])
-    table = measures.residual_table(states, config.layout, config.alpha)
-    trace = search.Trace(
-        [(step, delta, since) for step, delta, _, since in rows],
-        states[:-1], table[:-1, measures.SS], table[:-1, measures.MONO],
-    )
-    final_residuals = measures.ResidualReport(config.alpha, *table[-1].tolist())
+    final_residuals = measures.residual_report(final_state, config.layout, config.alpha)
     record = search.RunRecord(config, trace, final_state, final_residuals, total, final_delta)
     archive = make_archive(record, created_at)
-    _agree(doc, _run_doc(archive))
+    # the trace's rows were compared as they were checked
+    _agree({**doc, "trace": None}, {**_run_doc(archive), "trace": None})
     return archive
 
 
 def load_run(source) -> RunArchive:
     """Parse an archive and check it against the document this build writes
     for its inputs: the norm of every state, every residual and the
-    fingerprint are evaluated again. The record carries the fresh residuals."""
+    fingerprint are evaluated again. The record carries the fresh residuals.
+    The trace is checked as it is read, so a long one is held only as its
+    Trace."""
     return _run_from_doc(_read(source, "archive document"))
 
 
 def _scan_from_doc(doc: dict) -> search.ScanSummary:
-    try:
+    with _malformed("scan document"):
         config = doc["config"]
         layout = measures.PairingLayout(**config["layout"])
         alpha = _kernels.normalize_alpha(config["alpha"])
@@ -358,10 +489,6 @@ def _scan_from_doc(doc: dict) -> search.ScanSummary:
             min_residual=measures.residual_report(state, layout, alpha).ss_residual,
         )
         created_at = str(doc["created_at"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ArchiveError):
-            raise
-        raise ArchiveError(f"malformed scan document: {exc!r}") from None
     _agree(doc, _scan_doc(summary, created_at))
     return summary
 

@@ -1,6 +1,7 @@
 """Archive round trips, canonical formatting, and load-time validation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,3 +414,95 @@ def test_documents_load_whatever_their_layout_and_number_spelling(tmp_path):
     bare = tmp_path / "state.json"
     bare.write_text(json.dumps({"state": [[1, 0]] + [[0, 0]] * 15}))
     np.testing.assert_array_equal(store.load_state_document(bare)[0], basis)
+
+
+def _long_record(n_rows: int) -> search.RunRecord:
+    """A record whose trace holds n_rows Haar states, scored as the descent
+    scores its trace; a descent with that many accepts takes seconds."""
+    config = search.SearchConfig(rng=sampler.RngSeed(11))
+    gen = sampler.generator(config.rng)
+    states = np.array([sampler.haar_random_state(4, gen) for _ in range(n_rows)])
+    table = measures.residual_table(states, config.layout, config.alpha)
+    steps = 3 * np.arange(n_rows)
+    deltas = config.delta0 * 0.5 ** (np.arange(n_rows) // 50)
+    trace = search.Trace(steps, deltas, np.minimum(steps, 3), states, table[:, measures.SS], table[:, measures.MONO])
+    final = measures.residual_report(states[-1], config.layout, config.alpha)
+    return search.RunRecord(config, trace, states[-1], final, 3 * n_rows, deltas[-1])
+
+
+def _written(tmp_path, record) -> tuple:
+    path = tmp_path / "run.json"
+    store.save_run(store.make_archive(record, PINNED_TIME), path)
+    return path, path.read_text(encoding="utf-8")
+
+
+def _reloaded_text(path) -> str:
+    return store.canonical_json(store._run_doc(store.load_run(path)))
+
+
+def test_load_run_reads_a_trace_a_window_and_a_block_at_a_time(tmp_path, monkeypatch):
+    # 7-character windows split every number, key and row of the text, and 150
+    # rows fill two kernel blocks and part of a third; in any layout the
+    # reloaded record writes the stored text again
+    path, written = _written(tmp_path, _long_record(150))
+    doc = json.loads(written)
+    monkeypatch.setattr(store, "_READ_CHARS", 7)
+    for text in (written, json.dumps(doc), json.dumps(doc, indent=3)):
+        path.write_text(text)
+        assert _reloaded_text(path) == written
+    # 128 rows end on a block boundary
+    path, written = _written(tmp_path, _long_record(128))
+    assert _reloaded_text(path) == written
+
+
+@pytest.mark.parametrize("trace_first", [False, True], ids=["streamed", "parsed-whole"])
+def test_load_run_checks_every_block_of_the_trace(tmp_path, trace_first):
+    # a trace that comes before its config is parsed whole and checked after
+    # it; either way a damaged row in the second block is found
+    path, written = _written(tmp_path, _long_record(70))
+    doc = json.loads(written)
+    if trace_first:
+        doc = {"trace": doc.pop("trace"), **doc}
+        path.write_text(json.dumps(doc))
+        assert _reloaded_text(path) == written
+    doc["trace"][66]["ss_residual"] += 1e-6
+    path.write_text(json.dumps(doc))
+    with pytest.raises(store.ArchiveError, match="trace row 66 ss_residual"):
+        store.load_run(path)
+    doc["trace"][66]["ss_residual"] -= 1e-6
+    doc["trace"][67]["state"][0][0] = 5.0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(store.ArchiveError, match="trace row 67 state norm"):
+        store.load_run(path)
+
+
+def test_load_run_refuses_a_repeated_key_and_text_after_the_document(tmp_path, short_record):
+    path = tmp_path / "run.json"
+    store.save_run(store.make_archive(short_record), path)
+    text = path.read_text()
+    path.write_text(text.replace('"format_version": 1,', '"format_version": 1, "format_version": 1,', 1))
+    with pytest.raises(store.ArchiveError, match="'format_version' appears twice"):
+        store.load_run(path)
+    path.write_text(text + "{}")
+    with pytest.raises(store.ArchiveError, match="after the top-level object"):
+        store.load_run(path)
+    # a decoding error names its place in the file, not in the window
+    at = text.index('"trace": [') + len('"trace": [')
+    path.write_text(text[:at] + "," + text[at:])
+    with pytest.raises(store.ArchiveError, match=f"Expecting value at character {at}"):
+        store.load_run(path)
+
+
+def test_load_run_holds_neither_the_text_nor_the_parsed_trace(tmp_path):
+    # a 2,000-row archive is 1.75 MB of text and its Trace 0.6 MB; parsed
+    # whole, the text and the parsed rows took twice the text at once, and
+    # read as it is checked the load peaks at 0.8 of it
+    path, _ = _written(tmp_path, _long_record(2000))
+    tracemalloc.start()
+    try:
+        store.load_run(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
