@@ -17,10 +17,13 @@ batch. There is one path for each quantity:
   `renyi_entropies`: the same library's 4x4 singular values (sv4w), Wootters
   lambdas (spin_flip4) and Renyi maps, which the two kernels above use inside
   C and the density-matrix entries in `measures` call from Python;
-- `displace`: normalize(start + delta z[r]) for each row of z, from the start
-  state or chained along the rows (displace): the proposals of the descent,
-  the region walk and `sampler.perturb_within`, with the bits of the numpy
-  expression it replaced.
+- `displace`: normalize(start + delta z[r]) for each row of z (displace):
+  the proposals of the descent and `sampler.perturb_within`, with the bits of
+  the numpy expression it replaced;
+- `walk`: the region walk's chain of those steps, each from the one before,
+  scored as it is built (walk), until the first row outside the region: the
+  chain's bits are those of one-row `displace` calls, and its table's those
+  of `measures.residual_table`.
 """
 from __future__ import annotations
 
@@ -106,9 +109,13 @@ def _load_svd4() -> ctypes.CDLL:
         ctypes.c_void_p, ctypes.c_void_p,
     )
     lib.displace.argtypes = (
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int,
-        ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p,
     )
+    lib.walk.argtypes = (
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p, ctypes.c_double,
+        ctypes.c_double, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
+    )
+    lib.walk.restype = ctypes.c_ssize_t
     for name in ("svd4", "lambdas", "renyi_of_c", "renyi_of_spectra", "terms", "ckw_r2", "displace"):
         getattr(lib, name).restype = None
     return lib
@@ -248,16 +255,22 @@ def _checked_states(states, dim: int) -> np.ndarray:
     return np.ascontiguousarray(states)
 
 
-def _terms(states: np.ndarray, layout, alpha: float, k: int, separable_det: float):
-    """batched_terms with the PPT screen of its pairs after a1b1 and a2b2 at
-    `separable_det`: +inf screens none of them."""
-    states = _checked_states(states, 16)
+def _checked_layout(layout) -> tuple:
+    """layout as a tuple of ints, a permutation of 0..3, or ValueError."""
     try:
         roles = tuple(checked_index(q, "a layout role") for q in layout)
     except (TypeError, ValueError):
         roles = ()
     if sorted(roles) != [0, 1, 2, 3]:
         raise ValueError(f"layout must be a permutation of 0..3, got {layout!r}")
+    return roles
+
+
+def _terms(states: np.ndarray, layout, alpha: float, k: int, separable_det: float):
+    """batched_terms with the PPT screen of its pairs after a1b1 and a2b2 at
+    `separable_det`: +inf screens none of them."""
+    states = _checked_states(states, 16)
+    roles = _checked_layout(layout)
     if not 1 <= (k := checked_index(k, "k")) <= 6:
         raise ValueError(f"k must be an integer in 1..6, got {k!r}")
     alpha = normalize_alpha(alpha)
@@ -295,27 +308,62 @@ def fingerprint_terms(states: np.ndarray, layout, alpha: float) -> tuple:
     return pairs, singular_values4(states[:, index[:3]].reshape(-1, 3, 4, 4)) ** 2
 
 
-def displace(start: np.ndarray, delta: float, z: np.ndarray, chained: bool = False) -> np.ndarray:
-    """normalize(base + delta * z[r]) for each row of the complex128 (m, dim)
-    array z, dim the length of the complex128 vector start; base is start, or,
-    when chained, the previous row's result (start for the first), so that
-    row r is where r + 1 accepted steps lead. delta is a finite positive real.
+def _checked_start(start, dim: int | None = None) -> np.ndarray:
+    """start as a C-contiguous complex128 vector, of length dim if one is given, or ValueError."""
+    if not (isinstance(start, np.ndarray) and start.dtype == np.complex128 and start.ndim == 1
+            and dim in (None, start.shape[0])):
+        raise ValueError(
+            f"need a complex128 start vector{'' if dim is None else f' of length {dim}'}, got "
+            f"{getattr(start, 'dtype', type(start).__name__)} {getattr(start, 'shape', '')}"
+        )
+    return np.ascontiguousarray(start)
+
+
+def displace(start: np.ndarray, delta: float, z: np.ndarray) -> np.ndarray:
+    """normalize(start + delta * z[r]) for each row of the complex128 (m, dim)
+    array z, dim the length of the complex128 vector start; delta is a finite
+    positive real.
 
     _svd4.c's displace takes numpy's operations in numpy's order, so a row has
-    the bits of `c = base + delta * z[r]; c / np.linalg.norm(c, axis=-1,
+    the bits of `c = start + delta * z[r]; c / np.linalg.norm(c, axis=-1,
     keepdims=True)`, whatever m; the tests keep that expression as the oracle.
     """
     delta = checked_delta(delta)
-    if not (isinstance(start, np.ndarray) and start.dtype == np.complex128 and start.ndim == 1):
-        raise ValueError(
-            f"need a complex128 start vector, got {getattr(start, 'dtype', type(start).__name__)} "
-            f"{getattr(start, 'shape', '')}"
-        )
+    start = _checked_start(start)
     z = _checked_states(z, start.shape[0])
-    start = np.ascontiguousarray(start)
     out = np.empty_like(z)
-    _SVD4.displace(start.ctypes.data, z.ctypes.data, z.shape[0], z.shape[1], delta, chained, out.ctypes.data)
+    _SVD4.displace(start.ctypes.data, z.ctypes.data, z.shape[0], z.shape[1], delta, out.ctypes.data)
     return out
+
+
+def walk(start: np.ndarray, delta: float, z: np.ndarray, layout, alpha: float, threshold: float):
+    """The region walk's next run of visits from the complex128 4-qubit state
+    start along the complex128 (m, 16) steps z: row r of the chain is where
+    r + 1 accepted steps lead, normalize(base + delta * z[r]) with base start,
+    then the row before, with the bits of a one-row `displace` from that base.
+    Each row is scored as `measures.residual_table` scores it (the bipartite
+    term, the four pair terms, ss, mono), bit for bit, and the walk stops at
+    the first row whose ss is not below threshold; a NaN is not below.
+
+    Returns (kept, chain, table): kept is that row's index, or m if every row
+    stays below, and chain (n, 16) and table (n, 7) hold the rows up to and
+    including it, n = min(kept + 1, m). _svd4.c's walk builds and scores
+    eight rows at a time, so rows past the stop are not computed.
+    """
+    delta = checked_delta(delta)
+    start = _checked_start(start, 16)
+    z = _checked_states(z, 16)
+    _, index = _terms_index(_checked_layout(layout), 4)
+    alpha = normalize_alpha(alpha)
+    if math.isnan(bound := _real(threshold)):
+        raise ValueError(f"threshold must be a real number, got {threshold!r}")
+    chain, table = np.empty_like(z), np.empty((z.shape[0], 7))
+    kept = _SVD4.walk(
+        start.ctypes.data, z.ctypes.data, z.shape[0], delta, index, alpha, SEPARABLE_DET, bound,
+        chain.ctypes.data, table.ctypes.data,
+    )
+    n = min(kept + 1, z.shape[0])
+    return kept, chain[:n], table[:n]
 
 
 def ss_residuals(e_bip: np.ndarray, pair: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
  * matrices (svd4), the Wootters lambdas of two-qubit factors (lambdas), the
  * Renyi maps (renyi_of_c, renyi_of_spectra), the SS / monogamy terms of
  * 4-qubit states (terms), the CKW R2 residual of 3..8 qubits (ckw_r2) and the
- * displaced, renormalized states of the descent and the walk (displace).
+ * displaced, renormalized states of the descent (displace) and the scored
+ * chain of the region walk (walk).
  *
  * Singular values come from cyclic one-sided Jacobi (Hestenes; Demmel &
  * Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)). Columns p < q are
@@ -79,6 +80,33 @@ static void sv4w(struct lanes *L)
         for (int c = 0; c < N; c++)
             for (int r = 0; r < N; r++)
                 L->re[c][r][w] = L->im[c][r][w] = 0.0;
+    /* each lane scaled by 2^-e[w], which brings its largest column norm into
+     * [1/2, 1), and its values scaled back at the end: both exact, so a lane
+     * near unit scale keeps its bits, and one far from it no longer has its
+     * rotation test underflow (entries below about 1e-75) or overflow. A lane
+     * whose squared norms are all 0 (entries below about 1e-162) or reach inf
+     * keeps e = 0. */
+    int e[W];
+    for (int w = 0; w < W; w++) {
+        double big = 0.0;
+        for (int c = 0; c < N; c++) {
+            double n2 = 0.0;
+            for (int r = 0; r < N; r++)
+                n2 += L->re[c][r][w] * L->re[c][r][w] + L->im[c][r][w] * L->im[c][r][w];
+            if (n2 > big)
+                big = n2;
+        }
+        e[w] = 0;
+        if (big > 0.0 && big < INFINITY) {
+            frexp(sqrt(big), &e[w]);
+            double scale = ldexp(1.0, -e[w]);
+            for (int c = 0; c < N; c++)
+                for (int r = 0; r < N; r++) {
+                    L->re[c][r][w] *= scale;
+                    L->im[c][r][w] *= scale;
+                }
+        }
+    }
     for (int sweep = 0; sweep < MAX_SWEEPS; sweep++) {
         int rotated = 0;
         for (int p = 0; p < N - 1; p++)
@@ -97,7 +125,12 @@ static void sv4w(struct lanes *L)
                     }
                 for (int w = 0; w < W; w++) {
                     double g2 = gr[w] * gr[w] + gi[w] * gi[w];
-                    take[w] = g2 > TOL * TOL * np[w] * nq[w] && g2 != 0.0;
+                    /* g2 >= DBL_MIN as well: at a subnormal g2, sqrt(g2)
+                     * has lost the precision that makes the phase below
+                     * unit-modulus, and each later rotation would stretch the
+                     * lane's columns (a near-null column of a rank-deficient
+                     * lane falls that far) */
+                    take[w] = g2 > TOL * TOL * np[w] * nq[w] && g2 >= DBL_MIN;
                     any |= take[w];
                 }
                 if (!any)
@@ -129,7 +162,7 @@ static void sv4w(struct lanes *L)
             double n2 = 0.0;
             for (int r = 0; r < N; r++)
                 n2 += L->re[c][r][w] * L->re[c][r][w] + L->im[c][r][w] * L->im[c][r][w];
-            double v = sqrt(n2);
+            double v = ldexp(sqrt(n2), e[w]);
             int k = c; /* insertion sort, descending */
             while (k > 0 && out[k - 1] < v) {
                 out[k] = out[k - 1];
@@ -505,10 +538,9 @@ void ckw_r2(const double *states, const ptrdiff_t *index, ptrdiff_t count, int n
     }
 }
 
-/* The displaced states of the descent and the walk: out[r] = normalize(base
- * + delta z[r]) for count rows of dim complex128 amplitudes, where base is
- * start, or, when chained, out[r - 1] (start for r = 0). Each step takes
- * numpy's operations in numpy's order, so out holds the bits of
+/* The displaced states of the descent and the walk: normalize(base + delta
+ * z) for a row z of dim complex128 amplitudes. Each step takes numpy's
+ * operations in numpy's order, so a row holds the bits of
  *     c = base + delta * z; c / np.linalg.norm(c, axis=-1, keepdims=True):
  * c componentwise, the squares |c_j|^2 = fma(re, re, im im) of c.conj() * c
  * as numpy multiplies on FMA hardware, added in numpy's pairwise order
@@ -550,21 +582,62 @@ static double norm_sum(const double *c, ptrdiff_t n)
     return norm_sum(c, half) + norm_sum(c + 2 * half, n - half);
 }
 
-/* start: dim complex128 amplitudes; z, out: count rows of dim */
-void displace(const double *start, const double *z, ptrdiff_t count, ptrdiff_t dim, double delta,
-              int chained, double *out)
+/* c = normalize(base + delta z), each dim complex128 amplitudes */
+static void step(const double *base, const double *z, ptrdiff_t dim, double delta, double *c)
 {
-    for (ptrdiff_t row = 0; row < count; row++) {
-        const double *base = chained && row > 0 ? out + 2 * dim * (row - 1) : start;
-        const double *zr = z + 2 * dim * row;
-        double *c = out + 2 * dim * row;
-        for (ptrdiff_t j = 0; j < 2 * dim; j++)
-            c[j] = base[j] + delta * zr[j];
-        double scl = 1.0 / sqrt(norm_sum(c, dim));
-        for (ptrdiff_t j = 0; j < dim; j++) {
-            double re = c[2 * j], im = c[2 * j + 1];
-            c[2 * j] = (re + im * 0.0) * scl;
-            c[2 * j + 1] = (im - re * 0.0) * scl;
+    for (ptrdiff_t j = 0; j < 2 * dim; j++)
+        c[j] = base[j] + delta * z[j];
+    double scl = 1.0 / sqrt(norm_sum(c, dim));
+    for (ptrdiff_t j = 0; j < dim; j++) {
+        double re = c[2 * j], im = c[2 * j + 1];
+        c[2 * j] = (re + im * 0.0) * scl;
+        c[2 * j + 1] = (im - re * 0.0) * scl;
+    }
+}
+
+/* the descent's proposals: start: dim complex128 amplitudes; z, out: count
+ * rows of dim, out[r] = normalize(start + delta z[r]) */
+void displace(const double *start, const double *z, ptrdiff_t count, ptrdiff_t dim, double delta, double *out)
+{
+    for (ptrdiff_t row = 0; row < count; row++)
+        step(start, z + 2 * dim * row, dim, delta, out + 2 * dim * row);
+}
+
+/* rows chained and scored per call of terms in walk: a rejection wastes the
+ * rest of its group, and a group's fixed cost is small */
+#define WALK_ROWS 8
+
+/* The walk's next run of visits. Row r of states is where r + 1 accepted
+ * steps from start lead, normalize(base + delta z[r]) with base start, then
+ * the row before; table row r holds its residual_table row: the bipartite
+ * term and the four pair terms of terms (k = 4), then ss = (e - p0) - p1 and
+ * mono = (ss - p2) - p3, in numpy's order of operations. The rows are built
+ * and scored WALK_ROWS at a time, and the walk stops at the first row whose
+ * ss is not below threshold (a NaN is not). Returns that row's index, or
+ * count if every row stays below; rows up to it are written, and the rest of
+ * its group may be.
+ *
+ * start: 16 complex128 amplitudes; z, states: count rows of 16; index:
+ * 5 x 16 amplitude indices, as terms takes them; table: count rows of 7 */
+ptrdiff_t walk(const double *start, const double *z, ptrdiff_t count, double delta, const ptrdiff_t *index,
+               double alpha, double separable_det, double threshold, double *states, double *table)
+{
+    double out[WALK_ROWS][5];
+    for (ptrdiff_t row0 = 0; row0 < count; row0 += WALK_ROWS) {
+        int rows = count - row0 < WALK_ROWS ? (int)(count - row0) : WALK_ROWS;
+        for (ptrdiff_t row = row0; row < row0 + rows; row++)
+            step(row ? states + 2 * N * N * (row - 1) : start, z + 2 * N * N * row, N * N, delta,
+                 states + 2 * N * N * row);
+        terms(states + 2 * N * N * row0, index, rows, 4, alpha, separable_det, out[0]);
+        for (int i = 0; i < rows; i++) {
+            double *t = table + 7 * (row0 + i);
+            for (int x = 0; x < 5; x++)
+                t[x] = out[i][x];
+            t[5] = (out[i][0] - out[i][1]) - out[i][2];
+            t[6] = (t[5] - out[i][3]) - out[i][4];
+            if (!(t[5] < threshold))
+                return row0 + i;
         }
     }
+    return count;
 }

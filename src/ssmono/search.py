@@ -19,8 +19,11 @@ SCAN_CHUNK = 4096
 # amplitudes per kernel call and per normalization within a chunk, so that the
 # temporaries of scoring one chunk stay well below the chunk's own 1 MiB
 SCORE_BLOCK = 2**12
-# proposals scored per kernel call in the descent and the walk
+# proposals scored per kernel call in the descent
 BLOCK_MIN, BLOCK_MAX = 8, 64
+# proposals drawn at a time by the walk, whose kernel stops at a rejection
+# itself, so that a block only bounds its memory (about 150 KB)
+WALK_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,10 +130,10 @@ class ContinuationSchedule:
 
 
 def _block_size(events: int, trials: int, cap: int) -> int:
-    """Proposals per kernel call. An event (an accept in the descent, a
-    rejection in the walk) wastes the rest of its block; with a call's fixed
-    cost worth about five rows, the cost per consumed proposal is least near
-    B = sqrt(2*5/p) = 3.2/sqrt(p), p the run's own event rate so far."""
+    """Proposals per kernel call in the descent. An accept wastes the rest of
+    its block; with a call's fixed cost worth about five rows, the cost per
+    consumed proposal is least near B = sqrt(2*5/p) = 3.2/sqrt(p), p the
+    run's own accept rate so far."""
     p = (events + 1) / (trials + 1)
     return min(cap, BLOCK_MAX, max(BLOCK_MIN, round(3.2 / math.sqrt(p))))
 
@@ -217,10 +220,11 @@ def random_walk_region(
     only if its ss residual stays below the violation threshold. The start
     state's report always comes first.
 
-    Each step draws one proposal whatever the outcome, so the chain of a block
-    of draws is built as if every step were accepted and scored in one call;
-    the prefix before the first rejection is kept, and the walk carries on
-    from the step after it.
+    Each step draws one proposal whatever the outcome, so a block of draws is
+    chained and scored as if every step were accepted, in one compiled call
+    (`_kernels.walk`) that stops at the first rejection; the walk carries on
+    from the step after it with another call. The rows a rejection leaves
+    unscored are at most seven, so a block can be long.
     """
     a = _kernels.normalize_alpha(alpha)
     state = linalg.as_state(start)
@@ -233,23 +237,19 @@ def random_walk_region(
             f"start state is not in the violation region (ss residual {report.ss_residual})"
         )
     gen = sampler.generator(rng)
+    roles = layout.as_tuple()
     reports = [report]
     current = state
-    done = rejected = 0
-    while done < steps:
-        z = sampler.unit_noise(gen, _block_size(rejected, done, steps - done))
+    for done in range(0, steps, WALK_BLOCK):
+        z = sampler.unit_noise(gen, min(WALK_BLOCK, steps - done))
         r = 0
         while r < z.shape[0]:
-            chain = _kernels.displace(current, delta, z[r:], chained=True)
-            table = measures.residual_table(chain, layout, a)
-            # the first row outside the region, or len(chain) if there is none
-            kept = int(np.argmin(np.append(table[:, measures.SS] < measures.VIOLATION_THRESHOLD, False)))
+            # kept: the rows before the first outside the region
+            kept, chain, table = _kernels.walk(current, delta, z[r:], roles, a, measures.VIOLATION_THRESHOLD)
             reports += [measures.ResidualReport(a, *row) for row in table[:kept].tolist()]
             if kept:
                 current = chain[kept - 1]
-            rejected += kept < len(chain)
             r += kept + 1
-        done += z.shape[0]
     return reports
 
 

@@ -25,8 +25,7 @@ import numpy as np
 from . import _kernels, linalg, measures, sampler, search
 
 FORMAT_VERSION = 1
-# reload checks: norm drift, and drift of every stored number from its re-derivation
-LOAD_NORM_TOL = 1e-9
+# reload check: drift of every stored number from its re-derivation
 LOAD_RESIDUAL_TOL = 1e-9
 _KERNEL_PAIRS = ("a1b1", "a2b2", "a1b2", "a2b1", "a1a2", "b1b2")  # fingerprint_terms' pair order
 
@@ -144,7 +143,10 @@ def _state_doc(amps: np.ndarray) -> _Pairs:
 
 
 def _state_from_doc(pairs, what: str) -> np.ndarray:
-    """A 4-qubit state stored as [re, im] pairs, with its norm checked."""
+    """A 4-qubit state stored as [re, im] pairs, with its norm checked to
+    linalg.NORM_TOL: the tolerance of `linalg.as_state`, through which the
+    final, seed and argmin states are scored and fingerprinted again, so
+    that a state this check passes never fails there."""
     try:
         arr = np.asarray(pairs, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -153,8 +155,8 @@ def _state_from_doc(pairs, what: str) -> np.ndarray:
         raise ArchiveError(f"malformed {what}: expected 16 [re, im] pairs")
     state = np.ascontiguousarray(arr).view(complex).ravel()  # re + 1j * im would turn -0.0 into 0.0
     norm = float(np.linalg.norm(state))
-    if not abs(norm - 1.0) <= LOAD_NORM_TOL:
-        raise ArchiveError(f"{what} norm {norm} deviates from 1 beyond {LOAD_NORM_TOL}")
+    if not abs(norm - 1.0) <= linalg.NORM_TOL:
+        raise ArchiveError(f"{what} norm {norm} deviates from 1 beyond {linalg.NORM_TOL}")
     return state
 
 
@@ -207,7 +209,7 @@ def _run_doc(archive: RunArchive) -> dict:
         "config": _config_doc(record.config),
         "trace": _Rows(record.trace, _trace_row),
         "final_state": _state_doc(record.final_state),
-        "final_residuals": asdict(record.final_residuals),
+        "final_residuals": record.final_residuals._asdict(),
         "fingerprint": archive.fingerprint,
         "total_states_generated": record.total_states_generated,
         "final_delta": record.final_delta,

@@ -67,3 +67,9 @@ def apply_local_unitary(state, qubit: int, u) -> np.ndarray:
     t = psi.reshape((2,) * n)
     out = np.tensordot(mat, t, axes=([1], [qubit]))
     return np.moveaxis(out, 0, qubit).reshape(-1)
+
+
+def relabeled(psi: np.ndarray, layout) -> np.ndarray:
+    """The 4-qubit psi with qubit k moved to qubit layout[k], so that its
+    residuals at layout are those of psi at the canonical layout."""
+    return np.ascontiguousarray(psi.reshape(2, 2, 2, 2).transpose(np.argsort(layout)).reshape(16))

@@ -15,7 +15,7 @@ import pytest
 from mpmath import mp
 
 import oracle
-from conftest import bell_product, ghz_state, random_state, w_state
+from conftest import bell_product, ghz_state, random_state, relabeled, w_state
 
 from ssmono import _kernels, measures, sampler, search
 
@@ -257,15 +257,49 @@ def test_displace_matches_the_numpy_formula():
         for delta in (1e-8, 1e-5, 1e-3, 2e-2, 0.3, 1.0):
             start = sampler.haar_random_state(n, gen)
             z = sampler.unit_noise(gen, 24, 2**n)
-            chain, state = np.empty_like(z), start
-            for r in range(z.shape[0]):
-                state = chain[r] = _numpy_displace(state, delta, z[r])
-            for chained, want in ((False, _numpy_displace(start, delta, z)), (True, chain)):
-                got = _kernels.displace(start, delta, z, chained)
-                assert got.shape == want.shape and got.dtype == np.complex128
-                assert np.max(np.abs(got.view(float) - want.view(float))) <= 2.3e-16, (n, delta, chained)
-                # a row never depends on the rows after it
-                assert _kernels.displace(start, delta, z[:5], chained).tobytes() == got[:5].tobytes()
+            want = _numpy_displace(start, delta, z)
+            got = _kernels.displace(start, delta, z)
+            assert got.shape == want.shape and got.dtype == np.complex128
+            assert np.max(np.abs(got.view(float) - want.view(float))) <= 2.3e-16, (n, delta)
+            # a row never depends on the rows after it
+            assert _kernels.displace(start, delta, z[:5]).tobytes() == got[:5].tobytes()
+
+
+def test_walk_matches_the_numpy_chain_and_the_residual_table(seed0_optimum):
+    # from the optimum, delta = 1e-3 stays in the region, 2e-2 leaves it
+    # within a few steps and 0.3 at once, and at alpha = 1 there is no
+    # region; threshold +inf keeps every row of a chain
+    for alpha in (2.0, 1.5, 1.0):
+        for layout in (measures.CANONICAL_LAYOUT, measures.PairingLayout(2, 0, 3, 1)):
+            gen = sampler.generator(sampler.RngSeed(9, int(10 * alpha)))
+            start = relabeled(seed0_optimum, layout.as_tuple())
+            for delta in (1e-3, 2e-2, 0.3):
+                z = sampler.unit_noise(gen, 45)
+                chain, state = np.empty_like(z), start
+                for r in range(z.shape[0]):
+                    state = chain[r] = _numpy_displace(state, delta, z[r])
+                table = measures.residual_table(chain, layout, alpha)
+                inside = table[:, measures.SS] < measures.VIOLATION_THRESHOLD
+                stop = int(np.argmin(np.append(inside, False)))  # the first row outside, or 45
+                for threshold, kept in ((measures.VIOLATION_THRESHOLD, stop), (np.inf, 45)):
+                    got_kept, got_chain, got_table = _kernels.walk(start, delta, z, layout.as_tuple(), alpha, threshold)
+                    case = (alpha, layout, delta, threshold)
+                    assert got_kept == kept, case
+                    assert len(got_chain) == len(got_table) == min(kept + 1, 45), case
+                    assert np.max(np.abs(got_chain.view(float) - chain[:len(got_chain)].view(float))) <= 2.3e-16
+                    # the chain has the bits of one-row displace calls, and
+                    # its table those of residual_table on the chain
+                    steps = [start, *got_chain[:-1]]
+                    for r in range(len(got_chain)):
+                        assert _kernels.displace(steps[r], delta, z[r:r + 1])[0].tobytes() == got_chain[r].tobytes()
+                    want = measures.residual_table(got_chain, layout, alpha)
+                    assert got_table.tobytes() == want.tobytes(), case
+    # a row outside the region ends the walk there, a NaN row too
+    z = sampler.unit_noise(sampler.generator(sampler.RngSeed(10)), 20)
+    z[6, 3] = np.nan
+    kept, chain, table = _kernels.walk(seed0_optimum, 1e-3, z, (0, 1, 2, 3), 2.0, measures.VIOLATION_THRESHOLD)
+    assert kept == 6 and len(chain) == 7 and np.isnan(table[6]).all()
+    assert _kernels.walk(seed0_optimum, 1e-3, z[:0], (0, 1, 2, 3), 2.0, 0.0)[0] == 0
 
 
 def test_displace_refuses_bad_input_before_the_kernel_runs(monkeypatch):
@@ -285,7 +319,36 @@ def test_displace_refuses_bad_input_before_the_kernel_runs(monkeypatch):
         with pytest.raises(ValueError, match=r"complex128 \(m, 16\)"):
             _kernels.displace(start, 1e-3, bad)
     with pytest.raises(AssertionError):
-        _kernels.displace(start, np.float64(1e-3), z, chained=True)
+        _kernels.displace(start, np.float64(1e-3), z)
+
+
+def test_walk_refuses_bad_input_before_the_kernel_runs(monkeypatch):
+    class Refuse:
+        def __getattr__(self, name):
+            raise AssertionError(f"the C kernel {name} was called")
+
+    monkeypatch.setattr(_kernels, "_SVD4", Refuse())
+    start, z, layout = np.full(16, 0.25, dtype=complex), np.zeros((3, 16), dtype=complex), (0, 1, 2, 3)
+    for bad in (np.nan, np.inf, 0.0, -1e-3, True, "1e-3", 1e-3 + 0j, None):
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            _kernels.walk(start, bad, z, layout, 2.0, -1e-7)
+    for bad in (start.real, start.astype(np.complex64), start[None], start[:8], start.tolist()):
+        with pytest.raises(ValueError, match="complex128 start vector of length 16"):
+            _kernels.walk(bad, 1e-3, z, layout, 2.0, -1e-7)
+    for bad in (z.real, z.astype(np.complex64), z[:, :8], z[0], z.reshape(3, 4, 4), z.tolist()):
+        with pytest.raises(ValueError, match=r"complex128 \(m, 16\)"):
+            _kernels.walk(start, 1e-3, bad, layout, 2.0, -1e-7)
+    for bad in ((0, 1, 2), (0, 1, 2, 2), (0, 1, 2, 3.0), (0, 1, 2, True), None):
+        with pytest.raises(ValueError, match="layout must be a permutation"):
+            _kernels.walk(start, 1e-3, z, bad, 2.0, -1e-7)
+    for bad in (0.5, np.nan, "2", True, None):
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            _kernels.walk(start, 1e-3, z, layout, bad, -1e-7)
+    for bad in (np.nan, "-1e-7", None, 1j):
+        with pytest.raises(ValueError, match="threshold must be a real number"):
+            _kernels.walk(start, 1e-3, z, layout, 2.0, bad)
+    with pytest.raises(AssertionError):
+        _kernels.walk(start, np.float64(1e-3), z, np.array(layout), np.float64(2.0), -np.inf)
 
 
 def _boundary_states():
@@ -330,7 +393,7 @@ def test_screened_terms_are_the_unscreened_terms_bit_for_bit(seed0_optimum):
     gen = sampler.generator(sampler.RngSeed(214))
     haar = sampler.unit_noise(gen, search.SCAN_CHUNK)
     walk = np.vstack([
-        _kernels.displace(seed0_optimum, 1e-3, sampler.unit_noise(gen, 1000), chained=True),
+        _kernels.walk(seed0_optimum, 1e-3, sampler.unit_noise(gen, 1000), (0, 1, 2, 3), 2.0, np.inf)[1],
         _kernels.displace(seed0_optimum, 2e-2, sampler.unit_noise(gen, 1000)),
     ])
     boundary = _boundary_states()
@@ -362,12 +425,60 @@ def test_a_nan_row_gives_nan_terms_whatever_the_screen():
         assert np.isfinite(e_bip[[0, 2]]).all() and np.isfinite(pair[[0, 2]]).all()
 
 
+# The alpha = 2 optimum up to local unitaries: a real state fixed by the pair
+# swap P (a1 <-> a2 with b1 <-> b2) and the side swap S (a <-> b), so E(a1b1)
+# = E(a2b2). Its a1b1 and a2b2 spin-flip blocks tau have rank 2 and two
+# equal columns; the Jacobi sweeps used to rotate a near-null column down to
+# a subnormal |g|^2, whose square root has lost the precision that keeps the
+# phase unit-modulus, and scored ss = -0.02351 against the true -0.01977.
+OPTIMUM_SYMMETRIC = np.array([
+    -0.2111167265974103, 0.09042036820115495, 0.09042036820115491, -0.04530863020174932,
+    0.09042036820115495, 0.33015298135325155, -0.045308631528827796, -0.1808038156725565,
+    0.09042036820115486, -0.04530863152882782, 0.33015298135325155, -0.18080381567255643,
+    -0.045308630201749404, -0.18080381567255643, -0.18080381567255643, -0.7521654116248717,
+], dtype=complex)
+
+
+def test_real_rank_deficient_pair_blocks_keep_their_singular_values():
+    report = measures.residual_report(OPTIMUM_SYMMETRIC)
+    assert report.e_a1b1 == report.e_a2b2
+    e_bip, pair = oracle.terms(OPTIMUM_SYMMETRIC, (0, 1, 2, 3), (2.0,))[2.0]
+    with mp.workdps(oracle.DPS):
+        assert abs(report.ss_residual - float(e_bip - pair[0] - pair[1])) < 1e-13
+    # real P,S-symmetric neighbours: at the unguarded kernel about 7% of their
+    # a1b1 blocks at 1e-14 to 1e-10 came out wrong, by up to 1e-3
+    rng = np.random.default_rng(230)
+    v = rng.standard_normal((400, 16)).reshape(-1, 2, 2, 2, 2)
+    v = (v + v.transpose(0, 2, 1, 4, 3) + v.transpose(0, 3, 4, 1, 2) + v.transpose(0, 4, 3, 2, 1)).reshape(-1, 16)
+    for eps in (1e-14, 1e-12, 1e-10, 1e-8):
+        states = OPTIMUM_SYMMETRIC + eps * v
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        blocks = states.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)  # qubits 0, 2
+        tau = np.swapaxes(blocks, 1, 2) @ SPIN_FLIP @ blocks
+        lam = _kernels.spin_flip_lambdas(blocks)
+        assert np.max(np.abs(lam - np.linalg.svd(tau, compute_uv=False))) < 1e-14, eps
+
+
+def test_singular_values_of_matrices_far_from_unit_scale():
+    # each lane is scaled by a power of 2 before the sweeps, so a matrix far
+    # from unit scale gets the values of its unit-scale copy, scaled exactly;
+    # the unscaled kernel skipped every rotation below about 1e-77. Entries
+    # below about 1e-162 (the subnormal lane kind) square to 0, and their
+    # lane is not scaled.
+    a = _haar_blocks(231, 50)
+    unit = _kernels.singular_values4(a)
+    for scale in (2.0**-535, 2.0**-260, 2.0**-100, 2.0**100, 2.0**500):
+        assert _kernels.singular_values4(a * scale).tobytes() == (unit * scale).tobytes(), scale
+    assert np.max(np.abs(unit - np.linalg.svd(a, compute_uv=False))) < 1e-14
+
+
 def _lane_kinds():
     """One 4x4 matrix of each kind the lockstep SVD must keep apart: Haar,
     rank one, zero, NaN, subnormal, and a slow one: a complex Gaussian draw
-    scaled to 1e-80, where TOL^2 np nq underflows into the subnormals and the
+    scaled to 1e-80, where TOL^2 np nq underflowed into the subnormals and the
     one-matrix kernel took 16 sweeps (counted in an instrumented build)
-    against the 5 to 7 of a Haar matrix."""
+    against the 5 to 7 of a Haar matrix, until each lane was scaled to unit
+    size."""
     rng = np.random.default_rng(216)
     haar = _haar_blocks(216, 1)[0]
     u, v = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
@@ -436,12 +547,16 @@ def _digests() -> dict:
 
 
 # _digests() at the commit before the lockstep SVD, which ran one matrix at a
-# time; the bits rest on numpy's default_rng streams and on libm's log2,
-# expm1, log1p and log, as on x86-64 glibc
+# time, with the rows of the 1e-80 "slow" kind alone taken again once each
+# lane was scaled to unit size and a subnormal |g|^2 no longer rotated: its 3
+# singular_values4 and spin_flip_lambdas rows and its 3 rows in each
+# alpha = 1.5 and alpha = 1 _terms case; its singular values and lambdas now
+# agree with LAPACK's on the rescaled matrix to 1e-14. The bits rest on numpy's default_rng streams and on libm's
+# log2, expm1, log1p and log, as on x86-64 glibc.
 GOLDEN_DIGESTS = {
-    "singular_values4": "40ae90246f9ad2f5",
-    "spin_flip_lambdas": "9cdc6c67a6814439",
-    "_terms": "837c6f7999763099",
+    "singular_values4": "d19a99efcba10703",
+    "spin_flip_lambdas": "f8eaf11df122af5d",
+    "_terms": "a3a1e63fc1e0e0e9",
     "_ckw_r2": "a99e26ed541ad25b",
 }
 

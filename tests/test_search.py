@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bell_product, random_state
+from conftest import bell_product, random_state, relabeled
 
 from ssmono import _kernels, measures, sampler, search
 
@@ -226,28 +226,32 @@ def test_random_walk_region_rejects_bad_delta(violating_record):
 
 def test_random_walk_region_matches_sequential_reference(violating_record):
     # delta = 2e-2 leaves the region often enough that the walk's blocks
-    # are cut short by rejections many times
-    start, delta, steps, alpha = violating_record.final_state, 2e-2, 400, 2.0
-    layout, rng = measures.PairingLayout(0, 1, 2, 3), sampler.RngSeed(3, 5)
-    reports = search.random_walk_region(start, delta, steps, alpha, layout, rng)
-    gen = sampler.generator(rng)
-    current, visited = start, [start]
-    for _ in range(steps):
-        candidate = sampler.perturb_within(current, delta, gen)
-        if measures.residual_report(candidate, layout, alpha).ss_residual < measures.VIOLATION_THRESHOLD:
-            current = candidate
-            visited.append(candidate)
-    assert 20 < len(visited) < steps - 20
-    assert reports == [measures.residual_report(s, layout, alpha) for s in visited]
-    for state, report in list(zip(visited, reports))[::25]:
-        assert report.e_bipartite == pytest.approx(
-            measures.bipartite_pure_entanglement(state, (0, 1), alpha), abs=1e-10
-        )
-        for (i, j), term in zip(
-            ((0, 2), (1, 3), (0, 3), (1, 2)),
-            (report.e_a1b1, report.e_a2b2, report.e_a1b2, report.e_a2b1),
-        ):
-            assert term == pytest.approx(measures.pair_entanglement(state, i, j, alpha), abs=1e-10)
+    # are cut short by rejections many times; a non-canonical layout walks
+    # the optimum with its qubits relabeled to match
+    delta, steps = 2e-2, 400
+    for alpha, layout in ((2.0, (0, 1, 2, 3)), (1.5, (0, 1, 2, 3)), (2.0, (2, 0, 3, 1)), (1.5, (3, 2, 0, 1))):
+        start = relabeled(violating_record.final_state, layout)
+        layout, rng = measures.PairingLayout(*layout), sampler.RngSeed(3, 5)
+        reports = search.random_walk_region(start, delta, steps, alpha, layout, rng)
+        gen = sampler.generator(rng)
+        current, visited = start, [start]
+        for _ in range(steps):
+            candidate = sampler.perturb_within(current, delta, gen)
+            if measures.residual_report(candidate, layout, alpha).ss_residual < measures.VIOLATION_THRESHOLD:
+                current = candidate
+                visited.append(candidate)
+        assert 20 < len(visited) < steps - 20, (alpha, layout)
+        assert reports == [measures.residual_report(s, layout, alpha) for s in visited], (alpha, layout)
+        assert all(type(report) is measures.ResidualReport for report in reports)
+        for state, report in list(zip(visited, reports))[::25]:
+            assert report.e_bipartite == pytest.approx(
+                measures.bipartite_pure_entanglement(state, sorted((layout.a1, layout.a2)), alpha), abs=1e-10
+            )
+            for (i, j), term in zip(
+                ((layout.a1, layout.b1), (layout.a2, layout.b2), (layout.a1, layout.b2), (layout.a2, layout.b1)),
+                (report.e_a1b1, report.e_a2b2, report.e_a1b2, report.e_a2b1),
+            ):
+                assert term == pytest.approx(measures.pair_entanglement(state, i, j, alpha), abs=1e-10)
 
 
 def test_continuation_schedule_validation():

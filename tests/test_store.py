@@ -201,6 +201,28 @@ def test_load_run_rejects_norm_drift(tmp_path, short_record):
         store.load_run(path)
 
 
+def test_a_state_is_loaded_at_the_norm_tolerance_it_is_scored_at(tmp_path, short_record):
+    # off unit norm by 1e-10: the loader once let a final state through at
+    # 1e-9, and scoring it again then raised a plain ValueError at 1e-12
+    def off(pairs):
+        return [[(1 + 1e-10) * re, (1 + 1e-10) * im] for re, im in pairs]
+
+    path = tmp_path / "run.json"
+    store.save_run(store.make_archive(short_record), path)
+    final, trace = json.loads(path.read_text()), json.loads(path.read_text())
+    final["final_state"] = off(final["final_state"])
+    trace["trace"][1]["state"] = off(trace["trace"][1]["state"])
+    for where, doc in (("final_state", final), ("trace row 1 state", trace)):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(store.ArchiveError, match=f"{where} norm .* beyond 1e-12"):
+            store.load_run(path)
+        with pytest.raises(store.ArchiveError, match=f"{where} norm"):
+            store.load_state_document(path)
+    path.write_text(json.dumps({"state": final["final_state"]}))
+    with pytest.raises(store.ArchiveError, match="state norm"):
+        store.load_state_document(path)
+
+
 def test_load_run_rejects_residual_mismatch(tmp_path, short_record):
     path = tmp_path / "run.json"
     store.save_run(store.make_archive(short_record), path)
