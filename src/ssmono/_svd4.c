@@ -84,8 +84,7 @@ static void sv4w(struct lanes *L)
      * [1/2, 1), and its values scaled back at the end: both exact, so a lane
      * near unit scale keeps its bits, and one far from it no longer has its
      * rotation test underflow (entries below about 1e-75) or overflow. A lane
-     * whose squared norms are all 0 (entries below about 1e-162) or reach inf
-     * keeps e = 0. */
+     * whose squared norms reach inf keeps e = 0. */
     int e[W];
     for (int w = 0; w < W; w++) {
         double big = 0.0;
@@ -97,7 +96,26 @@ static void sv4w(struct lanes *L)
                 big = n2;
         }
         e[w] = 0;
-        if (big > 0.0 && big < INFINITY) {
+        if (big == 0.0 && w < L->used) {
+            /* every squared norm underflowed (entries below about 1e-162):
+             * the largest |component| is brought into [1/2, 1) instead, by
+             * two exact multiplies, since 2^-e itself overflows past 2^1023.
+             * A zero lane keeps e = 0. */
+            double top = 0.0;
+            for (int c = 0; c < N; c++)
+                for (int r = 0; r < N; r++)
+                    top = fmax(top, fmax(fabs(L->re[c][r][w]), fabs(L->im[c][r][w])));
+            if (top > 0.0) {
+                frexp(top, &e[w]);
+                int h = -e[w] / 2;
+                double first = ldexp(1.0, h), second = ldexp(1.0, -e[w] - h);
+                for (int c = 0; c < N; c++)
+                    for (int r = 0; r < N; r++) {
+                        L->re[c][r][w] = L->re[c][r][w] * first * second;
+                        L->im[c][r][w] = L->im[c][r][w] * first * second;
+                    }
+            }
+        } else if (big > 0.0 && big < INFINITY) {
             frexp(sqrt(big), &e[w]);
             double scale = ldexp(1.0, -e[w]);
             for (int c = 0; c < N; c++)

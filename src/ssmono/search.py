@@ -21,9 +21,9 @@ SCAN_CHUNK = 4096
 SCORE_BLOCK = 2**12
 # proposals scored per kernel call in the descent
 BLOCK_MIN, BLOCK_MAX = 8, 64
-# proposals drawn at a time by the walk, whose kernel stops at a rejection
-# itself, so that a block only bounds its memory (about 150 KB)
-WALK_BLOCK = 256
+# noise rows drawn at a time by the descent and the walk; a row does not
+# depend on the state it displaces, so a block only bounds memory (64 KiB)
+NOISE_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,10 +130,10 @@ class ContinuationSchedule:
 
 
 def _block_size(events: int, trials: int, cap: int) -> int:
-    """Proposals per kernel call in the descent. An accept wastes the rest of
-    its block; with a call's fixed cost worth about five rows, the cost per
-    consumed proposal is least near B = sqrt(2*5/p) = 3.2/sqrt(p), p the
-    run's own accept rate so far."""
+    """Proposals per kernel call in the descent. An accept wastes the rows of
+    its block scored after it, though not their draws; with a call's fixed
+    cost worth about five rows, the cost per consumed proposal is least near
+    B = sqrt(2*5/p) = 3.2/sqrt(p), p the run's own accept rate so far."""
     p = (events + 1) / (trials + 1)
     return min(cap, BLOCK_MAX, max(BLOCK_MIN, round(3.2 / math.sqrt(p))))
 
@@ -143,9 +143,11 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
     strict improvements accepted, delta halved after counter_max consecutive
     rejections, termination once delta drops below delta_min.
 
-    Proposals are scored in blocks. When candidate j of a block improves, the
-    generator is rewound to the block's start and j + 1 proposals are drawn
-    again, so the record equals that of a one-candidate-at-a-time loop. Blocks
+    A proposal is normalize(current + delta * z) for a unit noise row z that
+    does not depend on the current state, so noise is drawn NOISE_BLOCK rows
+    at a time and scored in blocks of rows. When candidate j of a block
+    improves, the rows after it are displaced from the new state in the next
+    block, so the record equals that of a one-candidate-at-a-time loop. Blocks
     never run past counter_max, so delta only halves at a block boundary.
     """
     gen = sampler.generator(config.rng)
@@ -166,13 +168,16 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
     delta = config.delta0
     counter = 0
     step = 0
+    z, r = np.empty((0, 16), dtype=complex), 0  # the noise block and its next unscored row
     while delta >= config.delta_min:
-        size = _block_size(len(steps) - 1, step, config.counter_max - counter)
-        saved = gen.bit_generator.state
-        candidates = _kernels.displace(current, delta, sampler.unit_noise(gen, size))
+        if r == z.shape[0]:
+            z, r = sampler.unit_noise(gen, NOISE_BLOCK), 0
+        size = min(_block_size(len(steps) - 1, step, config.counter_max - counter), z.shape[0] - r)
+        candidates = _kernels.displace(current, delta, z[r : r + size])
         values = objective(candidates)
         better = np.flatnonzero(values < best)
         if better.size == 0:
+            r += size
             step += size
             counter += size
             if counter >= config.counter_max:
@@ -180,8 +185,7 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
                 counter = 0
             continue
         j = int(better[0])
-        gen.bit_generator.state = saved
-        sampler.unit_noise(gen, j + 1)  # consume only the proposals up to the accept
+        r += j + 1
         step += j + 1
         current = candidates[j].copy()  # a row view would pin the whole block
         best = values[j]
@@ -240,8 +244,8 @@ def random_walk_region(
     roles = layout.as_tuple()
     reports = [report]
     current = state
-    for done in range(0, steps, WALK_BLOCK):
-        z = sampler.unit_noise(gen, min(WALK_BLOCK, steps - done))
+    for done in range(0, steps, NOISE_BLOCK):
+        z = sampler.unit_noise(gen, min(NOISE_BLOCK, steps - done))
         r = 0
         while r < z.shape[0]:
             # kept: the rows before the first outside the region

@@ -70,32 +70,8 @@ class _Rows:
         return self._make(self._items[n])
 
 
-class _Pairs:
-    """A state in a document: its [re, im] rows, held as one float (n, 2)
-    array instead of a list per amplitude. The encoder writes it as that
-    nested list, and the parser builds one from each stored state
-    (`_parsed_states`), so a stored state and its re-derivation compare as
-    two of these."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype, copy=copy)
-
-    def __eq__(self, other):
-        return isinstance(other, _Pairs) and np.array_equal(self.values, other.values)
-
-    def __repr__(self) -> str:
-        return repr(self.values.tolist())
-
-
 def _plain(value):
-    """The encoder's fallback for the two non-JSON types a document holds."""
-    if isinstance(value, _Pairs):
-        return value.values.tolist()
+    """The encoder's fallback for the one non-JSON type a document holds."""
     if isinstance(value, np.integer):
         return int(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -137,9 +113,9 @@ def compact_json(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 # document builders
 
-def _state_doc(amps: np.ndarray) -> _Pairs:
+def _state_doc(amps: np.ndarray) -> list:
     # a complex128 array viewed as float64 is its [re, im] pairs, bit for bit
-    return _Pairs(np.ascontiguousarray(amps, dtype=complex).view(float).reshape(-1, 2))
+    return np.ascontiguousarray(amps, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def _state_from_doc(pairs, what: str) -> np.ndarray:
@@ -153,6 +129,9 @@ def _state_from_doc(pairs, what: str) -> np.ndarray:
         raise ArchiveError(f"malformed {what}: {exc}") from None
     if arr.shape != (16, 2):
         raise ArchiveError(f"malformed {what}: expected 16 [re, im] pairs")
+    # numpy would also parse a string; a JSON number parses as an int, a float or a bool
+    if not all(isinstance(x, (int, float)) for pair in pairs for x in pair):
+        raise ArchiveError(f"malformed {what}: an amplitude is not a number")
     state = np.ascontiguousarray(arr).view(complex).ravel()  # re + 1j * im would turn -0.0 into 0.0
     norm = float(np.linalg.norm(state))
     if not abs(norm - 1.0) <= linalg.NORM_TOL:
@@ -259,29 +238,6 @@ def _finite(value) -> float:
     return number
 
 
-_STATE_KEYS = ("state", "seed_state", "final_state", "argmin_state")
-# bool too: a stored true compared equal to a re-derived 1.0 as a list item
-_NUMBER_TYPES = (float, int, bool)
-
-
-def _parsed_states(obj: dict) -> dict:
-    """json object_hook: each state of a parsed object, a list of [re, im]
-    number pairs, becomes _Pairs as soon as it is parsed, so that a long
-    trace never holds a list per amplitude. Anything else is left as parsed,
-    for the loader to judge as before."""
-    for key in _STATE_KEYS:
-        pairs = obj.get(key)
-        if type(pairs) is list and all(
-            type(p) is list and len(p) == 2 and type(p[0]) in _NUMBER_TYPES and type(p[1]) in _NUMBER_TYPES
-            for p in pairs
-        ):
-            try:
-                obj[key] = _Pairs(np.array(pairs, dtype=float))
-            except OverflowError:  # an integer beyond float range; _state_from_doc says so
-                pass
-    return obj
-
-
 @contextlib.contextmanager
 def _malformed(what: str):
     """A missing key or a value of the wrong type or range in a document,
@@ -296,7 +252,7 @@ def _malformed(what: str):
 
 # characters per read of a document, and the decoder of its values
 _READ_CHARS = 1 << 16
-_DECODER = json.JSONDecoder(parse_constant=_finite, object_hook=_parsed_states)
+_DECODER = json.JSONDecoder(parse_constant=_finite)
 _SPACE = re.compile(r"[ \t\n\r]*")
 _NUMBER_CHARS = frozenset("0123456789.eE+-")  # what may go on after a number's last digit
 
@@ -396,7 +352,7 @@ def _read(source, what: str) -> dict:
         stream.take("}")
         if stream.peek():
             raise ArchiveError(f"malformed {what}: text after the top-level object")
-    return _parsed_states(doc)
+    return doc
 
 
 def _agree(stored, fresh, where: str = "") -> None:
@@ -410,7 +366,7 @@ def _agree(stored, fresh, where: str = "") -> None:
         for key in fresh:
             _agree(stored[key], fresh[key], f"{where} {key}".lstrip())
         return
-    if isinstance(stored, list) and isinstance(fresh, (list, _Rows)) and len(stored) == len(fresh):
+    if isinstance(stored, list) and isinstance(fresh, list) and len(stored) == len(fresh):
         for n, (kept, again) in enumerate(zip(stored, fresh)):
             _agree(kept, again, f"{where} row {n}")
         return

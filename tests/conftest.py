@@ -7,6 +7,21 @@ import numpy as np
 
 from ssmono import linalg
 
+SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # sigma_y (x) sigma_y
+
+# The alpha = 2 optimum up to local unitaries: a real state fixed by the pair
+# swap P (a1 <-> a2 with b1 <-> b2) and the side swap S (a <-> b), so E(a1b1)
+# = E(a2b2). Its a1b1 and a2b2 spin-flip blocks tau have rank 2 and two
+# equal columns; the Jacobi sweeps used to rotate a near-null column down to
+# a subnormal |g|^2, whose square root has lost the precision that keeps the
+# phase unit-modulus, and scored ss = -0.02351 against the true -0.01977.
+OPTIMUM_SYMMETRIC = np.array([
+    -0.2111167265974103, 0.09042036820115495, 0.09042036820115491, -0.04530863020174932,
+    0.09042036820115495, 0.33015298135325155, -0.045308631528827796, -0.1808038156725565,
+    0.09042036820115486, -0.04530863152882782, 0.33015298135325155, -0.18080381567255643,
+    -0.045308630201749404, -0.18080381567255643, -0.18080381567255643, -0.7521654116248717,
+], dtype=complex)
+
 
 def bell_pair() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)

@@ -426,6 +426,15 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_string_amplitudes_exit_two(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"state": [["1.0", 0]] + [[0, 0]] * 15}))
+    code, out, err = run_cli(["analyze", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "an amplitude is not a number" in err
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run_cli(["analyze", "/nonexistent/file.json"], capsys)
     assert code == 2

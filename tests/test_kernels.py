@@ -15,12 +15,11 @@ import pytest
 from mpmath import mp
 
 import oracle
-from conftest import bell_product, ghz_state, random_state, relabeled, w_state
+from conftest import OPTIMUM_SYMMETRIC, SPIN_FLIP, bell_product, ghz_state, random_state, relabeled, w_state
 
 from ssmono import _kernels, measures, sampler, search
 
 SRC = Path(_kernels.__file__).parent
-SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # sigma_y (x) sigma_y
 
 
 def _haar_blocks(seed, count):
@@ -425,20 +424,6 @@ def test_a_nan_row_gives_nan_terms_whatever_the_screen():
         assert np.isfinite(e_bip[[0, 2]]).all() and np.isfinite(pair[[0, 2]]).all()
 
 
-# The alpha = 2 optimum up to local unitaries: a real state fixed by the pair
-# swap P (a1 <-> a2 with b1 <-> b2) and the side swap S (a <-> b), so E(a1b1)
-# = E(a2b2). Its a1b1 and a2b2 spin-flip blocks tau have rank 2 and two
-# equal columns; the Jacobi sweeps used to rotate a near-null column down to
-# a subnormal |g|^2, whose square root has lost the precision that keeps the
-# phase unit-modulus, and scored ss = -0.02351 against the true -0.01977.
-OPTIMUM_SYMMETRIC = np.array([
-    -0.2111167265974103, 0.09042036820115495, 0.09042036820115491, -0.04530863020174932,
-    0.09042036820115495, 0.33015298135325155, -0.045308631528827796, -0.1808038156725565,
-    0.09042036820115486, -0.04530863152882782, 0.33015298135325155, -0.18080381567255643,
-    -0.045308630201749404, -0.18080381567255643, -0.18080381567255643, -0.7521654116248717,
-], dtype=complex)
-
-
 def test_real_rank_deficient_pair_blocks_keep_their_singular_values():
     report = measures.residual_report(OPTIMUM_SYMMETRIC)
     assert report.e_a1b1 == report.e_a2b2
@@ -463,13 +448,19 @@ def test_singular_values_of_matrices_far_from_unit_scale():
     # each lane is scaled by a power of 2 before the sweeps, so a matrix far
     # from unit scale gets the values of its unit-scale copy, scaled exactly;
     # the unscaled kernel skipped every rotation below about 1e-77. Entries
-    # below about 1e-162 (the subnormal lane kind) square to 0, and their
-    # lane is not scaled.
+    # below about 1e-162 square to 0, so their lane is scaled from its
+    # largest |component| instead; it used to be left unscaled and came out
+    # 0.92 off at 2^-538 and [0, 0, 0, 0] at 1e-310.
     a = _haar_blocks(231, 50)
     unit = _kernels.singular_values4(a)
-    for scale in (2.0**-535, 2.0**-260, 2.0**-100, 2.0**100, 2.0**500):
+    lapack = np.linalg.svd(a, compute_uv=False)
+    for scale in (2.0**-1000, 2.0**-538, 2.0**-535, 2.0**-260, 2.0**-100, 2.0**100, 2.0**500):
         assert _kernels.singular_values4(a * scale).tobytes() == (unit * scale).tobytes(), scale
-    assert np.max(np.abs(unit - np.linalg.svd(a, compute_uv=False))) < 1e-14
+    assert np.max(np.abs(unit - lapack)) < 1e-14
+    # subnormal entries keep about 14 significant digits of the unscaled
+    # copy's, and the values no more (7.2e-14 relative, measured)
+    got = _kernels.singular_values4(a * 1e-310)
+    assert np.all(np.abs(got - lapack * 1e-310) <= 1e-12 * lapack[:, :1] * 1e-310)
 
 
 def _lane_kinds():
@@ -551,10 +542,15 @@ def _digests() -> dict:
 # lane was scaled to unit size and a subnormal |g|^2 no longer rotated: its 3
 # singular_values4 and spin_flip_lambdas rows and its 3 rows in each
 # alpha = 1.5 and alpha = 1 _terms case; its singular values and lambdas now
-# agree with LAPACK's on the rescaled matrix to 1e-14. The bits rest on numpy's default_rng streams and on libm's
-# log2, expm1, log1p and log, as on x86-64 glibc.
+# agree with LAPACK's on the rescaled matrix to 1e-14. The 3 singular_values4
+# rows of the "subnormal" kind were taken again once a lane whose squared
+# column norms all underflow was scaled from its largest |component|: they
+# were [0, 0, 0, 0] and now agree with LAPACK's. Its spin_flip_lambdas rows
+# stay 0, since its spin-flip product underflows. The bits rest on numpy's
+# default_rng streams and on libm's log2, expm1, log1p and log, as on x86-64
+# glibc.
 GOLDEN_DIGESTS = {
-    "singular_values4": "d19a99efcba10703",
+    "singular_values4": "7dc278d58f8e154f",
     "spin_flip_lambdas": "f8eaf11df122af5d",
     "_terms": "a3a1e63fc1e0e0e9",
     "_ckw_r2": "a99e26ed541ad25b",

@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import apply_local_unitary, bell_product, ghz_state, random_state, w_state
+from conftest import OPTIMUM_SYMMETRIC, SPIN_FLIP, apply_local_unitary, bell_product, ghz_state, random_state, w_state
 
-from ssmono import measures, sampler, search, store
+from ssmono import _kernels, measures, sampler, search, store
 
 TOL = 1e-14
 ALPHAS = (2.0, 1.5, 1.02, 1.0)
@@ -90,6 +90,56 @@ def test_table_rows_do_not_depend_on_the_batch(batch, layout, alpha, data):
     r = data.draw(st.integers(0, len(batch) - 1), label="row")
     table = measures.residual_table(batch, layout, alpha)
     assert measures.residual_table(batch[r : r + 1], layout, alpha).tobytes() == table[r].tobytes()
+
+
+def _unit(v):
+    return (v / np.linalg.norm(v)).astype(complex)
+
+
+def _symmetrized(v, group):
+    """The state of v (16,) summed over the qubit permutations of group."""
+    t = v.reshape(2, 2, 2, 2)
+    return _unit(sum(t.transpose(axes) for axes in group).reshape(16))
+
+
+# the pair swap P (a1 <-> a2 with b1 <-> b2) and the side swap S (a <-> b)
+# as qubit permutations of the canonical layout, with the identity
+_P_FIXED = ((0, 1, 2, 3), (1, 0, 3, 2))
+_PS_FIXED = _P_FIXED + ((2, 3, 0, 1), (3, 2, 1, 0))
+
+
+def _real(seed):
+    return np.random.default_rng(seed).standard_normal(16)
+
+
+def _complex(seed):
+    return random_state(np.random.default_rng(seed), 4)
+
+
+# states whose pair blocks are real, symmetric or rank-deficient: real ones,
+# the P-fixed and P,S-fixed subspaces, and real P,S-fixed neighbours of the
+# optimum, where the kernel once lost a singular value to a subnormal rotation
+structured_states = st.one_of(
+    seeds.map(lambda seed: _unit(_real(seed))),
+    seeds.map(lambda seed: _symmetrized(_complex(seed), _P_FIXED)),
+    seeds.map(lambda seed: _symmetrized(_complex(seed), _PS_FIXED)),
+    seeds.map(lambda seed: _symmetrized(_real(seed), _PS_FIXED)),
+    st.tuples(seeds, st.floats(-14.0, -8.0)).map(
+        lambda draw: _unit(OPTIMUM_SYMMETRIC + 10.0 ** draw[1] * _symmetrized(_real(draw[0]), _PS_FIXED))
+    ),
+)
+# the six pairs (i, j) of qubits and the other two, as transposes of a state
+_PAIR_AXES = [(i, j) + tuple(q for q in range(4) if q not in (i, j)) for i in range(4) for j in range(i + 1, 4)]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(structured_states)
+def test_spin_flip_lambdas_of_structured_states_match_lapack(psi):
+    blocks = np.stack([psi.reshape(2, 2, 2, 2).transpose(axes).reshape(4, 4) for axes in _PAIR_AXES])
+    tau = np.swapaxes(blocks, 1, 2) @ SPIN_FLIP @ blocks
+    lam = _kernels.spin_flip_lambdas(blocks)
+    assert np.max(np.abs(lam - np.linalg.svd(tau, compute_uv=False))) <= TOL
+    assert np.max(np.abs(np.sum(lam**2, axis=1) - np.sum(np.abs(tau) ** 2, axis=(1, 2)))) <= TOL
 
 
 # amplitude parts: ordinary values, and exact zeros, -0.0 and subnormals,

@@ -53,19 +53,31 @@ def sequential_descent(config):
     return rows, step, delta
 
 
-@pytest.mark.parametrize("objective, alpha", [("ss", 2.0), ("monogamy2", 1.5)])
-def test_block_descent_matches_sequential_reference(objective, alpha):
+@pytest.mark.parametrize(
+    "objective, alpha, counter_max, delta0",
+    [("ss", 2.0, 50, 0.5), ("monogamy2", 1.5, 50, 0.5), ("ss", 2.0, 300, 0.5), ("monogamy2", 1.5, 300, 0.5),
+     ("ss", 2.0, 50, 1e-3)],
+    ids=["ss-2.0", "monogamy2-1.5", "ss-2.0-counter300", "monogamy2-1.5-counter300", "evaluation-only"],
+)
+def test_block_descent_matches_sequential_reference(objective, alpha, counter_max, delta0):
     # counter_max = 50 is below the largest block and no multiple of it, so
-    # blocks get cut at the counter; delta halves six times from 0.5 to 1e-2
+    # blocks get cut at the counter; at 300, runs of rejections cross the
+    # boundaries of the NOISE_BLOCK-row noise draws. delta halves six times
+    # from 0.5 to 1e-2; a delta0 below delta_min evaluates the seed alone
     cfg = search.SearchConfig(
-        alpha=alpha, objective=objective, counter_max=50, delta0=0.5, delta_min=1e-2,
+        alpha=alpha, objective=objective, counter_max=counter_max, delta0=delta0, delta_min=1e-2,
         rng=sampler.RngSeed(21),
     )
     rec = search.minimize_residual(cfg)
     rows, steps, final_delta = sequential_descent(cfg)
-    assert len(rows) > 10
+    if delta0 < cfg.delta_min:
+        assert len(rows) == 1 and steps == 0 and final_delta == delta0
+    else:
+        assert len(rows) > 10
+        assert steps > search.NOISE_BLOCK
+        assert final_delta == 0.5 * 0.5**6
     assert rec.total_states_generated == steps
-    assert rec.final_delta == final_delta == 0.5 * 0.5**6
+    assert rec.final_delta == final_delta
     assert len(rec.trace) == len(rows)
     for entry, (step, delta, state, since) in zip(rec.trace, rows):
         assert (entry.step, entry.delta, entry.states_since_accept) == (step, delta, since)

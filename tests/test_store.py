@@ -417,9 +417,9 @@ def test_states_render_as_the_list_renderer_writes_them():
 
 
 def test_documents_load_whatever_their_layout_and_number_spelling(tmp_path):
-    # states are parsed straight into arrays; a document written on one line,
-    # with another indent, or with integral amplitudes spelled as integers or
-    # booleans must load as it did when they were parsed as lists
+    # a document written on one line, with another indent, or with integral
+    # amplitudes spelled as integers or booleans must load as its canonical
+    # text does
     basis = np.zeros(16, dtype=complex)
     basis[0] = 1.0
     record = search.minimize_residual(
@@ -436,6 +436,26 @@ def test_documents_load_whatever_their_layout_and_number_spelling(tmp_path):
     bare = tmp_path / "state.json"
     bare.write_text(json.dumps({"state": [[1, 0]] + [[0, 0]] * 15}))
     np.testing.assert_array_equal(store.load_state_document(bare)[0], basis)
+
+
+def test_documents_refuse_amplitudes_that_are_not_numbers(tmp_path, short_record):
+    # numpy parses the string "1.0" as a float, so a bare document with
+    # string amplitudes loaded, and analyze exited 0 on it
+    bare = tmp_path / "state.json"
+    for amp in ("1.0", None, [1.0], {"re": 1.0}):
+        bare.write_text(json.dumps({"state": [[amp, 0]] + [[0, 0]] * 15}))
+        with pytest.raises(store.ArchiveError, match="malformed state"):
+            store.load_state_document(bare)
+    path = tmp_path / "run.json"
+    store.save_run(store.make_archive(short_record, PINNED_TIME), path)
+    for where in ("final_state", "trace row 1 state"):
+        doc = json.loads(path.read_text())
+        state = doc["final_state"] if where == "final_state" else doc["trace"][1]["state"]
+        state[3][1] = repr(state[3][1])
+        damaged = tmp_path / "damaged.json"
+        damaged.write_text(json.dumps(doc))
+        with pytest.raises(store.ArchiveError, match=f"malformed {where}: an amplitude is not a number"):
+            store.load_run(damaged)
 
 
 def _long_record(n_rows: int) -> search.RunRecord:
