@@ -80,51 +80,38 @@ static void sv4w(struct lanes *L)
         for (int c = 0; c < N; c++)
             for (int r = 0; r < N; r++)
                 L->re[c][r][w] = L->im[c][r][w] = 0.0;
-    /* each lane scaled by 2^-e[w], which brings its largest column norm into
+    /* each lane scaled by 2^-e[w], which brings its largest |component| into
      * [1/2, 1), and its values scaled back at the end: both exact, so a lane
      * near unit scale keeps its bits, and one far from it no longer has its
-     * rotation test underflow (entries below about 1e-75) or overflow. A lane
-     * whose squared norms reach inf keeps e = 0. */
+     * rotation test underflow (entries below about 1e-75) or overflow. 2^-e
+     * itself overflows past 2^1023 (entries below about 1e-308), so it is
+     * applied as two exact multiplies. A lane that is zero, or whose largest
+     * |component| is inf (NaNs are skipped), keeps e = 0. */
+    double top[W], first[W], second[W];
     int e[W];
-    for (int w = 0; w < W; w++) {
-        double big = 0.0;
-        for (int c = 0; c < N; c++) {
-            double n2 = 0.0;
-            for (int r = 0; r < N; r++)
-                n2 += L->re[c][r][w] * L->re[c][r][w] + L->im[c][r][w] * L->im[c][r][w];
-            if (n2 > big)
-                big = n2;
-        }
-        e[w] = 0;
-        if (big == 0.0 && w < L->used) {
-            /* every squared norm underflowed (entries below about 1e-162):
-             * the largest |component| is brought into [1/2, 1) instead, by
-             * two exact multiplies, since 2^-e itself overflows past 2^1023.
-             * A zero lane keeps e = 0. */
-            double top = 0.0;
-            for (int c = 0; c < N; c++)
-                for (int r = 0; r < N; r++)
-                    top = fmax(top, fmax(fabs(L->re[c][r][w]), fabs(L->im[c][r][w])));
-            if (top > 0.0) {
-                frexp(top, &e[w]);
-                int h = -e[w] / 2;
-                double first = ldexp(1.0, h), second = ldexp(1.0, -e[w] - h);
-                for (int c = 0; c < N; c++)
-                    for (int r = 0; r < N; r++) {
-                        L->re[c][r][w] = L->re[c][r][w] * first * second;
-                        L->im[c][r][w] = L->im[c][r][w] * first * second;
-                    }
+    for (int w = 0; w < W; w++)
+        top[w] = 0.0;
+    for (int c = 0; c < N; c++)
+        for (int r = 0; r < N; r++)
+            for (int w = 0; w < W; w++) {
+                double a = fabs(L->re[c][r][w]), b = fabs(L->im[c][r][w]);
+                double m = a > b ? a : b; /* a NaN is never the larger */
+                top[w] = m > top[w] ? m : top[w];
             }
-        } else if (big > 0.0 && big < INFINITY) {
-            frexp(sqrt(big), &e[w]);
-            double scale = ldexp(1.0, -e[w]);
-            for (int c = 0; c < N; c++)
-                for (int r = 0; r < N; r++) {
-                    L->re[c][r][w] *= scale;
-                    L->im[c][r][w] *= scale;
-                }
-        }
+    for (int w = 0; w < W; w++) {
+        e[w] = 0;
+        if (top[w] > 0.0 && top[w] < INFINITY)
+            frexp(top[w], &e[w]);
+        int h = -e[w] / 2;
+        first[w] = ldexp(1.0, h);
+        second[w] = ldexp(1.0, -e[w] - h);
     }
+    for (int c = 0; c < N; c++)
+        for (int r = 0; r < N; r++)
+            for (int w = 0; w < W; w++) {
+                L->re[c][r][w] = L->re[c][r][w] * first[w] * second[w];
+                L->im[c][r][w] = L->im[c][r][w] * first[w] * second[w];
+            }
     for (int sweep = 0; sweep < MAX_SWEEPS; sweep++) {
         int rotated = 0;
         for (int p = 0; p < N - 1; p++)

@@ -170,9 +170,9 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
     step = 0
     z, r = np.empty((0, 16), dtype=complex), 0  # the noise block and its next unscored row
     while delta >= config.delta_min:
-        if r == z.shape[0]:
-            z, r = sampler.unit_noise(gen, NOISE_BLOCK), 0
-        size = min(_block_size(len(steps) - 1, step, config.counter_max - counter), z.shape[0] - r)
+        size = _block_size(len(steps) - 1, step, config.counter_max - counter)
+        if z.shape[0] - r < size:  # the unscored rows lead the next noise block
+            z, r = np.concatenate((z[r:], sampler.unit_noise(gen, NOISE_BLOCK))), 0
         candidates = _kernels.displace(current, delta, z[r : r + size])
         values = objective(candidates)
         better = np.flatnonzero(values < best)

@@ -447,14 +447,16 @@ def test_real_rank_deficient_pair_blocks_keep_their_singular_values():
 def test_singular_values_of_matrices_far_from_unit_scale():
     # each lane is scaled by a power of 2 before the sweeps, so a matrix far
     # from unit scale gets the values of its unit-scale copy, scaled exactly;
-    # the unscaled kernel skipped every rotation below about 1e-77. Entries
-    # below about 1e-162 square to 0, so their lane is scaled from its
-    # largest |component| instead; it used to be left unscaled and came out
-    # 0.92 off at 2^-538 and [0, 0, 0, 0] at 1e-310.
+    # the unscaled kernel skipped every rotation below about 1e-77. The scale
+    # comes from the largest |component|: scaled from the largest column
+    # norm, a lane whose squared norms underflow (entries below about 1e-162)
+    # or overflow (above about 1e154) was left unscaled and came out 0.92 off
+    # at 2^-538 and [0, 0, 0, 0] at 1e-310.
     a = _haar_blocks(231, 50)
     unit = _kernels.singular_values4(a)
     lapack = np.linalg.svd(a, compute_uv=False)
-    for scale in (2.0**-1000, 2.0**-538, 2.0**-535, 2.0**-260, 2.0**-100, 2.0**100, 2.0**500):
+    scales = (2.0**-1000, 2.0**-538, 2.0**-535, 2.0**-260, 2.0**-100, 2.0**100, 2.0**500, 2.0**600, 2.0**1000)
+    for scale in scales:
         assert _kernels.singular_values4(a * scale).tobytes() == (unit * scale).tobytes(), scale
     assert np.max(np.abs(unit - lapack)) < 1e-14
     # subnormal entries keep about 14 significant digits of the unscaled
