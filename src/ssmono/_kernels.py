@@ -7,11 +7,13 @@ comes from one routine, sv4w, which runs eight matrices in lockstep; a
 matrix's bits never depend on the other seven, so no result depends on the
 batch. There is one path for each quantity:
 
-- `batched_terms`: the bipartite term and the pair terms of each 4-qubit row
-  (terms in _svd4.c). Row r depends only on states[r], so the objective value
-  driving an acceptance is bit-identical to the value stored in the trace and
-  to a later batch-of-one `residual_report`, and `fingerprint_terms` gives
-  the archive fingerprint from the same kernel and amplitude blocks;
+- `terms_table`: the bipartite term and the pair terms of each 4-qubit row,
+  then the ss and mono residuals they complete (terms in _svd4.c), and
+  `batched_terms`, its terms alone. Row r depends only on states[r], so the
+  objective value driving an acceptance is bit-identical to the value stored
+  in the trace and to a later batch-of-one `residual_report`, and
+  `fingerprint_terms` gives the archive fingerprint from the same kernel and
+  amplitude blocks;
 - `batched_ckw_r2`: the CKW-R2 residual of 3..8-qubit rows (ckw_r2);
 - `singular_values4`, `spin_flip_lambdas`, `renyi_from_c` and
   `renyi_entropies`: the same library's 4x4 singular values (sv4w), Wootters
@@ -22,8 +24,8 @@ batch. There is one path for each quantity:
   the numpy expression it replaced;
 - `walk`: the region walk's chain of those steps, each from the one before,
   scored as it is built (walk), until the first row outside the region: the
-  chain's bits are those of one-row `displace` calls, and its table's those
-  of `measures.residual_table`.
+  chain's bits are those of one-row `displace` calls, and its table is the
+  rows of `terms_table`.
 """
 from __future__ import annotations
 
@@ -266,37 +268,38 @@ def _checked_layout(layout) -> tuple:
     return roles
 
 
-def _terms(states: np.ndarray, layout, alpha: float, k: int, separable_det: float):
-    """batched_terms with the PPT screen of its pairs after a1b1 and a2b2 at
-    `separable_det`: +inf screens none of them."""
+def terms_table(states: np.ndarray, layout, alpha: float, k: int = 4, separable_det: float = SEPARABLE_DET):
+    """Each row of complex128 (m, 16) normalized amplitudes as a row of
+    _svd4.c's terms: the bipartite term, the first k pair terms, then ss when
+    k >= 2 and mono when k >= 4, so that at k = 4 it is a residual_table row.
+    The pairs are (a1b1, a2b2, a1b2, a2b1, a1a2, b1b2) of the layout (a1, a2,
+    b1, b2), a permutation of 0..3: the residuals' four, then the two only the
+    fingerprint stores. Row r depends only on states[r], never on m, k or the
+    strides; the tests check this bit for bit.
+
+    The pairs after a1b1 and a2b2 take batched_ckw_r2's PPT screen: one with
+    det(rho^G) >= separable_det (+inf screens none) is separable, its term is
+    that of c = 0, and it skips the spin-flip singular values. Near a
+    violation this is the common case: the paper's violating states have
+    symmetries that make E(a1b2) = E(a2b1) = 0, so the SS and monogamy
+    residuals agree there. The screened terms are the unscreened ones bit for
+    bit; the tests check this on Haar, walk and boundary states.
+    """
     states = _checked_states(states, 16)
     roles = _checked_layout(layout)
     if not 1 <= (k := checked_index(k, "k")) <= 6:
         raise ValueError(f"k must be an integer in 1..6, got {k!r}")
     alpha = normalize_alpha(alpha)
     _, index = _terms_index(roles, k)
-    out = np.empty((states.shape[0], 1 + k))  # one buffer: an address costs about 2 us
+    out = np.empty((states.shape[0], 1 + k + (k >= 2) + (k >= 4)))  # one buffer: an address costs about 2 us
     _SVD4.terms(states.ctypes.data, index, states.shape[0], k, alpha, float(separable_det), out.ctypes.data)
-    return out[:, 0], out[:, 1:]
+    return out
 
 
 def batched_terms(states: np.ndarray, layout, alpha: float, k: int = 4):
-    """Bipartite term (m,) and the first k pair terms (m, k) of each row of
-    complex128 (m, 16) normalized amplitudes; the pairs are (a1b1, a2b2, a1b2,
-    a2b1, a1a2, b1b2) of the layout (a1, a2, b1, b2), a permutation of 0..3:
-    the residuals' four, then the two only the fingerprint stores. Computed
-    row by row by _svd4.c's terms, so row r depends only on states[r], never
-    on m, k or the strides; the tests check this bit for bit.
-
-    The pairs after a1b1 and a2b2 take batched_ckw_r2's PPT screen: one with
-    det(rho^G) >= SEPARABLE_DET is separable, its term is that of c = 0, and
-    it skips the spin-flip singular values. Near a violation this is the
-    common case: the paper's violating states have symmetries that make
-    E(a1b2) = E(a2b1) = 0, so the SS and monogamy residuals agree there. The
-    screened terms are the unscreened ones bit for bit; the tests check this
-    on Haar, walk and boundary states.
-    """
-    return _terms(states, layout, alpha, k, SEPARABLE_DET)
+    """The bipartite term (m,) and the first k pair terms (m, k) of terms_table's rows."""
+    table = terms_table(states, layout, alpha, k)
+    return table[:, 0], table[:, 1 : 1 + k]
 
 
 def fingerprint_terms(states: np.ndarray, layout, alpha: float) -> tuple:
@@ -341,9 +344,10 @@ def walk(start: np.ndarray, delta: float, z: np.ndarray, layout, alpha: float, t
     start along the complex128 (m, 16) steps z: row r of the chain is where
     r + 1 accepted steps lead, normalize(base + delta * z[r]) with base start,
     then the row before, with the bits of a one-row `displace` from that base.
-    Each row is scored as `measures.residual_table` scores it (the bipartite
-    term, the four pair terms, ss, mono), bit for bit, and the walk stops at
-    the first row whose ss is not below threshold; a NaN is not below.
+    Each row is scored by `terms_table` at k = 4, as `measures.residual_table`
+    scores it (the bipartite term, the four pair terms, ss, mono), and the
+    walk stops at the first row whose ss is not below threshold; a NaN is not
+    below.
 
     Returns (kept, chain, table): kept is that row's index, or m if every row
     stays below, and chain (n, 16) and table (n, 7) hold the rows up to and
@@ -366,15 +370,10 @@ def walk(start: np.ndarray, delta: float, z: np.ndarray, layout, alpha: float, t
     return kept, chain[:n], table[:n]
 
 
-def ss_residuals(e_bip: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """E(a1a2|b1b2) - E(a1b1) - E(a2b2) of each row of batched_terms' output."""
-    return e_bip - pair[:, 0] - pair[:, 1]
-
-
 def batched_ss(states: np.ndarray, layout, alpha: float) -> np.ndarray:
     """ss residual for each row of (m, 16) normalized amplitudes, from the two
     pair terms it needs."""
-    return ss_residuals(*batched_terms(states, layout, alpha, 2))
+    return terms_table(states, layout, alpha, 2)[:, 3]
 
 
 # Batch-of-one views over the kernels above. The package itself no longer

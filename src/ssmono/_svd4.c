@@ -342,7 +342,10 @@ static double pt_det(double rr[N][N], double ri[N][N])
  * ckw_r2 screens its pairs: one with det(rho^G) >= separable_det has c = 0
  * and skips the lambdas. a1b1 and a2b2 are not screened: near a violation
  * they are always entangled, so the screen would only cost time. A NaN
- * amplitude gives NaN terms: a NaN det fails the screen.
+ * amplitude gives NaN terms: a NaN det fails the screen. After the pairs come
+ * the residuals they complete, in numpy's order of operations: ss = (e - p0)
+ * - p1 when k >= 2, then mono = (ss - p2) - p3 when k >= 4; at k = 4 a row is
+ * a residual_table row.
  */
 static void gather(const double *psi, const ptrdiff_t *at, double *b)
 {
@@ -353,10 +356,12 @@ static void gather(const double *psi, const ptrdiff_t *at, double *b)
 }
 
 /* states: count rows of 16 complex128 amplitudes; index: (1 + k) x 16
- * amplitude indices; out: count rows of the bipartite term and k pair terms */
+ * amplitude indices; out: count rows of the bipartite term, k pair terms
+ * and the residuals */
 void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k, double alpha,
            double separable_det, double *out)
 {
+    int width = 1 + k + (k >= 2) + (k >= 4);
     struct lanes L = {.used = 0};
     for (ptrdiff_t row0 = 0; row0 < count; row0 += ROWS) {
         int rows = count - row0 < ROWS ? (int)(count - row0) : ROWS;
@@ -373,7 +378,7 @@ void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k,
                 for (int r = 0; r < N; r++)
                     for (int s = r; s < N; s++)
                         purity += (s == r ? 1.0 : 2.0) * (rr[r][s] * rr[r][s] + ri[r][s] * ri[r][s]);
-                out[(1 + k) * (row0 + i)] = -log2(purity);
+                out[width * (row0 + i)] = -log2(purity);
             } else {
                 push(&L, b, l[i][0]);
             }
@@ -392,7 +397,7 @@ void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k,
         }
         sv4w(&L);
         for (int i = 0; i < rows; i++) {
-            double *bip = out + (1 + k) * (row0 + i), *pair = bip + 1;
+            double *bip = out + width * (row0 + i), *pair = bip + 1;
             if (alpha != 2.0) {
                 for (int x = 0; x < N; x++)
                     l[i][0][x] *= l[i][0][x];
@@ -407,6 +412,10 @@ void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k,
                     c = 1.0;
                 pair[p] = renyi_c(c, alpha);
             }
+            if (k >= 2)
+                pair[k] = (*bip - pair[0]) - pair[1];
+            if (k >= 4)
+                pair[k + 1] = (pair[k] - pair[2]) - pair[3];
         }
     }
 }
@@ -614,35 +623,26 @@ void displace(const double *start, const double *z, ptrdiff_t count, ptrdiff_t d
 
 /* The walk's next run of visits. Row r of states is where r + 1 accepted
  * steps from start lead, normalize(base + delta z[r]) with base start, then
- * the row before; table row r holds its residual_table row: the bipartite
- * term and the four pair terms of terms (k = 4), then ss = (e - p0) - p1 and
- * mono = (ss - p2) - p3, in numpy's order of operations. The rows are built
- * and scored WALK_ROWS at a time, and the walk stops at the first row whose
- * ss is not below threshold (a NaN is not). Returns that row's index, or
- * count if every row stays below; rows up to it are written, and the rest of
- * its group may be.
+ * the row before; table row r holds its residual_table row, the row of
+ * terms at k = 4. The rows are built and scored WALK_ROWS at a time, and the
+ * walk stops at the first row whose ss is not below threshold (a NaN is
+ * not). Returns that row's index, or count if every row stays below; rows up
+ * to it are written, and the rest of its group may be.
  *
  * start: 16 complex128 amplitudes; z, states: count rows of 16; index:
  * 5 x 16 amplitude indices, as terms takes them; table: count rows of 7 */
 ptrdiff_t walk(const double *start, const double *z, ptrdiff_t count, double delta, const ptrdiff_t *index,
                double alpha, double separable_det, double threshold, double *states, double *table)
 {
-    double out[WALK_ROWS][5];
     for (ptrdiff_t row0 = 0; row0 < count; row0 += WALK_ROWS) {
         int rows = count - row0 < WALK_ROWS ? (int)(count - row0) : WALK_ROWS;
         for (ptrdiff_t row = row0; row < row0 + rows; row++)
             step(row ? states + 2 * N * N * (row - 1) : start, z + 2 * N * N * row, N * N, delta,
                  states + 2 * N * N * row);
-        terms(states + 2 * N * N * row0, index, rows, 4, alpha, separable_det, out[0]);
-        for (int i = 0; i < rows; i++) {
-            double *t = table + 7 * (row0 + i);
-            for (int x = 0; x < 5; x++)
-                t[x] = out[i][x];
-            t[5] = (out[i][0] - out[i][1]) - out[i][2];
-            t[6] = (t[5] - out[i][3]) - out[i][4];
-            if (!(t[5] < threshold))
-                return row0 + i;
-        }
+        terms(states + 2 * N * N * row0, index, rows, 4, alpha, separable_det, table + 7 * row0);
+        for (ptrdiff_t row = row0; row < row0 + rows; row++)
+            if (!(table[7 * row + 5] < threshold))
+                return row;
     }
     return count;
 }

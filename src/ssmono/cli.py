@@ -116,7 +116,9 @@ def _cmd_continue(args) -> int:
             "terminal_monogamy_residual": record.final_residuals.monogamy_residual,
         }
         if args.out_dir:
-            out = Path(args.out_dir) / f"stage_alpha_{record.config.alpha:g}.json"
+            # every digit of alpha, so that no two stages share a file
+            alpha = np.format_float_positional(record.config.alpha, trim="-")
+            out = Path(args.out_dir) / f"stage_alpha_{alpha}.json"
             store.save_run(store.make_archive(record), out)
             stage["out"] = str(out)
         stages.append(stage)

@@ -124,11 +124,9 @@ def residual_report(psi, layout: PairingLayout = CANONICAL_LAYOUT, alpha=2.0) ->
 
 def residual_table(states: np.ndarray, layout: PairingLayout, alpha) -> np.ndarray:
     """ResidualReport's fields after alpha, (m, 7), for each row of complex128
-    (m, 16) normalized amplitudes, from one batched_terms call: row r has the
-    bits of a residual_report of states[r] whatever the batch."""
-    e_bip, pair = _kernels.batched_terms(states, layout.as_tuple(), alpha)
-    ss = _kernels.ss_residuals(e_bip, pair)
-    return np.column_stack([e_bip, pair, ss, ss - pair[:, 2] - pair[:, 3]])
+    (m, 16) normalized amplitudes, from one `_kernels.terms_table` call: row r
+    has the bits of a residual_report of states[r] whatever the batch."""
+    return _kernels.terms_table(states, layout.as_tuple(), alpha)
 
 
 def ckw_r2_residual(psi, focus: int = 0) -> float:

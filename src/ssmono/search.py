@@ -5,7 +5,7 @@ import math
 import os
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -65,28 +65,71 @@ class TraceEntry:
     states_since_accept: int
 
 
+def bookkeeping(config: SearchConfig, steps, after: Optional[TraceEntry] = None) -> tuple:
+    """The rule by which a run's numbers follow from its config and its
+    accepted steps, which come after the entry `after` (None: from the seed).
+    The seed is step 0 at delta0. Each later accept is at least one state
+    after the one before; delta has halved (*= 0.5, as in the descent) once
+    per counter_max states rejected in between, and is still >= delta_min.
+    After the last accept delta halves every counter_max states until it is
+    below delta_min, which ends the run. Returns each step's delta and
+    states_since_accept, the final delta and the states generated in all;
+    ValueError if the steps break the rule."""
+    deltas, since = [], []
+    last, delta = (after.step, after.delta) if after else (None, None)
+    for step in steps:
+        if last is None:
+            if step != 0:
+                raise ValueError(f"the seed's step is {step}, not 0")
+            delta = config.delta0
+        elif step <= last:
+            raise ValueError(f"step {step} does not follow step {last}")
+        else:
+            for _ in range((step - last - 1) // config.counter_max):
+                if delta < config.delta_min:
+                    break
+                delta *= 0.5
+            if delta < config.delta_min:
+                raise ValueError(f"step {step} comes after delta fell below delta_min {config.delta_min}")
+        deltas.append(delta)
+        since.append(0 if last is None else step - last)
+        last = step
+    if last is None:
+        raise ValueError("a trace holds at least the seed")
+    halvings = 0
+    while delta >= config.delta_min:
+        delta *= 0.5
+        halvings += 1
+    return deltas, since, delta, last + halvings * config.counter_max
+
+
 class Trace(Sequence):
     """The accepted states of a run, held as columns: one (n, 16) block of
     states and one array for each number, about 300 bytes a row. A TraceEntry
     is built on access; one object per row cost about 1 KB, and a
     continuation stage can accept 10^5 states."""
 
-    def __init__(self, steps, deltas, since, states: np.ndarray, ss, mono):
-        """The columns of n entries: steps, deltas, states_since_accept, the
-        (n, 16) amplitudes (held, not copied) and the two residuals."""
+    def __init__(self, config: SearchConfig, steps, states: np.ndarray, after: Optional[TraceEntry] = None):
+        """The entries of a run of config at these steps, with the (n, 16)
+        amplitudes (held, not copied), after the entry `after` (None: from the
+        seed); `bookkeeping` and one residual_table call give the rest."""
         self._steps = np.array(steps, dtype=np.int64)
+        deltas, since, _, _ = bookkeeping(config, self._steps.tolist(), after)
         self._deltas = np.array(deltas, dtype=float)
         self._since = np.array(since, dtype=np.int64)
         self._states = states
-        self._ss = np.array(ss, dtype=float)
-        self._mono = np.array(mono, dtype=float)
+        table = measures.residual_table(states, config.layout, config.alpha)
+        self._ss, self._mono = table[:, measures.SS].copy(), table[:, measures.MONO].copy()
 
-    _COLUMNS = ("_steps", "_deltas", "_since", "_states", "_ss", "_mono")  # the constructor's order
+    _COLUMNS = ("_steps", "_deltas", "_since", "_states", "_ss", "_mono")
 
     @classmethod
     def joined(cls, parts) -> Trace:
         """One trace of the entries of `parts` (at least one), in order."""
-        return cls(*(np.concatenate([getattr(part, name) for part in parts]) for name in cls._COLUMNS))
+        trace = cls.__new__(cls)
+        for name in cls._COLUMNS:
+            setattr(trace, name, np.concatenate([getattr(part, name) for part in parts]))
+        return trace
 
     def __len__(self) -> int:
         return len(self._steps)
@@ -102,12 +145,24 @@ class Trace(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class RunRecord:
+    """A run: its config and its trace. The other fields follow from these:
+    the last entry's state and its residual_report, and `bookkeeping`'s end."""
+
     config: SearchConfig
     trace: Trace
-    final_state: np.ndarray
-    final_residuals: measures.ResidualReport
-    total_states_generated: int
-    final_delta: float
+    final_state: np.ndarray = field(init=False)
+    final_residuals: measures.ResidualReport = field(init=False)
+    total_states_generated: int = field(init=False)
+    final_delta: float = field(init=False)
+
+    def __post_init__(self):
+        last = self.trace[-1]
+        state = last.state.copy()  # a row view would pin the whole trace
+        _, _, final_delta, total = bookkeeping(self.config, (), last)
+        report = measures.residual_report(state, self.config.layout, self.config.alpha)
+        vars(self).update(
+            final_state=state, final_residuals=report, total_states_generated=total, final_delta=final_delta
+        )
 
 
 @dataclass(frozen=True)
@@ -158,19 +213,17 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
             return _kernels.batched_ss(states, roles, alpha)
         return measures.residual_table(states, layout, alpha)[:, measures.MONO]
 
-    current = (
-        config.seed_state if config.seed_state is not None else sampler.haar_random_state(4, gen)
-    )
+    current = config.seed_state if config.seed_state is not None else sampler.haar_random_state(4, gen)
     best = objective(current[None])[0]
-    # the accepted states' amplitudes, one after another, and their columns
+    # the accepted states' amplitudes, one after another, and their steps
     kept = bytearray(current.tobytes())
-    steps, deltas, since = array("q", [0]), array("d", [config.delta0]), array("q", [0])
-    delta = config.delta0
-    counter = 0
-    step = 0
+    steps = array("q", [0])
+    delta, step = config.delta0, 0
     z, r = np.empty((0, 16), dtype=complex), 0  # the noise block and its next unscored row
     while delta >= config.delta_min:
-        size = _block_size(len(steps) - 1, step, config.counter_max - counter)
+        # the rejections since the last accept or halving are those since the
+        # last accept, modulo counter_max
+        size = _block_size(len(steps) - 1, step, config.counter_max - (step - steps[-1]) % config.counter_max)
         if z.shape[0] - r < size:  # the unscored rows lead the next noise block
             z, r = np.concatenate((z[r:], sampler.unit_noise(gen, NOISE_BLOCK))), 0
         candidates = _kernels.displace(current, delta, z[r : r + size])
@@ -179,10 +232,8 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
         if better.size == 0:
             r += size
             step += size
-            counter += size
-            if counter >= config.counter_max:
+            if (step - steps[-1]) % config.counter_max == 0:
                 delta *= 0.5
-                counter = 0
             continue
         j = int(better[0])
         r += j + 1
@@ -190,24 +241,14 @@ def minimize_residual(config: SearchConfig) -> RunRecord:
         current = candidates[j].copy()  # a row view would pin the whole block
         best = values[j]
         kept += current.tobytes()
-        since.append(step - steps[-1])
         steps.append(step)
-        deltas.append(delta)
-        counter = 0
-    # both residuals of every accepted state in one call; a row's bits depend
+    # the trace scores every accepted state in one call; a row's bits depend
     # neither on its batch nor on the pair terms asked for, so the objective
-    # keeps its accepted value
+    # keeps its accepted value. Its deltas, and the record's counts, follow
+    # from the steps by the rule this loop keeps (`bookkeeping`).
     states = np.frombuffer(kept, dtype=complex).reshape(len(steps), -1).copy()
     del kept
-    table = measures.residual_table(states, layout, alpha)
-    return RunRecord(
-        config=config,
-        trace=Trace(steps, deltas, since, states, table[:, measures.SS], table[:, measures.MONO]),
-        final_state=current,
-        final_residuals=measures.ResidualReport(alpha, *table[-1].tolist()),
-        total_states_generated=step,
-        final_delta=delta,
-    )
+    return RunRecord(config, Trace(config, steps, states))
 
 
 def random_walk_region(
@@ -265,15 +306,9 @@ def alpha_continuation(schedule: ContinuationSchedule, initial: RunRecord) -> li
     records = []
     state = initial.final_state
     for k, alpha in enumerate(schedule.alphas):
-        config = SearchConfig(
-            alpha=alpha,
-            objective=initial.config.objective,
-            layout=initial.config.layout,
-            delta0=schedule.delta0,
-            counter_max=initial.config.counter_max,
-            delta_min=schedule.delta_min,
-            rng=sampler.derive(initial.config.rng, k + 1),
-            seed_state=state,
+        config = replace(
+            initial.config, alpha=alpha, delta0=schedule.delta0, delta_min=schedule.delta_min,
+            rng=sampler.derive(initial.config.rng, k + 1), seed_state=state,
         )
         record = minimize_residual(config)
         records.append(record)

@@ -121,8 +121,8 @@ def _state_doc(amps: np.ndarray) -> list:
 def _state_from_doc(pairs, what: str) -> np.ndarray:
     """A 4-qubit state stored as [re, im] pairs, with its norm checked to
     linalg.NORM_TOL: the tolerance of `linalg.as_state`, through which the
-    final, seed and argmin states are scored and fingerprinted again, so
-    that a state this check passes never fails there."""
+    seed, argmin and last trace states are scored and fingerprinted again,
+    so that a state this check passes never fails there."""
     try:
         arr = np.asarray(pairs, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -355,55 +355,54 @@ def _read(source, what: str) -> dict:
     return doc
 
 
-def _agree(stored, fresh, where: str = "") -> None:
+# the keys whose numbers are kernel evaluations, and may drift between builds
+# up to LOAD_RESIDUAL_TOL; every other number is an input, a copy or a count
+_EVALUATED = frozenset(("ss_residual", "monogamy_residual", "final_residuals", "fingerprint", "min_residual"))
+
+
+def _agree(stored, fresh, where: str = "", tol: float = 0.0) -> None:
     """Check a stored document against the one re-derived from its inputs:
-    the same keys and lengths, numbers within LOAD_RESIDUAL_TOL, all else equal."""
+    the same keys and lengths, the numbers under an _EVALUATED key within
+    LOAD_RESIDUAL_TOL, all else equal."""
     if stored == fresh and type(stored) is type(fresh):
         return  # the common case, compared in C; only a difference is walked
     if isinstance(stored, dict) and isinstance(fresh, dict):
         if stored.keys() != fresh.keys():
             raise ArchiveError(f"{where or 'document'} keys {sorted(stored)} are not {sorted(fresh)}")
         for key in fresh:
-            _agree(stored[key], fresh[key], f"{where} {key}".lstrip())
+            _agree(stored[key], fresh[key], f"{where} {key}".lstrip(), LOAD_RESIDUAL_TOL if key in _EVALUATED else tol)
         return
     if isinstance(stored, list) and isinstance(fresh, list) and len(stored) == len(fresh):
         for n, (kept, again) in enumerate(zip(stored, fresh)):
-            _agree(kept, again, f"{where} row {n}")
+            _agree(kept, again, f"{where} row {n}", tol)
         return
     numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (stored, fresh))
-    if not (numbers and abs(stored - fresh) <= LOAD_RESIDUAL_TOL):
-        raise ArchiveError(
-            f"stored {where} {stored!r} disagrees with re-evaluation {fresh!r} beyond {LOAD_RESIDUAL_TOL}"
-        )
+    if numbers:
+        with _malformed(where):  # 1e999 parses as inf, and a long int overflows a float
+            numbers = abs(_finite(stored) - fresh) <= tol
+    if not numbers:
+        raise ArchiveError(f"stored {where} {stored!r} disagrees with re-evaluation {fresh!r} beyond {tol}")
 
 
 # rows of a stored trace checked per kernel call
 _TRACE_BLOCK = 64
 
 
-def _checked_block(config: search.SearchConfig, rows: list, first: int) -> search.Trace:
-    parsed = [
-        (int(row["step"]), _finite(row["delta"]),
-         _state_from_doc(row["state"], f"trace row {n} state"), int(row["states_since_accept"]))
-        for n, row in enumerate(rows, first)
-    ]
-    states = np.array([state for _, _, state, _ in parsed], dtype=complex).reshape(len(parsed), 16)
-    table = measures.residual_table(states, config.layout, config.alpha)
-    steps, deltas, since = ([row[k] for row in parsed] for k in (0, 1, 3))
-    part = search.Trace(steps, deltas, since, states, table[:, measures.SS], table[:, measures.MONO])
-    for n, (row, entry) in enumerate(zip(rows, part), first):
-        _agree(row, _trace_row(entry), f"trace row {n}")
-    return part
-
-
 def _checked_trace(config: search.SearchConfig, rows) -> search.Trace:
-    """The Trace of stored rows, checked a block at a time: each block is
-    parsed, scored in one kernel call and compared with the rows this build
-    writes for it, so that a long trace is never held as parsed rows."""
+    """The Trace of stored rows, checked a block at a time: each block's steps
+    and states are parsed, its Trace is built from them alone and scored in
+    one kernel call, and its rows are compared with those this build writes
+    for it, so that a long trace is never held as parsed rows."""
     rows, parts = iter(rows), []
     while True:
-        block = list(itertools.islice(rows, _TRACE_BLOCK))
-        parts.append(_checked_block(config, block, len(parts) * _TRACE_BLOCK))
+        block, first = list(itertools.islice(rows, _TRACE_BLOCK)), len(parts) * _TRACE_BLOCK
+        states = [_state_from_doc(row["state"], f"trace row {n} state") for n, row in enumerate(block, first)]
+        with _malformed(f"trace from row {first}"):
+            steps = [int(row["step"]) for row in block]
+            states = np.array(states, dtype=complex).reshape(-1, 16)
+            parts.append(search.Trace(config, steps, states, parts[-1][-1] if parts else None))
+        for n, (row, entry) in enumerate(zip(block, parts[-1]), first):
+            _agree(row, _trace_row(entry), f"trace row {n}")
         if len(block) < _TRACE_BLOCK:
             return search.Trace.joined(parts)
 
@@ -414,12 +413,8 @@ def _run_from_doc(doc: dict) -> RunArchive:
         trace = doc["trace"]
         if not isinstance(trace, search.Trace):  # parsed whole, not checked as it was read
             trace = _checked_trace(config, trace)
-        final_state = _state_from_doc(doc["final_state"], "final_state")
+        record = search.RunRecord(config, trace)
         created_at = str(doc["created_at"])
-        total = int(doc["total_states_generated"])
-        final_delta = _finite(doc["final_delta"])
-    final_residuals = measures.residual_report(final_state, config.layout, config.alpha)
-    record = search.RunRecord(config, trace, final_state, final_residuals, total, final_delta)
     archive = make_archive(record, created_at)
     # the trace's rows were compared as they were checked
     _agree({**doc, "trace": None}, {**_run_doc(archive), "trace": None})
@@ -427,11 +422,12 @@ def _run_from_doc(doc: dict) -> RunArchive:
 
 
 def load_run(source) -> RunArchive:
-    """Parse an archive and check it against the document this build writes
-    for its inputs: the norm of every state, every residual and the
-    fingerprint are evaluated again. The record carries the fresh residuals.
-    The trace is checked as it is read, so a long one is held only as its
-    Trace."""
+    """Parse an archive's inputs, its config and its trace's steps and states,
+    and check the whole stored document against the one this build writes for
+    them: the norm of every state is checked, and every residual, count and
+    delta and the fingerprint are derived again. The record carries the fresh
+    values. The trace is checked as it is read, so a long one is held only as
+    its Trace."""
     return _run_from_doc(_read(source, "archive document"))
 
 

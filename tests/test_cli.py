@@ -144,6 +144,34 @@ def test_continue_command_runs_stages(tmp_path, capsys):
     assert stage.record.config.alpha == 1.5
 
 
+def test_continue_names_each_stage_by_every_digit_of_its_alpha(tmp_path, capsys):
+    # at 6 significant digits both stages were written to stage_alpha_1.12346.json
+    run_path = tmp_path / "run.json"
+    assert cli.main(["search", "--rng-seed", "0", "--out", str(run_path)]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "stages"
+    argv = ["continue", "--from", str(run_path), "--schedule", "1.1234571,1.1234567",
+            "--delta0", "1e-2", "--delta-min", "1e-3", "--out-dir", str(out_dir)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    written = [stage["out"] for stage in json.loads(out)["stages"]]
+    assert sorted(path.name for path in out_dir.iterdir()) == ["stage_alpha_1.1234567.json", "stage_alpha_1.1234571.json"]
+    for path, alpha in zip(written, (1.1234571, 1.1234567)):
+        assert store.load_run(path).record.config.alpha == alpha
+
+
+def test_analyze_refuses_an_archive_whose_counts_disagree_with_its_steps(tmp_path, capsys):
+    run_path = tmp_path / "run.json"
+    assert cli.main(["search", "--rng-seed", "0", "--counter-max", "50", "--delta-min", "1e-2", "--out", str(run_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(run_path.read_text())
+    doc["total_states_generated"] = 1
+    run_path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["analyze", str(run_path)], capsys)
+    assert code == 2 and out == ""
+    assert "total_states_generated" in err
+
+
 def test_continue_rejects_non_violating_start(tmp_path, capsys):
     seed_doc = tmp_path / "seed.json"
     write_bell_product_doc(seed_doc)

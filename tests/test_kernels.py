@@ -399,27 +399,26 @@ def test_screened_terms_are_the_unscreened_terms_bit_for_bit(seed0_optimum):
     for states in (haar, walk, boundary):
         for alpha in (2.0, 1.5, 1.02, 1.0):
             for layout in ((0, 1, 2, 3), (2, 0, 3, 1)):
-                screened = _kernels.batched_terms(states, layout, alpha, 6)
-                unscreened = _kernels._terms(states, layout, alpha, 6, np.inf)
-                assert screened[0].tobytes() == unscreened[0].tobytes()
-                assert screened[1].tobytes() == unscreened[1].tobytes(), (alpha, layout)
+                screened = _kernels.terms_table(states, layout, alpha, 6)
+                unscreened = _kernels.terms_table(states, layout, alpha, 6, np.inf)
+                assert screened.tobytes() == unscreened.tobytes(), (alpha, layout)
     # the screen is taken near the optimum: the paper's symmetric violating
     # states have separable cross pairs, E(a1b2) = E(a2b1) = 0
     _, pair = _kernels.batched_terms(walk, (0, 1, 2, 3), 2.0)
     assert np.all(pair[:1000, 2:] == 0.0)
     # a screen that takes every pair leaves the first two and the bipartite term alone
-    all_screened = _kernels._terms(haar, (0, 1, 2, 3), 1.5, 6, -np.inf)
-    plain = _kernels.batched_terms(haar, (0, 1, 2, 3), 1.5, 6)
-    assert all_screened[0].tobytes() == plain[0].tobytes()
-    assert all_screened[1][:, :2].tobytes() == plain[1][:, :2].tobytes()
-    assert np.all(all_screened[1][:, 2:] == 0.0)
+    all_screened = _kernels.terms_table(haar, (0, 1, 2, 3), 1.5, 6, -np.inf)
+    plain = _kernels.terms_table(haar, (0, 1, 2, 3), 1.5, 6)
+    assert all_screened[:, :3].tobytes() == plain[:, :3].tobytes()
+    assert np.all(all_screened[:, 3:7] == 0.0)
 
 
 def test_a_nan_row_gives_nan_terms_whatever_the_screen():
     states = _haar_blocks(215, 3).reshape(3, 16)
     states[1, 9] = np.nan
     for separable_det in (-np.inf, _kernels.SEPARABLE_DET, np.inf):
-        e_bip, pair = _kernels._terms(states, (0, 1, 2, 3), 2.0, 6, separable_det)
+        table = _kernels.terms_table(states, (0, 1, 2, 3), 2.0, 6, separable_det)
+        e_bip, pair = table[:, 0], table[:, 1:7]
         assert np.isnan(e_bip[1]) and np.isnan(pair[1]).all(), separable_det
         assert np.isfinite(e_bip[[0, 2]]).all() and np.isfinite(pair[[0, 2]]).all()
 
@@ -515,8 +514,8 @@ def _kernel_outputs():
         for k in (1, 2, 4, 6):
             for det in (_kernels.SEPARABLE_DET, np.inf, -np.inf):
                 for layout in ((0, 1, 2, 3), (2, 0, 3, 1)):
-                    yield "_terms", f"{alpha} {k} {det} {layout}", np.hstack(
-                        [x.reshape(len(states), -1) for x in _kernels._terms(states, layout, alpha, k, det)])
+                    # the terms alone, without the residuals the table appends
+                    yield "_terms", f"{alpha} {k} {det} {layout}", _kernels.terms_table(states, layout, alpha, k, det)[:, : 1 + k]
     for n in range(3, 9):
         rows = rng.standard_normal((40, 2**n)) + 1j * rng.standard_normal((40, 2**n))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)

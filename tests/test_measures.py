@@ -352,6 +352,11 @@ def test_batched_rows_do_not_depend_on_batch_size(alpha):
     for strided in (wide[:, 1], np.repeat(states, 2, axis=0)[::2], np.asfortranarray(states)):
         e_s, pair_s = _kernels.batched_terms(strided, layout.as_tuple(), alpha, 6)
         assert e_s.tolist() == e_bip.tolist() and pair_s.tolist() == pair.tolist()
+    # the residuals the table appends are numpy's differences of its terms, at every k
+    ss = e_bip - pair[:, 0] - pair[:, 1]
+    for k, columns in ((2, [ss]), (3, [ss]), (4, [ss, ss - pair[:, 2] - pair[:, 3]]), (6, [ss, ss - pair[:, 2] - pair[:, 3]])):
+        want = np.column_stack([e_bip, pair[:, :k], *columns])
+        assert _kernels.terms_table(states, layout.as_tuple(), alpha, k).tobytes() == want.tobytes(), k
 
 
 def test_ckw_r2_residual_w3_oracle():

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracle
 from conftest import OPTIMUM_SYMMETRIC, SPIN_FLIP, apply_local_unitary, bell_product, ghz_state, random_state, w_state
 
 from ssmono import _kernels, measures, sampler, search, store
@@ -140,6 +141,25 @@ def test_spin_flip_lambdas_of_structured_states_match_lapack(psi):
     lam = _kernels.spin_flip_lambdas(blocks)
     assert np.max(np.abs(lam - np.linalg.svd(tau, compute_uv=False))) <= TOL
     assert np.max(np.abs(np.sum(lam**2, axis=1) - np.sum(np.abs(tau) ** 2, axis=(1, 2)))) <= TOL
+
+
+def test_terms_of_structured_states_match_the_oracle():
+    # a fixed sample of each family above, six states each, and two
+    # neighbours of the optimum at each distance; one oracle call is about
+    # 23 ms. The worst gap measured was 1.1e-15, at alpha = 1.5.
+    states = [_unit(_real(seed)) for seed in range(6)]
+    states += [_symmetrized(_complex(seed), group) for group in (_P_FIXED, _PS_FIXED) for seed in range(6)]
+    states += [_symmetrized(_real(seed), _PS_FIXED) for seed in range(6)]
+    states += [
+        _unit(OPTIMUM_SYMMETRIC + eps * _symmetrized(_real(100 + n), _PS_FIXED))
+        for n, eps in enumerate((1e-14, 1e-12, 1e-10, 1e-8) * 2)
+    ]
+    alphas = (2.0, 1.5, 1.0)
+    expected = [oracle.terms(psi, (0, 1, 2, 3), alphas) for psi in states]
+    for alpha in alphas:
+        e_bip, pair = _kernels.batched_terms(np.array(states), (0, 1, 2, 3), alpha, 6)
+        want = np.array([[float(want_bip), *map(float, want_pair)] for want_bip, want_pair in (e[alpha] for e in expected)])
+        assert np.max(np.abs(np.column_stack([e_bip, pair]) - want)) < 1e-13, alpha
 
 
 # amplitude parts: ordinary values, and exact zeros, -0.0 and subnormals,

@@ -1,6 +1,7 @@
 """Search loop semantics, region walks, continuation, and scans."""
 
 import concurrent.futures
+import dataclasses
 import os
 import subprocess
 import sys
@@ -190,6 +191,18 @@ def test_states_since_accept_bookkeeping():
     assert steps[0] == 0
     assert all(x < y for x, y in zip(steps, steps[1:]))
     assert rec.total_states_generated >= steps[-1]
+
+
+def test_a_record_derives_its_fields_again_under_replace():
+    # perfbench re-seeds the seed-0 optimum's record with dataclasses.replace
+    rec = search.minimize_residual(search.SearchConfig(delta0=0.5, delta_min=5e-2, rng=sampler.RngSeed(5)))
+    moved = dataclasses.replace(rec, config=dataclasses.replace(rec.config, rng=sampler.RngSeed(7)))
+    assert moved.trace is rec.trace and moved.config.rng == sampler.RngSeed(7)
+    assert (moved.total_states_generated, moved.final_delta) == (rec.total_states_generated, rec.final_delta)
+    assert moved.final_residuals == rec.final_residuals
+    assert moved.final_state.tobytes() == rec.final_state.tobytes()
+    with pytest.raises(ValueError, match="final_state"):
+        dataclasses.replace(rec, final_state=rec.final_state)
 
 
 def test_objective_monogamy2_minimizes_monogamy_residual():

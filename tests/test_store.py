@@ -203,7 +203,8 @@ def test_load_run_rejects_norm_drift(tmp_path, short_record):
 
 def test_a_state_is_loaded_at_the_norm_tolerance_it_is_scored_at(tmp_path, short_record):
     # off unit norm by 1e-10: the loader once let a final state through at
-    # 1e-9, and scoring it again then raised a plain ValueError at 1e-12
+    # 1e-9, and scoring it again then raised a plain ValueError at 1e-12.
+    # The final state is the last trace row's, so a stored one must equal it.
     def off(pairs):
         return [[(1 + 1e-10) * re, (1 + 1e-10) * im] for re, im in pairs]
 
@@ -212,11 +213,11 @@ def test_a_state_is_loaded_at_the_norm_tolerance_it_is_scored_at(tmp_path, short
     final, trace = json.loads(path.read_text()), json.loads(path.read_text())
     final["final_state"] = off(final["final_state"])
     trace["trace"][1]["state"] = off(trace["trace"][1]["state"])
-    for where, doc in (("final_state", final), ("trace row 1 state", trace)):
+    for message, doc in (("stored final_state row 0 .* beyond 0.0", final), ("trace row 1 state norm .* beyond 1e-12", trace)):
         path.write_text(json.dumps(doc))
-        with pytest.raises(store.ArchiveError, match=f"{where} norm .* beyond 1e-12"):
+        with pytest.raises(store.ArchiveError, match=message):
             store.load_run(path)
-        with pytest.raises(store.ArchiveError, match=f"{where} norm"):
+        with pytest.raises(store.ArchiveError, match=message):
             store.load_state_document(path)
     path.write_text(json.dumps({"state": final["final_state"]}))
     with pytest.raises(store.ArchiveError, match="state norm"):
@@ -300,6 +301,80 @@ def test_load_run_checks_the_whole_archive(tmp_path, short_record, damage, messa
     path.write_text(json.dumps(doc))
     with pytest.raises(store.ArchiveError, match=message):
         store.load_run(path)
+
+
+@pytest.fixture(scope="module")
+def seed0_archive(tmp_path_factory):
+    """The text of the seed-0 run at counter_max 50: 65 rows, its last accept
+    at step 1152, and 1202 states in all."""
+    record = search.minimize_residual(search.SearchConfig(rng=sampler.RngSeed(0), counter_max=50, delta_min=1e-2))
+    path = tmp_path_factory.mktemp("seed0") / "run.json"
+    store.save_run(store.make_archive(record, PINNED_TIME), path)
+    return path.read_text(encoding="utf-8")
+
+
+def _row_three_since(doc):
+    doc["trace"][3]["states_since_accept"] = 999
+
+
+def _row_three_step(doc):
+    doc["trace"][3]["step"] = 0
+
+
+def _row_three_delta(doc):
+    doc["trace"][3]["delta"] = 7.0  # above delta0
+
+
+def _total_of_one(doc):
+    doc["total_states_generated"] = 1
+
+
+def _final_delta_above_delta_min(doc):
+    doc["final_delta"] = 0.3
+
+
+def _final_state_of_row_two(doc):
+    state = np.array(doc["trace"][2]["state"]).view(complex).ravel()
+    doc["final_state"] = doc["trace"][2]["state"]
+    doc["final_residuals"] = measures.residual_report(state)._asdict()
+    doc["fingerprint"] = store.run_fingerprint(state, measures.CANONICAL_LAYOUT, 2.0)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_row_three_since, "stored trace row 3 states_since_accept 999"),
+        (_row_three_step, "trace from row 0: .*step 0 does not follow step"),
+        (_row_three_delta, "stored trace row 3 delta 7.0"),
+        (_total_of_one, "stored total_states_generated 1 disagrees with re-evaluation 1202"),
+        (_final_delta_above_delta_min, "stored final_delta 0.3 disagrees"),
+        (_final_state_of_row_two, "stored final_state row"),
+    ],
+    ids=["since", "step", "delta", "total", "final-delta", "final-state"],
+)
+def test_load_run_derives_the_bookkeeping_from_the_steps(tmp_path, seed0_archive, edit, message):
+    # each edit once loaded without complaint: the deltas, the counts and the
+    # final state were read as inputs, not derived from the steps and states
+    doc = json.loads(seed0_archive)
+    assert (len(doc["trace"]), doc["trace"][-1]["step"], doc["total_states_generated"]) == (65, 1152, 1202)
+    edit(doc)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(store.ArchiveError, match=message):
+        store.load_run(path)
+
+
+def test_bookkeeping_refuses_steps_that_break_the_rule():
+    config = search.SearchConfig(delta0=0.5, counter_max=10, delta_min=0.05)
+    deltas, since, final, total = search.bookkeeping(config, [0, 1, 12, 33])
+    # 0, 10 and 20 states rejected before the three accepts: 0, 1 and 2 halvings;
+    # then one more halving, after 10 rejections, takes delta below delta_min
+    assert (deltas, since) == ([0.5, 0.5, 0.25, 0.0625], [0, 1, 11, 21])
+    assert (final, total) == (0.03125, 33 + 10)
+    for steps, message in (([3], "seed's step is 3"), ([0, 5, 5], "step 5 does not follow step 5"),
+                           ([0, 41], "delta fell below delta_min"), ([], "at least the seed")):
+        with pytest.raises(ValueError, match=message):
+            search.bookkeeping(config, steps)
 
 
 @pytest.mark.parametrize(
@@ -448,28 +523,23 @@ def test_documents_refuse_amplitudes_that_are_not_numbers(tmp_path, short_record
             store.load_state_document(bare)
     path = tmp_path / "run.json"
     store.save_run(store.make_archive(short_record, PINNED_TIME), path)
-    for where in ("final_state", "trace row 1 state"):
+    for where, message in (("final_state", "stored final_state row 3 row 1 '"), ("trace row 1 state", "malformed trace row 1 state: an amplitude is not a number")):
         doc = json.loads(path.read_text())
         state = doc["final_state"] if where == "final_state" else doc["trace"][1]["state"]
         state[3][1] = repr(state[3][1])
         damaged = tmp_path / "damaged.json"
         damaged.write_text(json.dumps(doc))
-        with pytest.raises(store.ArchiveError, match=f"malformed {where}: an amplitude is not a number"):
+        with pytest.raises(store.ArchiveError, match=message):
             store.load_run(damaged)
 
 
 def _long_record(n_rows: int) -> search.RunRecord:
-    """A record whose trace holds n_rows Haar states, scored as the descent
-    scores its trace; a descent with that many accepts takes seconds."""
+    """A record whose trace holds n_rows Haar states, one accept every three
+    steps; a descent with that many accepts takes seconds."""
     config = search.SearchConfig(rng=sampler.RngSeed(11))
     gen = sampler.generator(config.rng)
     states = np.array([sampler.haar_random_state(4, gen) for _ in range(n_rows)])
-    table = measures.residual_table(states, config.layout, config.alpha)
-    steps = 3 * np.arange(n_rows)
-    deltas = config.delta0 * 0.5 ** (np.arange(n_rows) // 50)
-    trace = search.Trace(steps, deltas, np.minimum(steps, 3), states, table[:, measures.SS], table[:, measures.MONO])
-    final = measures.residual_report(states[-1], config.layout, config.alpha)
-    return search.RunRecord(config, trace, states[-1], final, 3 * n_rows, deltas[-1])
+    return search.RunRecord(config, search.Trace(config, 3 * np.arange(n_rows), states))
 
 
 def _written(tmp_path, record) -> tuple:
