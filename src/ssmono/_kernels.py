@@ -18,7 +18,8 @@ batch. There is one path for each quantity:
 - `singular_values4`, `spin_flip_lambdas`, `renyi_from_c` and
   `renyi_entropies`: the same library's 4x4 singular values (sv4w), Wootters
   lambdas (spin_flip4) and Renyi maps, which the two kernels above use inside
-  C and the density-matrix entries in `measures` call from Python;
+  C and `measures.concurrence`, `renyi_entropy` and `renyi_from_concurrence`,
+  the measures of a mixed rho, call from Python;
 - `displace`: normalize(start + delta z[r]) for each row of z (displace):
   the proposals of the descent and `sampler.perturb_within`, with the bits of
   the numpy expression it replaced;
@@ -181,6 +182,20 @@ def checked_index(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def checked_layout(layout) -> tuple:
+    """The package's one check of a pairing layout (a1, a2, b1, b2): a
+    permutation of 0..3 whose roles are integers, returned as a tuple of
+    ints, or ValueError."""
+    why = ""
+    try:
+        roles = tuple(checked_index(q, "a layout role") for q in layout)
+    except (TypeError, ValueError) as exc:
+        roles, why = (), f": {exc}"
+    if sorted(roles) != [0, 1, 2, 3]:
+        raise ValueError(f"layout must be a permutation of 0..3, got {layout!r}{why}")
+    return roles
+
+
 def _reals(x, what: str) -> np.ndarray:
     """x as a C-contiguous float64 array; strings, complex numbers and objects are refused."""
     x = np.asarray(x)
@@ -257,17 +272,6 @@ def _checked_states(states, dim: int) -> np.ndarray:
     return np.ascontiguousarray(states)
 
 
-def _checked_layout(layout) -> tuple:
-    """layout as a tuple of ints, a permutation of 0..3, or ValueError."""
-    try:
-        roles = tuple(checked_index(q, "a layout role") for q in layout)
-    except (TypeError, ValueError):
-        roles = ()
-    if sorted(roles) != [0, 1, 2, 3]:
-        raise ValueError(f"layout must be a permutation of 0..3, got {layout!r}")
-    return roles
-
-
 def terms_table(states: np.ndarray, layout, alpha: float, k: int = 4, separable_det: float = SEPARABLE_DET):
     """Each row of complex128 (m, 16) normalized amplitudes as a row of
     _svd4.c's terms: the bipartite term, the first k pair terms, then ss when
@@ -286,7 +290,7 @@ def terms_table(states: np.ndarray, layout, alpha: float, k: int = 4, separable_
     bit; the tests check this on Haar, walk and boundary states.
     """
     states = _checked_states(states, 16)
-    roles = _checked_layout(layout)
+    roles = checked_layout(layout)
     if not 1 <= (k := checked_index(k, "k")) <= 6:
         raise ValueError(f"k must be an integer in 1..6, got {k!r}")
     alpha = normalize_alpha(alpha)
@@ -357,7 +361,7 @@ def walk(start: np.ndarray, delta: float, z: np.ndarray, layout, alpha: float, t
     delta = checked_delta(delta)
     start = _checked_start(start, 16)
     z = _checked_states(z, 16)
-    _, index = _terms_index(_checked_layout(layout), 4)
+    _, index = _terms_index(checked_layout(layout), 4)
     alpha = normalize_alpha(alpha)
     if math.isnan(bound := _real(threshold)):
         raise ValueError(f"threshold must be a real number, got {threshold!r}")

@@ -5,11 +5,7 @@ index, so |q0 q1 ... q_{n-1}> lives at index q0*2^(n-1) + ... + q_{n-1}*2^0.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
-
-from ._kernels import checked_index
 
 NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-10
@@ -57,6 +53,8 @@ def _square_hermitian(m) -> np.ndarray:
     rho = np.asarray(m, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be a square 2-D array")
+    if not np.all(np.isfinite(rho)):  # a NaN would pass every comparison below
+        raise ValueError("density matrix entries must be finite")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian within {HERMITICITY_TOL}")
     return rho
@@ -70,38 +68,3 @@ def as_density_matrix(entries) -> np.ndarray:
         raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
     hermitian_eigenvalues(rho)  # PSD check
     return rho
-
-
-def _validated_mask(keep: Iterable[int], n: int) -> tuple[int, ...]:
-    mask = tuple(checked_index(q, "a qubit index") for q in keep)
-    if not mask:
-        raise ValueError("subsystem mask must not be empty")
-    if any(q < 0 or q >= n for q in mask):
-        raise ValueError(f"qubit index out of range for {n} qubits: {mask}")
-    if any(a >= b for a, b in zip(mask, mask[1:])):
-        raise ValueError(f"subsystem mask must be strictly increasing: {mask}")
-    return mask
-
-
-def partial_trace(state, keep: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix on the kept qubits, remaining qubits traced out.
-
-    Accepts a pure state (1-D) or a density matrix (2-D).
-    """
-    arr = np.asarray(state)
-    if arr.ndim == 1:
-        psi = as_state(arr)
-        n = n_qubits_of(psi)
-        mask = _validated_mask(keep, n)
-        traced = tuple(q for q in range(n) if q not in mask)
-        block = psi.reshape((2,) * n).transpose(mask + traced).reshape(2 ** len(mask), -1)
-        return block @ block.conj().T
-    rho = as_density_matrix(arr)
-    n = n_qubits_of(rho)
-    mask = _validated_mask(keep, n)
-    traced = tuple(q for q in range(n) if q not in mask)
-    k = len(mask)
-    t = rho.reshape((2,) * (2 * n))
-    perm = mask + traced + tuple(n + q for q in mask) + tuple(n + q for q in traced)
-    t = t.transpose(perm).reshape(2 ** k, 2 ** (n - k), 2 ** k, 2 ** (n - k))
-    return np.einsum("a b c b -> a c", t)

@@ -27,9 +27,7 @@ class PairingLayout:
     b2: int = 3
 
     def __post_init__(self):
-        roles = [_kernels.checked_index(q, "a layout role") for q in (self.a1, self.a2, self.b1, self.b2)]
-        if sorted(roles) != [0, 1, 2, 3]:
-            raise ValueError(f"layout must name four distinct qubits in [0, 4): {tuple(roles)}")
+        _kernels.checked_layout(self.as_tuple())
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a1, self.a2, self.b1, self.b2)
@@ -84,32 +82,10 @@ def renyi_from_concurrence(c, alpha) -> float:
     Renyi entropy of the pair (x, 1-x) with x = (1 + sqrt(1 - c^2))/2; the
     alpha = 1 branch is the binary entropy (EoF).
     """
-    cf = float(c)
-    if cf < -1e-12 or cf > 1.0 + 1e-12:
-        raise ValueError(f"concurrence must lie in [0, 1], got {c}")
+    # _real gives NaN for a non-number or a bool, and NaN fails the range test
+    if not -1e-12 <= (cf := _kernels._real(c)) <= 1.0 + 1e-12:
+        raise ValueError(f"concurrence must be a real number in [0, 1], got {c!r}")
     return float(_kernels.renyi_from_c(min(1.0, max(0.0, cf)), alpha))
-
-
-def pair_entanglement(psi, i: int, j: int, alpha) -> float:
-    """Measure of the (i, j) two-qubit reduction of a pure state, in bits.
-    Through the density matrix and `concurrence`, so it carries that
-    function's floor of about 1e-8 on rank-deficient entangled reductions."""
-    state = linalg.as_state(psi)
-    n = linalg.n_qubits_of(state)
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"need two distinct qubit indices in [0, {n}), got ({i}, {j})")
-    rho = linalg.partial_trace(state, tuple(sorted((i, j))))
-    return renyi_from_concurrence(concurrence(rho), alpha)
-
-
-def bipartite_pure_entanglement(psi, partition_a, alpha) -> float:
-    """Renyi entropy of the reduction onto partition_a (pure-state convex roof)."""
-    state = linalg.as_state(psi)
-    n = linalg.n_qubits_of(state)
-    mask = tuple(partition_a)
-    if len(mask) >= n:
-        raise ValueError("partition_a must be a proper subset of the qubits")
-    return renyi_entropy(linalg.partial_trace(state, mask), alpha)
 
 
 def residual_report(psi, layout: PairingLayout = CANONICAL_LAYOUT, alpha=2.0) -> ResidualReport:
@@ -129,33 +105,14 @@ def residual_table(states: np.ndarray, layout: PairingLayout, alpha) -> np.ndarr
     return _kernels.terms_table(states, layout.as_tuple(), alpha)
 
 
-def ckw_r2_residual(psi, focus: int = 0) -> float:
-    """R2 monogamy residual of one qubit against the rest.
-
-    Bipartite side: -log2((2 - C^2)/2) with C^2 = 2(1 - Tr rho_focus^2); pair
-    side: the same curve on each pairwise concurrence. Expected >= 0 for all
-    pure states.
-    """
-    state = linalg.as_state(psi)  # batched_ckw_r2 checks the qubit count and the focus
-    return float(_kernels.batched_ckw_r2(state[None], linalg.n_qubits_of(state), focus)[0])
-
-
-def sum_inequality_residual(c_squared) -> float:
-    """Residual of -log2((2 - sum v)/2) >= -sum log2((2 - v)/2) over v = C_i^2.
-
-    Takes the vector of squared concurrences; admissible when every entry is
-    in [0, 1] and the sum is at most 1. Expected >= 0. A batch of one through
-    sum_inequality_residuals.
-    """
-    return float(sum_inequality_residuals(np.asarray(c_squared, dtype=float).reshape(1, -1))[0])
-
-
 def sum_inequality_residuals(c_squared) -> np.ndarray:
-    """sum_inequality_residual of each row of a (samples, length) array.
+    """Residual of -log2((2 - sum v)/2) >= -sum log2((2 - v)/2) for each row v
+    of a (samples, length) array of squared concurrences C_i^2.
 
-    Rows of different lengths are padded with zeros: a zero entry adds
-    log2(1) = 0 to the pair side and 0 to the sum, so it leaves the row's
-    residual unchanged.
+    A row is admissible when every entry is in [0, 1] and the sum is at most
+    1, and its residual is then expected >= 0. Rows of different lengths are
+    padded with zeros: a zero entry adds log2(1) = 0 to the pair side and 0
+    to the sum, so it leaves the row's residual unchanged.
     """
     v = np.asarray(c_squared, dtype=float)
     if v.ndim != 2 or v.shape[1] == 0:

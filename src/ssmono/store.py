@@ -363,9 +363,12 @@ _EVALUATED = frozenset(("ss_residual", "monogamy_residual", "final_residuals", "
 def _agree(stored, fresh, where: str = "", tol: float = 0.0) -> None:
     """Check a stored document against the one re-derived from its inputs:
     the same keys and lengths, the numbers under an _EVALUATED key within
-    LOAD_RESIDUAL_TOL, all else equal."""
-    if stored == fresh and type(stored) is type(fresh):
-        return  # the common case, compared in C; only a difference is walked
+    LOAD_RESIDUAL_TOL, all else equal, and an integer where this build
+    writes one."""
+    # compared in C; a dict is walked, since its == takes a stored 10.0 for a
+    # count of 10 (every int sits in a dict: a document's lists hold floats)
+    if stored == fresh and type(stored) is type(fresh) is not dict:
+        return
     if isinstance(stored, dict) and isinstance(fresh, dict):
         if stored.keys() != fresh.keys():
             raise ArchiveError(f"{where or 'document'} keys {sorted(stored)} are not {sorted(fresh)}")
@@ -377,6 +380,8 @@ def _agree(stored, fresh, where: str = "", tol: float = 0.0) -> None:
             _agree(kept, again, f"{where} row {n}", tol)
         return
     numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (stored, fresh))
+    if numbers and isinstance(fresh, int) and not isinstance(stored, int):
+        raise ArchiveError(f"stored {where} {stored!r} must be the integer {fresh!r}")
     if numbers:
         with _malformed(where):  # 1e999 parses as inf, and a long int overflows a float
             numbers = abs(_finite(stored) - fresh) <= tol

@@ -5,7 +5,7 @@ Qubit 0 is the most significant bit of the basis index throughout.
 
 import numpy as np
 
-from ssmono import linalg
+from ssmono import linalg, measures
 
 SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # sigma_y (x) sigma_y
 
@@ -68,6 +68,21 @@ def pure_trace_distance(a, b) -> float:
         raise ValueError(f"dimension mismatch: {pa.shape} vs {pb.shape}")
     overlap = abs(np.vdot(pa, pb)) ** 2
     return float(np.sqrt(max(0.0, 1.0 - overlap)))
+
+
+def reduced_density(psi, keep) -> np.ndarray:
+    """The density matrix of a pure state on the qubits keep, in that order, the others traced out."""
+    n, keep = linalg.n_qubits_of(psi), tuple(keep)
+    traced = tuple(q for q in range(n) if q not in keep)
+    block = linalg.as_state(psi).reshape((2,) * n).transpose(keep + traced).reshape(2 ** len(keep), -1)
+    return block @ block.conj().T
+
+
+def density_pair_term(psi, i: int, j: int, alpha) -> float:
+    """The (i, j) pair term of a pure state through its density matrix and the
+    package's mixed-state measures, with eigh's floor of about 1e-8: the
+    reference the amplitude kernels are checked against."""
+    return measures.renyi_from_concurrence(measures.concurrence(reduced_density(psi, sorted((i, j)))), alpha)
 
 
 def apply_local_unitary(state, qubit: int, u) -> np.ndarray:

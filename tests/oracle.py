@@ -73,14 +73,16 @@ def terms(amps, layout, alphas):
     b1b2])}, the order of batched_terms with k = 6; the spectra are computed
     once for every alpha.
 
-    The spectrum is scaled to sum to 1, so the terms are those of the
-    normalized state, as the kernels assume: a float state's norm misses 1 by
-    about 1e-16, which the Renyi entropy divides by 1 - alpha (1e-13 at
-    alpha = 1.002)."""
+    Every term is that of the normalized state, as the kernels assume: a
+    float state's norm misses 1 by about 1e-16, which the Renyi entropy
+    divides by 1 - alpha (1e-13 at alpha = 1.002). So the spectrum is scaled
+    to sum to 1, and each concurrence, which is linear in rho, is divided by
+    the same norm^2, the unscaled spectrum's sum."""
     a1, a2, b1, b2 = layout
     spectrum = bipartite_spectrum(amps, layout)
-    with mp.workdps(DPS):
-        spectrum = [x / mp.fsum(spectrum) for x in spectrum]
     pairs = ((a1, b1), (a2, b2), (a1, b2), (a2, b1), (a1, a2), (b1, b2))
-    c = [concurrence(pair_lambdas(amps, i, j)) for i, j in pairs]
+    with mp.workdps(DPS):
+        norm2 = mp.fsum(spectrum)
+        spectrum = [x / norm2 for x in spectrum]
+        c = [concurrence(pair_lambdas(amps, i, j)) / norm2 for i, j in pairs]
     return {alpha: (entropy(spectrum, alpha), [renyi_from_c(x, alpha) for x in c]) for alpha in alphas}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import bell_pair
+from conftest import bell_pair, density_pair_term, reduced_density
 
 from ssmono import _kernels, cli, linalg, measures, sampler, search, store
 
@@ -162,8 +162,9 @@ def test_criterion_04_terminals_match_the_oracle(violating_runs, continuation_st
 
 def test_criterion_04_fingerprints_agree_with_the_density_matrix_route(violating_runs, continuation_stages):
     # archives written before the fingerprint moved onto the residual kernel
-    # took it through partial traces and eigh; on the real optimum and the
-    # terminals the two agree far inside LOAD_RESIDUAL_TOL, so they reload
+    # took it through partial traces and eigh, the route conftest keeps as the
+    # tests' reference; on the real optimum and the terminals the two agree
+    # far inside LOAD_RESIDUAL_TOL, so they reload
     worst = 0.0
     for record in [violating_runs[0]] + continuation_stages:
         psi, layout, alpha = record.final_state, record.config.layout, record.config.alpha
@@ -171,10 +172,10 @@ def test_criterion_04_fingerprints_agree_with_the_density_matrix_route(violating
         roles = {"a1": layout.a1, "a2": layout.a2, "b1": layout.b1, "b2": layout.b2}
         for name, value in fp["pair_entanglements"].items():
             i, j = roles[name[:2]], roles[name[2:]]
-            worst = max(worst, abs(value - measures.pair_entanglement(psi, i, j, alpha)))
+            worst = max(worst, abs(value - density_pair_term(psi, i, j, alpha)))
         for name in ("spectrum_a1a2", "spectrum_a1b1", "spectrum_a2b2"):
-            keep = tuple(sorted((roles[name[-4:-2]], roles[name[-2:]])))
-            old = linalg.hermitian_eigenvalues(linalg.partial_trace(psi, keep))
+            keep = sorted((roles[name[-4:-2]], roles[name[-2:]]))
+            old = linalg.hermitian_eigenvalues(reduced_density(psi, keep))
             worst = max(worst, float(np.max(np.abs(np.array(fp[name]) - old))))
     print(f"[criterion 4] fingerprints of the optimum and {len(continuation_stages)} terminals "
           f"within {worst:.2e} of the density-matrix route")
@@ -201,7 +202,7 @@ def test_criterion_06_r2_monogamy_on_random_states():
         _, worst, _, state = search.haar_minimum(
             10_000, n, sampler.RngSeed(0, n << 32), "batched_ckw_r2", (n,), -1e-9, 1
         )
-        assert measures.ckw_r2_residual(state) == pytest.approx(worst, abs=1e-12)
+        assert _kernels.batched_ckw_r2(state[None], n)[0] == pytest.approx(worst, abs=1e-12)
         worst_per_n[n] = worst
     print(
         "[criterion 6] min residual per size "

@@ -213,14 +213,14 @@ def test_continue_refuses_an_archive_with_a_non_integer_counter(tmp_path, capsys
 
 def test_archives_and_analyze_stay_off_the_density_matrix_path(tmp_path, capsys, monkeypatch):
     # the fingerprint and every residual come from the compiled amplitude
-    # kernels; the density-matrix functions are public references only
+    # kernels; the density-matrix measures are for mixed states only
     record = search.minimize_residual(search.SearchConfig(alpha=1.5, delta0=0.5, delta_min=1e-2))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the pipeline reached the density-matrix path")
 
-    for module, name in ((linalg, "partial_trace"), (linalg, "hermitian_eigenvalues"),
-                         (measures, "pair_entanglement"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+    for module, name in ((measures, "concurrence"), (linalg, "as_density_matrix"), (linalg, "hermitian_eigenvalues"),
+                         (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
         monkeypatch.setattr(module, name, refuse)
     archive = store.make_archive(record)
     path = tmp_path / "run.json"

@@ -9,9 +9,11 @@ from conftest import (
     apply_local_unitary,
     bell_pair,
     bell_product,
+    density_pair_term,
     ghz_state,
     random_density,
     random_state,
+    reduced_density,
     w_state,
 )
 
@@ -110,6 +112,13 @@ def test_concurrence_local_unitary_invariance():
 def test_concurrence_rejects_wrong_size():
     with pytest.raises(ValueError):
         measures.concurrence(np.eye(8) / 8)
+    # a NaN entry passed the Hermiticity and trace checks, and gave C = 0 and
+    # a Renyi entropy of 0.678
+    m = np.eye(4) / 4
+    m[0, 0] = np.nan
+    for measure in (measures.concurrence, lambda rho: measures.renyi_entropy(rho, 2.0)):
+        with pytest.raises(ValueError, match="finite"):
+            measure(m)
 
 
 def test_renyi_entropy_known_spectra():
@@ -200,16 +209,21 @@ def test_renyi_from_concurrence_validation():
         measures.renyi_from_concurrence(-0.01, 2.0)
     with pytest.raises(ValueError):
         measures.renyi_from_concurrence(1.01, 2.0)
+    # NaN used to give 0.0 and "0.5" a number
+    for bad in (float("nan"), "0.5", True, None, [0.5]):
+        with pytest.raises(ValueError, match="concurrence must be a real number"):
+            measures.renyi_from_concurrence(bad, 2.0)
+    assert measures.renyi_from_concurrence(np.float64(0.5), 2.0) == measures.renyi_from_concurrence(0.5, 2.0)
     # roundoff-scale excursions are clipped, not rejected
     assert measures.renyi_from_concurrence(1.0 + 5e-13, 2.0) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_pair_entanglement_of_bell_product():
     psi = bell_product()
-    assert measures.pair_entanglement(psi, 0, 2, 2.0) == pytest.approx(1.0, abs=1e-12)
-    assert measures.pair_entanglement(psi, 1, 3, 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert density_pair_term(psi, 0, 2, 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert density_pair_term(psi, 1, 3, 2.0) == pytest.approx(1.0, abs=1e-12)
     for i, j in ((0, 1), (0, 3), (1, 2), (2, 3)):
-        assert measures.pair_entanglement(psi, i, j, 2.0) == pytest.approx(0.0, abs=1e-12)
+        assert density_pair_term(psi, i, j, 2.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pair_entanglement_w_state_oracle():
@@ -217,48 +231,19 @@ def test_pair_entanglement_w_state_oracle():
     w4 = w_state(4)
     expected = measures.renyi_from_concurrence(0.5, 2.0)
     for i, j in ((0, 1), (1, 3), (2, 3)):
-        assert measures.pair_entanglement(w4, i, j, 2.0) == pytest.approx(expected, abs=1e-12)
+        assert density_pair_term(w4, i, j, 2.0) == pytest.approx(expected, abs=1e-12)
 
 
 def test_pair_entanglement_ghz_pairs_vanish():
     for alpha in (1.0, 2.0, 3.0):
-        assert measures.pair_entanglement(ghz_state(4), 0, 3, alpha) == 0.0
-
-
-def test_pair_entanglement_validation():
-    psi = bell_product()
-    with pytest.raises(ValueError):
-        measures.pair_entanglement(psi, 2, 2, 2.0)
-    with pytest.raises(ValueError):
-        measures.pair_entanglement(psi, 0, 4, 2.0)
-    # int() would read these as the pairs (0, 1) and (1, 2)
-    for i, j in ((0, 1.5), (True, 2)):
-        with pytest.raises(ValueError, match="qubit index must be an integer"):
-            measures.pair_entanglement(psi, i, j, 2.0)
-    assert measures.pair_entanglement(psi, np.int64(0), np.int64(2), 2.0) == pytest.approx(1.0, abs=1e-12)
+        assert density_pair_term(ghz_state(4), 0, 3, alpha) == 0.0
 
 
 def test_bipartite_entanglement_known_cuts():
-    assert measures.bipartite_pure_entanglement(bell_pair(), (0,), 2.0) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    assert measures.bipartite_pure_entanglement(bell_product(), (0, 1), 2.0) == pytest.approx(
-        2.0, abs=1e-12
-    )
+    assert measures.renyi_entropy(reduced_density(bell_pair(), (0,)), 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert measures.renyi_entropy(reduced_density(bell_product(), (0, 1)), 2.0) == pytest.approx(2.0, abs=1e-12)
     for alpha in (1.0, 1.5, 3.0):
-        assert measures.bipartite_pure_entanglement(ghz_state(4), (0, 1), alpha) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-
-def test_bipartite_entanglement_rejects_trivial_cuts():
-    with pytest.raises(ValueError):
-        measures.bipartite_pure_entanglement(bell_pair(), (0, 1), 2.0)
-    with pytest.raises(ValueError):
-        measures.bipartite_pure_entanglement(bell_pair(), (), 2.0)
-    # int() would read this as the cut (1,)
-    with pytest.raises(ValueError, match="qubit index must be an integer"):
-        measures.bipartite_pure_entanglement(bell_product(), (1.9,), 2.0)
+        assert measures.renyi_entropy(reduced_density(ghz_state(4), (0, 1)), alpha) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_residual_report_bell_product_terms():
@@ -289,18 +274,17 @@ def test_residual_report_field_identities_are_exact():
 
 
 def test_residual_report_terms_match_public_measures():
-    # second route: partial_trace plus concurrence, away from the batched kernels
+    # second route: the reduced density matrix and the mixed-state measures,
+    # away from the amplitude kernels
     rng = np.random.default_rng(132)
     psi = random_state(rng, 4)
     for alpha in (1.0, 2.0):
         r = measures.residual_report(psi, alpha=alpha)
-        assert r.e_bipartite == pytest.approx(
-            measures.bipartite_pure_entanglement(psi, (0, 1), alpha), abs=1e-11
-        )
-        assert r.e_a1b1 == pytest.approx(measures.pair_entanglement(psi, 0, 2, alpha), abs=1e-11)
-        assert r.e_a2b2 == pytest.approx(measures.pair_entanglement(psi, 1, 3, alpha), abs=1e-11)
-        assert r.e_a1b2 == pytest.approx(measures.pair_entanglement(psi, 0, 3, alpha), abs=1e-11)
-        assert r.e_a2b1 == pytest.approx(measures.pair_entanglement(psi, 1, 2, alpha), abs=1e-11)
+        assert r.e_bipartite == pytest.approx(measures.renyi_entropy(reduced_density(psi, (0, 1)), alpha), abs=1e-11)
+        assert r.e_a1b1 == pytest.approx(density_pair_term(psi, 0, 2, alpha), abs=1e-11)
+        assert r.e_a2b2 == pytest.approx(density_pair_term(psi, 1, 3, alpha), abs=1e-11)
+        assert r.e_a1b2 == pytest.approx(density_pair_term(psi, 0, 3, alpha), abs=1e-11)
+        assert r.e_a2b1 == pytest.approx(density_pair_term(psi, 1, 2, alpha), abs=1e-11)
 
 
 def test_residual_report_respects_layout():
@@ -359,16 +343,21 @@ def test_batched_rows_do_not_depend_on_batch_size(alpha):
         assert _kernels.terms_table(states, layout.as_tuple(), alpha, k).tobytes() == want.tobytes(), k
 
 
+def _ckw_r2_of(psi, focus=0) -> float:
+    """The residual of one state, a batch of one of batched_ckw_r2."""
+    return float(_kernels.batched_ckw_r2(psi[None], linalg.n_qubits_of(psi), focus)[0])
+
+
 def test_ckw_r2_residual_w3_oracle():
     # |W_3>: one-vs-rest C^2 = 8/9, pair concurrences 2/3 each, so the
     # residual is -log2(5/9) + 2*log2(7/9) = log2(49/45)
     expected = math.log2(49.0 / 45.0)
-    assert measures.ckw_r2_residual(w_state(3)) == pytest.approx(expected, abs=1e-13)
+    assert _ckw_r2_of(w_state(3)) == pytest.approx(expected, abs=1e-13)
 
 
 def test_ckw_r2_residual_ghz_is_one_bit():
     for n in (3, 4, 5):
-        assert measures.ckw_r2_residual(ghz_state(n)) == pytest.approx(1.0, abs=1e-12)
+        assert _ckw_r2_of(ghz_state(n)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ckw_r2_residual_product_state_is_zero():
@@ -376,27 +365,27 @@ def test_ckw_r2_residual_product_state_is_zero():
     full = np.kron(
         np.kron(random_state(rng, 1), random_state(rng, 1)), random_state(rng, 1)
     )
-    assert measures.ckw_r2_residual(full) == pytest.approx(0.0, abs=1e-12)
+    assert _ckw_r2_of(full) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ckw_r2_residual_nonnegative_on_random_states():
     rng = np.random.default_rng(142)
     for n in (3, 4, 5, 6):
         for _ in range(100):
-            assert measures.ckw_r2_residual(random_state(rng, n)) >= -1e-9
+            assert _ckw_r2_of(random_state(rng, n)) >= -1e-9
 
 
 def test_ckw_r2_focus_choices_agree_for_symmetric_states():
     w4 = w_state(4)
-    values = [measures.ckw_r2_residual(w4, focus=f) for f in range(4)]
+    values = [_ckw_r2_of(w4, focus=f) for f in range(4)]
     assert max(values) - min(values) < 1e-12
 
 
 def test_ckw_r2_residual_validation():
     with pytest.raises(ValueError):
-        measures.ckw_r2_residual(bell_pair())  # needs >= 3 qubits
+        _kernels.batched_ckw_r2(bell_pair()[None], 2)  # needs >= 3 qubits
     with pytest.raises(ValueError):
-        measures.ckw_r2_residual(w_state(3), focus=3)
+        _kernels.batched_ckw_r2(w_state(3)[None], 3, focus=3)
 
 
 def _haar_chunk(seed, rows, n_qubits):
@@ -411,7 +400,7 @@ def _npt_pairs(states, n_qubits, focus):
     for i in range(n_qubits):
         if i != focus:
             for psi in states:
-                rho = linalg.partial_trace(psi, tuple(sorted((focus, i))))
+                rho = reduced_density(psi, sorted((focus, i)))
                 rho_g = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
                 count += int(np.linalg.eigvalsh(rho_g)[0] < 0.0)
     return count
@@ -491,7 +480,7 @@ def test_ckw_r2_rows_do_not_depend_on_the_batch():
             batch, lam = _kernels._ckw_r2(states, n, focus, _kernels.SEPARABLE_DET)
             assert 0 < _unscreened_pairs(lam) < rows * (n - 1)  # the chunk mixes separable and entangled pairs
             for r in range(rows):
-                assert batch[r] == measures.ckw_r2_residual(states[r], focus), (n, focus, r)
+                assert batch[r] == _kernels.batched_ckw_r2(states[r : r + 1], n, focus)[0], (n, focus, r)
             strided = _kernels.batched_ckw_r2(np.stack([states, states], axis=1)[:, 0], n, focus)
             assert strided.tolist() == batch.tolist()
 
@@ -540,12 +529,12 @@ def test_batched_ckw_r2_refuses_bad_input_before_the_kernel_runs(monkeypatch):
 def test_sum_inequality_residual_two_halves_oracle():
     # v = (1/2, 1/2): -log2(1/2) + 2*log2(3/4) = 2*log2(3) - 3
     expected = 2 * math.log2(3.0) - 3.0
-    assert measures.sum_inequality_residual([0.5, 0.5]) == pytest.approx(expected, abs=1e-14)
+    assert measures.sum_inequality_residuals([[0.5, 0.5]])[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_sum_inequality_residual_single_entry_is_zero():
     for v in (0.0, 0.3, 1.0):
-        assert measures.sum_inequality_residual([v]) == pytest.approx(0.0, abs=1e-14)
+        assert measures.sum_inequality_residuals([[v]])[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sum_inequality_residual_nonnegative_property():
@@ -556,23 +545,16 @@ def test_sum_inequality_residual_nonnegative_property():
         k = int(rng.integers(1, 7))
         raw = rng.uniform(0.0, 1.0, size=k)
         row[:k] = raw * (rng.uniform() / max(1.0, raw.sum()))
-        singles.append(measures.sum_inequality_residual(row[:k]))
+        singles.append(measures.sum_inequality_residuals(row[None, :k])[0])
         assert singles[-1] >= -1e-12
     # zero padding leaves every row's residual unchanged, bit for bit
     assert measures.sum_inequality_residuals(padded).tolist() == singles
 
 
 def test_sum_inequality_residual_validation():
-    with pytest.raises(ValueError):
-        measures.sum_inequality_residual([])
-    with pytest.raises(ValueError):
-        measures.sum_inequality_residual([-0.1])
-    with pytest.raises(ValueError):
-        measures.sum_inequality_residual([1.2])
-    with pytest.raises(ValueError):
-        measures.sum_inequality_residual([0.2, float("nan")])
-    with pytest.raises(ValueError):
-        measures.sum_inequality_residual([0.7, 0.7])  # sum above 1
+    for bad in ([[]], [[-0.1]], [[1.2]], [[0.2, float("nan")]], [[0.7, 0.7]]):  # the last sums above 1
+        with pytest.raises(ValueError):
+            measures.sum_inequality_residuals(bad)
     with pytest.raises(ValueError):
         measures.sum_inequality_residuals(np.zeros(3))  # needs (samples, length)
     with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bell_product, random_state, relabeled
+from conftest import bell_product, density_pair_term, random_state, reduced_density, relabeled
 
 from ssmono import _kernels, measures, sampler, search
 
@@ -270,13 +270,13 @@ def test_random_walk_region_matches_sequential_reference(violating_record):
         assert all(type(report) is measures.ResidualReport for report in reports)
         for state, report in list(zip(visited, reports))[::25]:
             assert report.e_bipartite == pytest.approx(
-                measures.bipartite_pure_entanglement(state, sorted((layout.a1, layout.a2)), alpha), abs=1e-10
+                measures.renyi_entropy(reduced_density(state, sorted((layout.a1, layout.a2))), alpha), abs=1e-10
             )
             for (i, j), term in zip(
                 ((layout.a1, layout.b1), (layout.a2, layout.b2), (layout.a1, layout.b2), (layout.a2, layout.b1)),
                 (report.e_a1b1, report.e_a2b2, report.e_a1b2, report.e_a2b1),
             ):
-                assert term == pytest.approx(measures.pair_entanglement(state, i, j, alpha), abs=1e-10)
+                assert term == pytest.approx(density_pair_term(state, i, j, alpha), abs=1e-10)
 
 
 def test_continuation_schedule_validation():

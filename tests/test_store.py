@@ -340,6 +340,16 @@ def _final_state_of_row_two(doc):
     doc["fingerprint"] = store.run_fingerprint(state, measures.CANONICAL_LAYOUT, 2.0)
 
 
+def _as_float(*keys):
+    """An edit that writes the integer at doc[keys[0]][keys[1]]... as a float."""
+    def edit(doc):
+        *outer, last = keys
+        for key in outer:
+            doc = doc[key]
+        doc[last] = float(doc[last])
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -349,8 +359,14 @@ def _final_state_of_row_two(doc):
         (_total_of_one, "stored total_states_generated 1 disagrees with re-evaluation 1202"),
         (_final_delta_above_delta_min, "stored final_delta 0.3 disagrees"),
         (_final_state_of_row_two, "stored final_state row"),
+        # an integer written as a float: each of these loaded
+        (_as_float("trace", 3, "step"), "stored trace row 3 step 10.0 must be the integer 10"),
+        (_as_float("trace", 3, "states_since_accept"), "stored trace row 3 states_since_accept .* must be the integer"),
+        (_as_float("total_states_generated"), "stored total_states_generated 1202.0 must be the integer 1202"),
+        (_as_float("format_version"), "stored format_version 1.0 must be the integer 1"),
     ],
-    ids=["since", "step", "delta", "total", "final-delta", "final-state"],
+    ids=["since", "step", "delta", "total", "final-delta", "final-state", "float-step", "float-since", "float-total",
+         "float-version"],
 )
 def test_load_run_derives_the_bookkeeping_from_the_steps(tmp_path, seed0_archive, edit, message):
     # each edit once loaded without complaint: the deltas, the counts and the
