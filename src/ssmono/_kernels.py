@@ -8,12 +8,11 @@ matrix's bits never depend on the other seven, so no result depends on the
 batch. There is one path for each quantity:
 
 - `terms_table`: the bipartite term and the pair terms of each 4-qubit row,
-  then the ss and mono residuals they complete (terms in _svd4.c), and
-  `batched_terms`, its terms alone. Row r depends only on states[r], so the
-  objective value driving an acceptance is bit-identical to the value stored
-  in the trace and to a later batch-of-one `residual_report`, and
-  `fingerprint_terms` gives the archive fingerprint from the same kernel and
-  amplitude blocks;
+  then the ss and mono residuals they complete (terms in _svd4.c). Row r
+  depends only on states[r], so the objective value driving an acceptance is
+  bit-identical to the value stored in the trace and to a later batch-of-one
+  `residual_report`, and `fingerprint_terms` gives the archive fingerprint
+  from the same kernel and amplitude blocks;
 - `batched_ckw_r2`: the CKW-R2 residual of 3..8-qubit rows (ckw_r2);
 - `singular_values4`, `spin_flip_lambdas`, `renyi_from_c` and
   `renyi_entropies`: the same library's 4x4 singular values (sv4w), Wootters
@@ -46,8 +45,12 @@ import numpy as np
 
 ALPHA_ONE_TOL = 1e-9
 # det(rho^G) at or above this proves a two-qubit pair PPT, so separable
-# (batched_ckw_r2, and batched_terms' pairs after a1b1 and a2b2)
+# (batched_ckw_r2, and terms_table's pairs after a1b1 and a2b2)
 SEPARABLE_DET = 1e-12
+# terms_table's pairs in its order: each name and its two roles in the layout (a1, a2, b1, b2)
+TERM_PAIRS = (("a1b1", (0, 2)), ("a2b2", (1, 3)), ("a1b2", (0, 3)),
+              ("a2b1", (1, 2)), ("a1a2", (0, 1)), ("b1b2", (2, 3)))
+_COMPLEX128 = np.dtype(np.complex128)  # a dtype, not a type, so that == converts nothing
 # qubit counts batched_ckw_r2 takes: _svd4.c's ckw_r2 holds each pair matrix
 # in fixed buffers of 2^(8-2) columns; linalg.MAX_QUBITS is the same 8
 _CKW_QUBITS = range(3, 9)
@@ -127,13 +130,13 @@ def _load_svd4() -> ctypes.CDLL:
 _SVD4 = _load_svd4()
 
 
-def _matrices4(a) -> np.ndarray:
-    """a as a C-contiguous complex128 (..., 4, 4) array, or ValueError."""
-    if not isinstance(a, np.ndarray) or a.dtype != np.complex128 or a.ndim < 2 or a.shape[-2:] != (4, 4):
-        raise ValueError(
-            f"need a complex128 array of 4x4 matrices, got {getattr(a, 'dtype', type(a).__name__)} "
-            f"{getattr(a, 'shape', '')}"
-        )
+def _checked_complex(a, lead: int, tail: tuple, what: str) -> np.ndarray:
+    """The package's one check of an array handed to C: a as C-contiguous
+    complex128 with a.shape[lead:] == tail and at least lead dimensions (lead
+    < 0: any number), or ValueError naming what was expected, what.format(*tail)."""
+    if not (isinstance(a, np.ndarray) and a.dtype == _COMPLEX128 and a.shape[lead:] == tail and a.ndim >= lead):
+        got = f"{getattr(a, 'dtype', type(a).__name__)} {getattr(a, 'shape', '')}"
+        raise ValueError(f"need a complex128 {what.format(*tail)}, got {got}")
     return np.ascontiguousarray(a)
 
 
@@ -141,7 +144,7 @@ def singular_values4(a: np.ndarray) -> np.ndarray:
     """Descending singular values (..., 4) of each matrix of a complex128
     (..., 4, 4) array, by one-sided Jacobi on eight matrices in lockstep
     (sv4w in _svd4.c); each matrix's values are those it gets on its own."""
-    a = _matrices4(a)
+    a = _checked_complex(a, -2, (4, 4), "array of 4x4 matrices")
     out = np.empty(a.shape[:-1])
     _SVD4.svd4(a.ctypes.data, out.ctypes.data, a.size // 16)
     return out
@@ -241,11 +244,10 @@ def _block_index(perms: tuple) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def _terms_index(layout: tuple, k: int) -> tuple:
     """The blocks _svd4.c's terms reads, (1 + k, 16): the (a1 a2 | b1 b2) cut,
-    then the first k pairs of (a1b1, a2b2, a1b2, a2b1, a1a2, b1b2); and its
-    address, which stays valid while the cache holds the array."""
-    a1, a2, b1, b2 = layout
-    pairs = ((a1, b1), (a2, b2), (a1, b2), (a2, b1), (a1, a2), (b1, b2))[:k]
-    index = _block_index((layout,) + tuple(_pair_perm(i, j) for i, j in pairs))
+    then the first k of TERM_PAIRS; and its address, which stays valid while
+    the cache holds the array."""
+    pairs = tuple(_pair_perm(layout[i], layout[j]) for _, (i, j) in TERM_PAIRS[:k])
+    index = _block_index((layout,) + pairs)
     index.flags.writeable = False  # shared by every caller through the cache
     return index, index.ctypes.data
 
@@ -255,31 +257,20 @@ def spin_flip_lambdas(blocks: np.ndarray) -> np.ndarray:
     (..., 4, 4) factor B, descending: the singular values of tau = B^T S B
     (S the spin flip), the square roots of the eigenvalues of rho rho~ on its
     nonzero part, from _svd4.c's spin_flip4."""
-    blocks = _matrices4(blocks)
+    blocks = _checked_complex(blocks, -2, (4, 4), "array of 4x4 matrices")
     out = np.empty(blocks.shape[:-1])
     _SVD4.lambdas(blocks.ctypes.data, out.ctypes.data, blocks.size // 16)
     return out
-
-
-def _checked_states(states, dim: int) -> np.ndarray:
-    """states as a C-contiguous complex128 (m, dim) array, or ValueError."""
-    if not (isinstance(states, np.ndarray) and states.dtype == np.complex128 and states.ndim == 2
-            and states.shape[1] == dim):
-        raise ValueError(
-            f"need a complex128 (m, {dim}) array, got {getattr(states, 'dtype', type(states).__name__)} "
-            f"{getattr(states, 'shape', '')}"
-        )
-    return np.ascontiguousarray(states)
 
 
 def terms_table(states: np.ndarray, layout, alpha: float, k: int = 4, separable_det: float = SEPARABLE_DET):
     """Each row of complex128 (m, 16) normalized amplitudes as a row of
     _svd4.c's terms: the bipartite term, the first k pair terms, then ss when
     k >= 2 and mono when k >= 4, so that at k = 4 it is a residual_table row.
-    The pairs are (a1b1, a2b2, a1b2, a2b1, a1a2, b1b2) of the layout (a1, a2,
-    b1, b2), a permutation of 0..3: the residuals' four, then the two only the
-    fingerprint stores. Row r depends only on states[r], never on m, k or the
-    strides; the tests check this bit for bit.
+    The pairs are TERM_PAIRS of the layout (a1, a2, b1, b2), a permutation
+    of 0..3: the residuals' four, then the two only the fingerprint stores.
+    Row r depends only on states[r], never on m, k or the strides; the tests
+    check this bit for bit.
 
     The pairs after a1b1 and a2b2 take batched_ckw_r2's PPT screen: one with
     det(rho^G) >= separable_det (+inf screens none) is separable, its term is
@@ -289,7 +280,7 @@ def terms_table(states: np.ndarray, layout, alpha: float, k: int = 4, separable_
     residuals agree there. The screened terms are the unscreened ones bit for
     bit; the tests check this on Haar, walk and boundary states.
     """
-    states = _checked_states(states, 16)
+    states = _checked_complex(states, 1, (16,), "(m, {}) array")
     roles = checked_layout(layout)
     if not 1 <= (k := checked_index(k, "k")) <= 6:
         raise ValueError(f"k must be an integer in 1..6, got {k!r}")
@@ -300,30 +291,13 @@ def terms_table(states: np.ndarray, layout, alpha: float, k: int = 4, separable_
     return out
 
 
-def batched_terms(states: np.ndarray, layout, alpha: float, k: int = 4):
-    """The bipartite term (m,) and the first k pair terms (m, k) of terms_table's rows."""
-    table = terms_table(states, layout, alpha, k)
-    return table[:, 0], table[:, 1 : 1 + k]
-
-
 def fingerprint_terms(states: np.ndarray, layout, alpha: float) -> tuple:
-    """The six pair terms (m, 6) of batched_terms, and the descending spectra
+    """The six pair terms (m, 6) of terms_table, and the descending spectra
     (m, 3, 4) of the a1a2, a1b1 and a2b2 reductions: the squared singular
-    values of the first three blocks batched_terms reads."""
-    _, pairs = batched_terms(states, layout, alpha, 6)  # checks every argument
+    values of the first three blocks terms_table reads."""
+    pairs = terms_table(states, layout, alpha, 6)[:, 1:7]  # checks every argument
     index, _ = _terms_index(tuple(map(operator.index, layout)), 6)
     return pairs, singular_values4(states[:, index[:3]].reshape(-1, 3, 4, 4)) ** 2
-
-
-def _checked_start(start, dim: int | None = None) -> np.ndarray:
-    """start as a C-contiguous complex128 vector, of length dim if one is given, or ValueError."""
-    if not (isinstance(start, np.ndarray) and start.dtype == np.complex128 and start.ndim == 1
-            and dim in (None, start.shape[0])):
-        raise ValueError(
-            f"need a complex128 start vector{'' if dim is None else f' of length {dim}'}, got "
-            f"{getattr(start, 'dtype', type(start).__name__)} {getattr(start, 'shape', '')}"
-        )
-    return np.ascontiguousarray(start)
 
 
 def displace(start: np.ndarray, delta: float, z: np.ndarray) -> np.ndarray:
@@ -336,8 +310,8 @@ def displace(start: np.ndarray, delta: float, z: np.ndarray) -> np.ndarray:
     keepdims=True)`, whatever m; the tests keep that expression as the oracle.
     """
     delta = checked_delta(delta)
-    start = _checked_start(start)
-    z = _checked_states(z, start.shape[0])
+    start = _checked_complex(start, 1, (), "start vector")
+    z = _checked_complex(z, 1, start.shape, "(m, {}) array")
     out = np.empty_like(z)
     _SVD4.displace(start.ctypes.data, z.ctypes.data, z.shape[0], z.shape[1], delta, out.ctypes.data)
     return out
@@ -359,8 +333,8 @@ def walk(start: np.ndarray, delta: float, z: np.ndarray, layout, alpha: float, t
     eight rows at a time, so rows past the stop are not computed.
     """
     delta = checked_delta(delta)
-    start = _checked_start(start, 16)
-    z = _checked_states(z, 16)
+    start = _checked_complex(start, 0, (16,), "start vector of length {}")
+    z = _checked_complex(z, 1, (16,), "(m, {}) array")
     _, index = _terms_index(checked_layout(layout), 4)
     alpha = normalize_alpha(alpha)
     if math.isnan(bound := _real(threshold)):
@@ -390,11 +364,11 @@ def pair_block(amps: np.ndarray, i: int, j: int) -> np.ndarray:
 
 def pair_term(amps: np.ndarray, i: int, j: int, alpha: float) -> float:
     a2, b2 = (q for q in range(4) if q not in (i, j))
-    return float(batched_terms(amps[None], (i, a2, j, b2), alpha, 1)[1][0, 0])
+    return float(terms_table(amps[None], (i, a2, j, b2), alpha, 1)[0, 1])
 
 
 def bipartite_term(amps: np.ndarray, a1: int, a2: int, b1: int, b2: int, alpha: float) -> float:
-    return float(batched_terms(amps[None], (a1, a2, b1, b2), alpha, 1)[0][0])
+    return float(terms_table(amps[None], (a1, a2, b1, b2), alpha, 1)[0, 0])
 
 
 def ss_value(amps: np.ndarray, layout, alpha: float) -> float:
@@ -426,7 +400,7 @@ def _ckw_r2(states: np.ndarray, n_qubits: int, focus: int, separable_det: float)
         raise ValueError(f"n_qubits must be an integer in 3..{_CKW_QUBITS[-1]}, got {n_qubits!r}")
     if not 0 <= (focus := checked_index(focus, "focus qubit")) < n_qubits:
         raise ValueError(f"focus qubit {focus!r} out of range for {n_qubits} qubits")
-    states = _checked_states(states, 2**n_qubits)
+    states = _checked_complex(states, 1, (2**n_qubits,), "(m, {}) array")
     index = _pair_index(n_qubits, focus)
     out = np.empty(states.shape[0])
     lambdas = np.empty((states.shape[0], n_qubits - 1, 4))

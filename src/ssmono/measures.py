@@ -61,7 +61,7 @@ def concurrence(rho) -> float:
     from eigh(rho): on a rank-deficient rho the roundoff of the zero
     eigenvalues enters W at sqrt(eps), so C carries a floor of about 1e-8
     (measured on locally rotated W states). The pipeline takes a pure state's
-    amplitude block as W instead (_kernels.batched_terms), which has no floor.
+    amplitude block as W instead (_kernels.terms_table), which has no floor.
     """
     m = linalg.as_density_matrix(rho)
     if m.shape != (4, 4):

@@ -1,6 +1,7 @@
 """Monte Carlo residual minimization, region walks, Haar scans, alpha continuation."""
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from array import array
@@ -334,21 +335,10 @@ def _blocks(states: np.ndarray) -> list:
     return [states[lo : lo + rows] for lo in range(0, states.shape[0], rows)]
 
 
-def score_chunk(states: np.ndarray, kernel: str, kernel_args: tuple, threshold: float):
-    """Values of `_kernels.<kernel>(states, *kernel_args)` for one chunk of
-    normalized states, the row of the least value and the count below threshold.
-
-    The kernel is called once per SCORE_BLOCK amplitudes; its rows do not
-    depend on the batch, so neither do the values.
-    """
-    kernel_fn = getattr(_kernels, kernel)
-    values = np.concatenate([kernel_fn(block, *kernel_args) for block in _blocks(states)])
-    argmin = int(np.argmin(values))
-    violations = int(np.sum(values < threshold))
-    return values, argmin, violations
-
-
 def _chunk_task(args):
+    """One chunk's count of values below threshold, its least value, that
+    value's row and state. The kernel is called once per SCORE_BLOCK
+    amplitudes; its rows do not depend on the batch, so neither do the values."""
     chunk_index, size, n_qubits, rng, kernel, kernel_args, threshold = args
     gen = sampler.generator(sampler.derive(rng, chunk_index + 1))
     dim = 2 ** n_qubits
@@ -359,8 +349,10 @@ def _chunk_task(args):
     states.imag = gen.standard_normal((size, dim))
     for block in _blocks(states):
         block /= np.linalg.norm(block, axis=1, keepdims=True)
-    values, argmin, violations = score_chunk(states, kernel, kernel_args, threshold)
-    return violations, float(values[argmin]), argmin, states[argmin].copy()
+    kernel_fn = getattr(_kernels, kernel)
+    values = np.concatenate([kernel_fn(block, *kernel_args) for block in _blocks(states)])
+    argmin = int(np.argmin(values))
+    return int(np.sum(values < threshold)), float(values[argmin]), argmin, states[argmin].copy()
 
 
 def haar_minimum(
@@ -374,29 +366,37 @@ def haar_minimum(
     stream derive(rng, k + 1), so the result is identical for every worker
     count and no kernel call sees more than one chunk. At most min(workers,
     chunks, CPU count) processes are opened. The kernel is named,
-    not passed, so that workers look it up in their own `_kernels`.
+    not passed, so that workers look it up in their own `_kernels`. Chunks
+    are made as they are taken and folded as they arrive, so that a serial
+    scan's memory does not grow with n_states.
     """
     if _kernels.checked_index(n_states, "n_states") < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
+    if not 1 <= _kernels.checked_index(n_qubits, "n_qubits") <= linalg.MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in [1, {linalg.MAX_QUBITS}], got {n_qubits}")
     if _kernels.checked_index(workers, "workers") < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     rows = SCAN_CHUNK * 16 >> n_qubits
-    sizes = [rows] * (n_states // rows) + ([n_states % rows] if n_states % rows else [])
-    tasks = [(ci, size, n_qubits, rng, kernel, kernel_args, threshold) for ci, size in enumerate(sizes)]
+    starts = range(0, n_states, rows)
+    tasks = ((ci, min(rows, n_states - lo), n_qubits, rng, kernel, kernel_args, threshold)
+             for ci, lo in enumerate(starts))
     # a fork-started pool forks all max_workers processes at its first submit,
     # and processes beyond the CPU count only add memory
-    processes = min(workers, len(tasks), os.cpu_count() or 1)
-    if processes == 1:
-        results = [_chunk_task(t) for t in tasks]
-    else:
-        # imported here: multiprocessing costs every process about 1.5 MiB
-        from concurrent.futures import ProcessPoolExecutor
+    processes = min(workers, len(starts), os.cpu_count() or 1)
+    with contextlib.ExitStack() as stack:
+        results = map(_chunk_task, tasks)
+        if processes > 1:
+            # imported here: multiprocessing costs every process about 1.5 MiB
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(_chunk_task, tasks))
-    # min keeps the first of equal values, which is the lowest draw index
-    ci, (_, least, argmin, state) = min(enumerate(results), key=lambda r: r[1][1])
-    return sum(r[0] for r in results), least, ci * rows + argmin, state
+            results = stack.enter_context(ProcessPoolExecutor(max_workers=processes)).map(_chunk_task, tasks)
+        violations, best = 0, None
+        for ci, (count, least, argmin, state) in enumerate(results):
+            violations += count
+            # strict: the first of equal values, which is the lowest draw index
+            if best is None or least < best[0]:
+                best = least, ci * rows + argmin, state
+    return (violations, *best)
 
 
 def haar_scan(

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,7 +28,6 @@ from . import _kernels, linalg, measures, sampler, search
 FORMAT_VERSION = 1
 # reload check: drift of every stored number from its re-derivation
 LOAD_RESIDUAL_TOL = 1e-9
-_KERNEL_PAIRS = ("a1b1", "a2b2", "a1b2", "a2b1", "a1a2", "b1b2")  # fingerprint_terms' pair order
 
 
 class ArchiveError(ValueError):
@@ -56,20 +56,6 @@ def format_float(x) -> str:
     return text
 
 
-class _Rows:
-    """A document list whose row n is built as make(items[n]) when it is read,
-    so that a long list is written and compared one row at a time."""
-
-    def __init__(self, items, make):
-        self._items, self._make = items, make
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, n):
-        return self._make(self._items[n])
-
-
 def _plain(value):
     """The encoder's fallback for the one non-JSON type a document holds."""
     if isinstance(value, np.integer):
@@ -84,13 +70,13 @@ _ENCODER = json.JSONEncoder(allow_nan=False, default=_plain)
 
 def _lines(doc: dict):
     """A document's text in pieces, each one encode() call: one top-level key
-    per line, and a _Rows value one row per line, so that a long trace is
-    built and encoded one row at a time."""
+    per line, and an iterator value as a list, one row per line, so that a
+    long trace is built and encoded one row at a time."""
     encode = _ENCODER.encode
     yield "{"
     for n, (key, value) in enumerate(doc.items()):
         yield ("\n" if n == 0 else ",\n") + encode(key) + ": "
-        if isinstance(value, _Rows):
+        if isinstance(value, Iterator):
             yield "["
             yield from (("\n" if m == 0 else ",\n") + encode(row) for m, row in enumerate(value))
             yield "\n]"
@@ -165,7 +151,7 @@ def run_fingerprint(state, layout: measures.PairingLayout, alpha: float) -> dict
     pairs, spectra = _kernels.fingerprint_terms(state[None], layout.as_tuple(), alpha)
     fingerprint = dict(zip(("spectrum_a1a2", "spectrum_a1b1", "spectrum_a2b2"), spectra[0].tolist()))
     # sorted names: a1a2, a1b1, a1b2, a2b1, a2b2, b1b2
-    fingerprint["pair_entanglements"] = dict(sorted(zip(_KERNEL_PAIRS, pairs[0].tolist())))
+    fingerprint["pair_entanglements"] = dict(sorted(zip([n for n, _ in _kernels.TERM_PAIRS], pairs[0].tolist())))
     return fingerprint
 
 
@@ -186,7 +172,7 @@ def _run_doc(archive: RunArchive) -> dict:
         "format_version": archive.format_version,
         "created_at": archive.created_at,
         "config": _config_doc(record.config),
-        "trace": _Rows(record.trace, _trace_row),
+        "trace": map(_trace_row, record.trace),
         "final_state": _state_doc(record.final_state),
         "final_residuals": record.final_residuals._asdict(),
         "fingerprint": archive.fingerprint,

@@ -5,7 +5,7 @@ Qubit 0 is the most significant bit of the basis index throughout.
 
 import numpy as np
 
-from ssmono import linalg, measures
+from ssmono import _kernels, linalg, measures
 
 SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # sigma_y (x) sigma_y
 
@@ -83,6 +83,12 @@ def density_pair_term(psi, i: int, j: int, alpha) -> float:
     package's mixed-state measures, with eigh's floor of about 1e-8: the
     reference the amplitude kernels are checked against."""
     return measures.renyi_from_concurrence(measures.concurrence(reduced_density(psi, sorted((i, j)))), alpha)
+
+
+def split_terms(states, layout, alpha, k: int = 4):
+    """The bipartite term (m,) and the first k pair terms (m, k) of `_kernels.terms_table`'s rows."""
+    table = _kernels.terms_table(states, layout, alpha, k)
+    return table[:, 0], table[:, 1 : 1 + k]
 
 
 def apply_local_unitary(state, qubit: int, u) -> np.ndarray:

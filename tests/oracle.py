@@ -70,7 +70,7 @@ def pair_lambdas(amps, i, j):
 
 def terms(amps, layout, alphas):
     """{alpha: (bipartite term, [pair terms a1b1, a2b2, a1b2, a2b1, a1a2,
-    b1b2])}, the order of batched_terms with k = 6; the spectra are computed
+    b1b2])}, the order of terms_table with k = 6; the spectra are computed
     once for every alpha.
 
     Every term is that of the normalized state, as the kernels assume: a

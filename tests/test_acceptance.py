@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import bell_pair, density_pair_term, reduced_density
+from conftest import bell_pair, density_pair_term, reduced_density, split_terms
 
 from ssmono import _kernels, cli, linalg, measures, sampler, search, store
 
@@ -147,7 +147,7 @@ def test_criterion_04_terminals_match_the_oracle(violating_runs, continuation_st
     worst = 0.0
     for record in continuation_stages:
         alpha, psi = record.config.alpha, record.final_state
-        e_bip, pair = _kernels.batched_terms(psi[None], layout, alpha, 6)
+        e_bip, pair = split_terms(psi[None], layout, alpha, 6)
         want_bip, want_pair = oracle.terms(psi, layout, (alpha,))[alpha]
         errors = [abs(e_bip[0] - float(want_bip))] + [abs(x - float(y)) for x, y in zip(pair[0], want_pair)]
         assert max(errors) < 1e-13, (alpha, errors)

@@ -15,7 +15,9 @@ import pytest
 from mpmath import mp
 
 import oracle
-from conftest import OPTIMUM_SYMMETRIC, SPIN_FLIP, bell_product, ghz_state, random_state, relabeled, w_state
+from conftest import (
+    OPTIMUM_SYMMETRIC, SPIN_FLIP, bell_product, ghz_state, random_state, relabeled, split_terms, w_state,
+)
 
 from ssmono import _kernels, measures, sampler, search
 
@@ -134,7 +136,7 @@ def test_batched_terms_match_the_oracle(seed0_optimum):
     alphas = (2.0, 1.5, 1.02, 1.0)
     expected = [oracle.terms(psi, layout, alphas) for psi in states]
     for alpha in alphas:
-        e_bip, pair = _kernels.batched_terms(states, layout, alpha, 6)
+        e_bip, pair = split_terms(states, layout, alpha, 6)
         for r, psi in enumerate(states):
             want_bip, want_pair = expected[r][alpha]
             assert abs(e_bip[r] - float(want_bip)) < 1e-13, (alpha, r)
@@ -150,17 +152,17 @@ def test_batched_terms_refuse_bad_input_before_the_kernel_runs(monkeypatch):
     good, layout = np.zeros((3, 16), dtype=complex), (0, 1, 2, 3)
     for bad in (good.real, good.astype(np.complex64), good[:, :15], good.reshape(3, 4, 4), good[0], good.tolist()):
         with pytest.raises(ValueError, match=r"complex128 \(m, 16\)"):
-            _kernels.batched_terms(bad, layout, 2.0)
+            _kernels.terms_table(bad, layout, 2.0)
     for bad in ((0, 1, 2), (0, 1, 2, 2), (0, 1, 2, 4), (0, 1, 2, 3, 4), (-1, 1, 2, 3), (0.0, 1, 2, 3), "0123", None,
                 (0, True, 2, 3), (np.False_, 1, 2, 3)):
         with pytest.raises(ValueError, match="layout"):
-            _kernels.batched_terms(good, bad, 2.0)
+            _kernels.terms_table(good, bad, 2.0)
     for bad in (0, 7, 2.0, None, True, np.True_):
         with pytest.raises(ValueError, match="k must"):
-            _kernels.batched_terms(good, layout, 2.0, bad)
+            _kernels.terms_table(good, layout, 2.0, bad)
     for bad in (0.5, 1.0 - 1e-6, np.nan, np.inf, -np.inf, "2", None, 2j):
         with pytest.raises(ValueError, match="alpha"):
-            _kernels.batched_terms(good, layout, bad)
+            _kernels.terms_table(good, layout, bad)
         with pytest.raises(ValueError, match="alpha"):
             _kernels.renyi_from_c(0.5, bad)
         with pytest.raises(ValueError, match="alpha"):
@@ -173,9 +175,9 @@ def test_batched_terms_refuse_bad_input_before_the_kernel_runs(monkeypatch):
     with pytest.raises(ValueError, match="4x4"):
         _kernels.spin_flip_lambdas(np.zeros((4, 4)))
     with pytest.raises(AssertionError):
-        _kernels.batched_terms(good, layout, 2.0)
+        _kernels.terms_table(good, layout, 2.0)
     with pytest.raises(AssertionError):  # numpy integers pass
-        _kernels.batched_terms(good, tuple(np.arange(4)), 2.0, np.int64(2))
+        _kernels.terms_table(good, tuple(np.arange(4)), 2.0, np.int64(2))
 
 
 def _oracle_entropy(w, alpha):
@@ -224,17 +226,17 @@ def test_pair_terms_of_maximally_entangled_pairs_stay_at_one_bit():
     blocks = states.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
     lam = _kernels.spin_flip_lambdas(blocks)
     assert np.any(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3] > 1.0)
-    _, pair = _kernels.batched_terms(states, (0, 1, 2, 3), 2.0, 2)
+    _, pair = split_terms(states, (0, 1, 2, 3), 2.0, 2)
     assert pair.max() == 1.0
     assert np.all(np.abs(pair - 1.0) < 1e-14)
 
 
 def test_a_nan_row_gives_nan_terms_and_leaves_the_others_alone():
     states = _haar_blocks(212, 4).reshape(4, 16)
-    clean = {alpha: _kernels.batched_terms(states, (0, 1, 2, 3), alpha) for alpha in (2.0, 1.5, 1.0)}
+    clean = {alpha: split_terms(states, (0, 1, 2, 3), alpha) for alpha in (2.0, 1.5, 1.0)}
     states[2, 5] = np.nan
     for alpha, (e_bip, pair) in clean.items():
-        got_bip, got_pair = _kernels.batched_terms(states, (0, 1, 2, 3), alpha)
+        got_bip, got_pair = split_terms(states, (0, 1, 2, 3), alpha)
         assert np.isnan(got_bip[2]) and np.isnan(got_pair[2]).all(), alpha
         keep = [0, 1, 3]
         assert got_bip[keep].tolist() == e_bip[keep].tolist()
@@ -404,7 +406,7 @@ def test_screened_terms_are_the_unscreened_terms_bit_for_bit(seed0_optimum):
                 assert screened.tobytes() == unscreened.tobytes(), (alpha, layout)
     # the screen is taken near the optimum: the paper's symmetric violating
     # states have separable cross pairs, E(a1b2) = E(a2b1) = 0
-    _, pair = _kernels.batched_terms(walk, (0, 1, 2, 3), 2.0)
+    _, pair = split_terms(walk, (0, 1, 2, 3), 2.0)
     assert np.all(pair[:1000, 2:] == 0.0)
     # a screen that takes every pair leaves the first two and the bipartite term alone
     all_screened = _kernels.terms_table(haar, (0, 1, 2, 3), 1.5, 6, -np.inf)
@@ -623,3 +625,18 @@ def test_fresh_process_reuses_the_cached_library():
     done = subprocess.run([sys.executable, "-c", refuse], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == _kernels._SVD4._name
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # perfbench/run.py's tracer wraps package names by string; a renamed or
+    # deleted one fails only there, with an AttributeError at install()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py sets them at import; the fixture restores them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import run
+
+    tracer = run.make_tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()

@@ -14,6 +14,7 @@ from conftest import (
     random_density,
     random_state,
     reduced_density,
+    split_terms,
     w_state,
 )
 
@@ -327,14 +328,14 @@ def test_batched_rows_do_not_depend_on_batch_size(alpha):
         assert single == measures.ResidualReport(alpha, *batch[r].tolist())
         assert ss[r] == single.ss_residual
     # nor on k, the pair terms asked for, nor on the strides of the batch
-    e_bip, pair = _kernels.batched_terms(states, layout.as_tuple(), alpha, 6)
+    e_bip, pair = split_terms(states, layout.as_tuple(), alpha, 6)
     for k in (1, 2, 3, 4, 5):
-        e_k, pair_k = _kernels.batched_terms(states, layout.as_tuple(), alpha, k)
+        e_k, pair_k = split_terms(states, layout.as_tuple(), alpha, k)
         assert e_k.tolist() == e_bip.tolist() and pair_k.tolist() == pair[:, :k].tolist()
     wide = np.zeros((70, 3, 16), dtype=complex)
     wide[:, 1] = states
     for strided in (wide[:, 1], np.repeat(states, 2, axis=0)[::2], np.asfortranarray(states)):
-        e_s, pair_s = _kernels.batched_terms(strided, layout.as_tuple(), alpha, 6)
+        e_s, pair_s = split_terms(strided, layout.as_tuple(), alpha, 6)
         assert e_s.tolist() == e_bip.tolist() and pair_s.tolist() == pair.tolist()
     # the residuals the table appends are numpy's differences of its terms, at every k
     ss = e_bip - pair[:, 0] - pair[:, 1]

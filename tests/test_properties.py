@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracle
-from conftest import OPTIMUM_SYMMETRIC, SPIN_FLIP, apply_local_unitary, bell_product, ghz_state, random_state, w_state
+from conftest import (
+    OPTIMUM_SYMMETRIC, SPIN_FLIP, apply_local_unitary, bell_product, ghz_state, random_state, split_terms, w_state,
+)
 
 from ssmono import _kernels, measures, sampler, search, store
 
@@ -157,7 +159,7 @@ def test_terms_of_structured_states_match_the_oracle():
     alphas = (2.0, 1.5, 1.0)
     expected = [oracle.terms(psi, (0, 1, 2, 3), alphas) for psi in states]
     for alpha in alphas:
-        e_bip, pair = _kernels.batched_terms(np.array(states), (0, 1, 2, 3), alpha, 6)
+        e_bip, pair = split_terms(np.array(states), (0, 1, 2, 3), alpha, 6)
         want = np.array([[float(want_bip), *map(float, want_pair)] for want_bip, want_pair in (e[alpha] for e in expected)])
         assert np.max(np.abs(np.column_stack([e_bip, pair]) - want)) < 1e-13, alpha
 

@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -319,12 +320,10 @@ def test_alpha_continuation_single_stage(violating_record):
 
 def test_score_chunk_values_and_counts(violating_record):
     states = np.stack([violating_record.final_state, bell_product()])
-    values, argmin, violations = search.score_chunk(
-        states, "batched_ss", ((0, 1, 2, 3), 2.0), measures.VIOLATION_THRESHOLD
-    )
+    values = _kernels.batched_ss(states, (0, 1, 2, 3), 2.0)
     assert values.shape == (2,)
-    assert argmin == 0
-    assert violations == 1
+    assert np.argmin(values) == 0
+    assert np.sum(values < measures.VIOLATION_THRESHOLD) == 1
     assert values[0] == pytest.approx(
         violating_record.final_residuals.ss_residual, abs=1e-10
     )
@@ -335,9 +334,7 @@ def test_batched_scan_values_match_reports():
     rng = np.random.default_rng(161)
     states = np.stack([random_state(rng, 4) for _ in range(40)])
     for alpha in (1.0, 1.5, 2.0):
-        values, _, _ = search.score_chunk(
-            states, "batched_ss", ((0, 1, 2, 3), alpha), measures.VIOLATION_THRESHOLD
-        )
+        values = _kernels.batched_ss(states, (0, 1, 2, 3), alpha)
         for k in (0, 7, 19, 39):
             expected = measures.residual_report(states[k], alpha=alpha).ss_residual
             assert values[k] == pytest.approx(expected, abs=1e-11)
@@ -407,6 +404,20 @@ def test_haar_minimum_pool_has_no_more_workers_than_chunks(monkeypatch):
     assert opened == [3, 3]
 
 
+def test_haar_minimum_memory_does_not_grow_with_the_chunk_count():
+    # each chunk's result is folded as it arrives: a driver that kept every
+    # chunk's argmin state (4 KiB at n = 8) would grow by about 280 KB over these 64 chunks
+    peaks = []
+    for chunks in (1, 2, 66):  # the first call also loads what the kernel needs once
+        tracemalloc.start()
+        try:
+            search.haar_minimum(chunks * 256, 8, sampler.RngSeed(1, 8 << 32), "batched_ckw_r2", (8,), 0.0, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] - peaks[1] < 64 * 1024, peaks
+
+
 def _loaded_after(statement: str, module: str) -> bool:
     """Whether `module` is in sys.modules of a fresh interpreter after `statement`."""
     code = f"import sys; {statement}; print({module!r} in sys.modules)"
@@ -437,3 +448,8 @@ def test_haar_scan_validation():
         with pytest.raises(ValueError, match="must be an integer"):
             search.haar_scan(n_states, workers=workers)
     assert search.haar_scan(np.int64(10), workers=np.int64(1)).n_states == 10
+    # a chunk of 2**16 amplitudes holds no state beyond MAX_QUBITS, and a
+    # shift by a negative count is no chunk at all
+    for n_qubits in (0, -1, 9, 17, True, 2.5, "4"):
+        with pytest.raises(ValueError, match="n_qubits"):
+            search.haar_minimum(10, n_qubits, sampler.RngSeed(0), "batched_ss", ((0, 1, 2, 3), 2.0), 0.0, 1)
