@@ -22,6 +22,9 @@ batch. There is one path for each quantity:
 - `displace`: normalize(start + delta z[r]) for each row of z (displace):
   the proposals of the descent and `sampler.perturb_within`, with the bits of
   the numpy expression it replaced;
+- `unit_rows`: the unit noise rows z of `sampler.unit_noise`, each block of
+  normals made complex and normalized (unit_rows), with the bits of the numpy
+  expression it replaced;
 - `walk`: the region walk's chain of those steps, each from the one before,
   scored as it is built (walk), until the first row outside the region: the
   chain's bits are those of one-row `displace` calls, and its table is the
@@ -50,15 +53,17 @@ SEPARABLE_DET = 1e-12
 # terms_table's pairs in its order: each name and its two roles in the layout (a1, a2, b1, b2)
 TERM_PAIRS = (("a1b1", (0, 2)), ("a2b2", (1, 3)), ("a1b2", (0, 3)),
               ("a2b1", (1, 2)), ("a1a2", (0, 1)), ("b1b2", (2, 3)))
-_COMPLEX128 = np.dtype(np.complex128)  # a dtype, not a type, so that == converts nothing
+# dtypes, not types, so that == converts nothing
+_COMPLEX128, _FLOAT64 = np.dtype(np.complex128), np.dtype(np.float64)
 # qubit counts batched_ckw_r2 takes: _svd4.c's ckw_r2 holds each pair matrix
 # in fixed buffers of 2^(8-2) columns; linalg.MAX_QUBITS is the same 8
 _CKW_QUBITS = range(3, 9)
 
 # plain -O2: no -march or -ffast-math, and no multiply-adds fused by the
 # compiler, so every build computes the same bits (the source's explicit fma()
-# calls are correctly rounded on every machine); -fno-math-errno only drops
-# the errno check after each sqrt, which IEEE rounds correctly either way
+# calls are correctly rounded on every machine, and run as FMA instructions
+# where the processor has them: FMA_CLONES in _svd4.c); -fno-math-errno only
+# drops the errno check after each sqrt, which IEEE rounds correctly either way
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 
@@ -121,8 +126,9 @@ def _load_svd4() -> ctypes.CDLL:
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p, ctypes.c_double,
         ctypes.c_double, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
     )
+    lib.unit_rows.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p)
     lib.walk.restype = ctypes.c_ssize_t
-    for name in ("svd4", "lambdas", "renyi_of_c", "renyi_of_spectra", "terms", "ckw_r2", "displace"):
+    for name in ("svd4", "lambdas", "renyi_of_c", "renyi_of_spectra", "terms", "ckw_r2", "displace", "unit_rows"):
         getattr(lib, name).restype = None
     return lib
 
@@ -314,6 +320,24 @@ def displace(start: np.ndarray, delta: float, z: np.ndarray) -> np.ndarray:
     z = _checked_complex(z, 1, start.shape, "(m, {}) array")
     out = np.empty_like(z)
     _SVD4.displace(start.ctypes.data, z.ctypes.data, z.shape[0], z.shape[1], delta, out.ctypes.data)
+    return out
+
+
+def unit_rows(g: np.ndarray) -> np.ndarray:
+    """The complex128 (m, dim) unit rows of a float64 (m, 2, dim) block of
+    normals: row r is g[r, 0] + 1j * g[r, 1], normalized.
+
+    _svd4.c's unit_rows takes numpy's operations in numpy's order, so a row
+    has the bits of `z = g[:, 0] + 1j * g[:, 1]; z / np.linalg.norm(z,
+    axis=-1, keepdims=True)` where numpy fuses its complex products, as on
+    FMA hardware; the tests keep that expression as the oracle.
+    """
+    if not (isinstance(g, np.ndarray) and g.dtype == _FLOAT64 and g.ndim == 3 and g.shape[1] == 2):
+        raise ValueError(f"need a float64 (m, 2, dim) array, got {getattr(g, 'dtype', type(g).__name__)} "
+                         f"{getattr(g, 'shape', '')}")
+    g = np.ascontiguousarray(g)
+    out = np.empty((g.shape[0], g.shape[2]), dtype=_COMPLEX128)
+    _SVD4.unit_rows(g.ctypes.data, g.shape[0], g.shape[2], out.ctypes.data)
     return out
 
 

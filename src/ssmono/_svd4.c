@@ -1,9 +1,10 @@
 /* The compiled numerics of ssmono: the singular values of 4x4 complex
  * matrices (svd4), the Wootters lambdas of two-qubit factors (lambdas), the
  * Renyi maps (renyi_of_c, renyi_of_spectra), the SS / monogamy terms of
- * 4-qubit states (terms), the CKW R2 residual of 3..8 qubits (ckw_r2) and the
- * displaced, renormalized states of the descent (displace) and the scored
- * chain of the region walk (walk).
+ * 4-qubit states (terms), the CKW R2 residual of 3..8 qubits (ckw_r2), the
+ * unit noise rows of the descent and the walk (unit_rows), the displaced,
+ * renormalized states of the descent (displace) and the scored chain of the
+ * region walk (walk).
  *
  * Singular values come from cyclic one-sided Jacobi (Hestenes; Demmel &
  * Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)). Columns p < q are
@@ -28,6 +29,27 @@
 #include <float.h>
 #include <math.h>
 #include <stddef.h>
+
+/* FMA_CLONES compiles a routine twice, for processors with FMA and for the
+ * rest, and glibc's ifunc picks one at load time. It marks only the routines
+ * whose arithmetic is explicit fma() calls, spin_flip4 (through cmul) and
+ * norm_sum (through abs2; norm_sum is recursive, so it would not inline into
+ * a marked caller): without FMA in the instruction set each of those is a
+ * call into libm, 128 of them per four-pair row near the optimum. fma()
+ * rounds correctly in both clones, so both give the same bits. The library
+ * is not built with -mfma instead: under GCC 12 a global -mfma turns gram's
+ * complex products into vfmaddsub231pd even with -ffp-contract=off, which
+ * moved the alpha = 2 bipartite term of 883 of 4,096 Haar rows and of 1,101
+ * of 4,096 rows 1e-3 from the optimum, by up to 6.7e-16 (x86-64). On aarch64
+ * fma() is already one instruction, and elsewhere the macro is empty. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define FMA_CLONES __attribute__((target_clones("fma", "default")))
+#endif
+#endif
+#ifndef FMA_CLONES
+#define FMA_CLONES
+#endif
 
 #define N 4
 /* sqrt(N) * eps: at eps alone, roundoff in a rotation can keep a pair just
@@ -216,7 +238,7 @@ static void cmul(double ar, double ai, double br, double bi, double *re, double 
  * B, to go to lam[0..3] descending: the singular values of tau = B^T S B (S
  * the spin flip), which is D + D^T for D = r1 (x) r2 - r0 (x) r3, r_i the
  * rows of B */
-static void spin_flip4(const double *b, struct lanes *L, double *lam)
+FMA_CLONES static void spin_flip4(const double *b, struct lanes *L, double *lam)
 {
     double d[N][N][2], tau[2 * N * N];
     for (int x = 0; x < N; x++)
@@ -552,15 +574,16 @@ void ckw_r2(const double *states, const ptrdiff_t *index, ptrdiff_t count, int n
     }
 }
 
-/* The displaced states of the descent and the walk: normalize(base + delta
- * z) for a row z of dim complex128 amplitudes. Each step takes numpy's
- * operations in numpy's order, so a row holds the bits of
+/* The displaced states of the descent and the walk, normalize(base + delta
+ * z) for a row z of dim complex128 amplitudes, and the unit noise rows z
+ * themselves. Each takes numpy's operations in numpy's order, so a row holds
+ * the bits of
  *     c = base + delta * z; c / np.linalg.norm(c, axis=-1, keepdims=True):
  * c componentwise, the squares |c_j|^2 = fma(re, re, im im) of c.conj() * c
  * as numpy multiplies on FMA hardware, added in numpy's pairwise order
  * (norm_sum), and the division by the real norm n as numpy divides by the
  * complex n + 0i (Smith's method: scl = 1/n, out = ((re + im 0) scl,
- * (im - re 0) scl)).
+ * (im - re 0) scl)); normalize does the last two.
  */
 static double abs2(const double *c)
 {
@@ -570,7 +593,7 @@ static double abs2(const double *c)
 /* sum of abs2 over n interleaved complex entries, as numpy's pairwise_sum
  * adds a row: in sequence below 8 entries, through 8 accumulators up to 128,
  * and beyond that as two halves split at a multiple of 8 */
-static double norm_sum(const double *c, ptrdiff_t n)
+FMA_CLONES static double norm_sum(const double *c, ptrdiff_t n)
 {
     if (n < 8) {
         double s = 0.0;
@@ -596,16 +619,40 @@ static double norm_sum(const double *c, ptrdiff_t n)
     return norm_sum(c, half) + norm_sum(c + 2 * half, n - half);
 }
 
-/* c = normalize(base + delta z), each dim complex128 amplitudes */
-static void step(const double *base, const double *z, ptrdiff_t dim, double delta, double *c)
+/* c = c / |c|, dim complex128 amplitudes */
+static void normalize(double *c, ptrdiff_t dim)
 {
-    for (ptrdiff_t j = 0; j < 2 * dim; j++)
-        c[j] = base[j] + delta * z[j];
     double scl = 1.0 / sqrt(norm_sum(c, dim));
     for (ptrdiff_t j = 0; j < dim; j++) {
         double re = c[2 * j], im = c[2 * j + 1];
         c[2 * j] = (re + im * 0.0) * scl;
         c[2 * j + 1] = (im - re * 0.0) * scl;
+    }
+}
+
+/* c = normalize(base + delta z), each dim complex128 amplitudes */
+static void step(const double *base, const double *z, ptrdiff_t dim, double delta, double *c)
+{
+    for (ptrdiff_t j = 0; j < 2 * dim; j++)
+        c[j] = base[j] + delta * z[j];
+    normalize(c, dim);
+}
+
+/* sampler.unit_noise's rows: g: count blocks of dim real parts, then dim
+ * imaginary parts; out: count rows of dim complex128, row r the bits of
+ *     z = g[r, 0] + 1j * g[r, 1]; z / np.linalg.norm(z):
+ * 1j * y is numpy's complex product (0 + 1i)(y + 0i) = (0 y - 1 0, 0 0 + 1 y),
+ * whose products are exact, and x + that is (x + re, 0 + im) */
+void unit_rows(const double *g, ptrdiff_t count, ptrdiff_t dim, double *out)
+{
+    for (ptrdiff_t row = 0; row < count; row++) {
+        const double *re = g + 2 * dim * row, *im = re + dim;
+        double *c = out + 2 * dim * row;
+        for (ptrdiff_t j = 0; j < dim; j++) {
+            c[2 * j] = re[j] + (0.0 * im[j] - 0.0);
+            c[2 * j + 1] = 0.0 + im[j];
+        }
+        normalize(c, dim);
     }
 }
 

@@ -4,6 +4,7 @@ All logarithms are base 2; every entanglement value is in bits.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,6 +52,10 @@ class ResidualReport(NamedTuple):
     monogamy_residual: float
 
 
+# a ResidualReport of a row of its 8 numbers, built without its Python __new__
+_report = functools.partial(tuple.__new__, ResidualReport)
+
+
 def concurrence(rho) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
@@ -95,7 +100,17 @@ def residual_report(psi, layout: PairingLayout = CANONICAL_LAYOUT, alpha=2.0) ->
     state = linalg.as_state(psi)
     if linalg.n_qubits_of(state) != 4:
         raise ValueError("residuals are defined for 4-qubit states")
-    return ResidualReport(a, *residual_table(state[None], layout, a)[0].tolist())
+    return _report((a, *residual_table(state[None], layout, a)[0].tolist()))
+
+
+def residual_reports(alpha: float, table: np.ndarray) -> list:
+    """A ResidualReport at alpha, a float from normalize_alpha, for each row
+    of a residual_table (m, 7): one (m, 8) block with alpha in column 0, made
+    into reports with no Python call per row."""
+    rows = np.empty((table.shape[0], 8))
+    rows[:, 0] = alpha
+    rows[:, 1:] = table
+    return list(map(_report, rows.tolist()))
 
 
 def residual_table(states: np.ndarray, layout: PairingLayout, alpha) -> np.ndarray:

@@ -47,11 +47,10 @@ def unit_noise(gen: np.random.Generator, m: int, dim: int = 16) -> np.ndarray:
     """m Haar-random unit vectors of length dim, shape (m, dim).
 
     Row r takes dim real normals and then dim imaginary ones, so a block of m
-    rows consumes the stream exactly like m one-row draws in sequence.
+    rows consumes the stream exactly like m one-row draws in sequence. The
+    rows are made complex and normalized by `_kernels.unit_rows`.
     """
-    g = gen.standard_normal((m, 2, dim))
-    z = g[:, 0] + 1j * g[:, 1]
-    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+    return _kernels.unit_rows(gen.standard_normal((m, 2, dim)))
 
 
 def perturb_within(seed_state: np.ndarray, delta: float, gen: np.random.Generator) -> np.ndarray:

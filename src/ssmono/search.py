@@ -1,6 +1,7 @@
 """Monte Carlo residual minimization, region walks, Haar scans, alpha continuation."""
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 import os
@@ -292,7 +293,7 @@ def random_walk_region(
         while r < z.shape[0]:
             # kept: the rows before the first outside the region
             kept, chain, table = _kernels.walk(current, delta, z[r:], roles, a, measures.VIOLATION_THRESHOLD)
-            reports += [measures.ResidualReport(a, *row) for row in table[:kept].tolist()]
+            reports += measures.residual_reports(a, table[:kept])
             if kept:
                 current = chain[kept - 1]
             r += kept + 1
@@ -355,6 +356,22 @@ def _chunk_task(args):
     return int(np.sum(values < threshold)), float(values[argmin]), argmin, states[argmin].copy()
 
 
+def _in_order(pool, tasks, ahead: int):
+    """_chunk_task of each task on pool, in task order, with at most `ahead`
+    tasks submitted whose results are not yet taken."""
+    pending = collections.deque()
+    try:
+        for task in tasks:
+            if len(pending) == ahead:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_chunk_task, task))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:  # left by an error: drop what has not started
+            future.cancel()
+
+
 def haar_minimum(
     n_states: int, n_qubits: int, rng: sampler.RngSeed, kernel: str, kernel_args: tuple,
     threshold: float, workers: int,
@@ -367,8 +384,8 @@ def haar_minimum(
     count and no kernel call sees more than one chunk. At most min(workers,
     chunks, CPU count) processes are opened. The kernel is named,
     not passed, so that workers look it up in their own `_kernels`. Chunks
-    are made as they are taken and folded as they arrive, so that a serial
-    scan's memory does not grow with n_states.
+    are made as they are taken and folded as they arrive, and a pool holds at
+    most two per process, so that a scan's memory does not grow with n_states.
     """
     if _kernels.checked_index(n_states, "n_states") < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
@@ -389,7 +406,7 @@ def haar_minimum(
             # imported here: multiprocessing costs every process about 1.5 MiB
             from concurrent.futures import ProcessPoolExecutor
 
-            results = stack.enter_context(ProcessPoolExecutor(max_workers=processes)).map(_chunk_task, tasks)
+            results = _in_order(stack.enter_context(ProcessPoolExecutor(max_workers=processes)), tasks, 2 * processes)
         violations, best = 0, None
         for ci, (count, least, argmin, state) in enumerate(results):
             violations += count

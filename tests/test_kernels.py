@@ -266,6 +266,53 @@ def test_displace_matches_the_numpy_formula():
             assert _kernels.displace(start, delta, z[:5]).tobytes() == got[:5].tobytes()
 
 
+def _numpy_unit_rows(g):
+    """The numpy expression _kernels.unit_rows replaced in sampler.unit_noise, kept as its oracle."""
+    z = g[:, 0] + 1j * g[:, 1]
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def test_unit_noise_matches_the_numpy_formula():
+    # bit for bit where numpy fuses its complex products, as on FMA hardware
+    for dim in (2, 3, 4, 7, 8, 9, 16, 31, 32, 64, 100, 128, 129, 136, 200, 256):
+        gen, again = (sampler.generator(sampler.RngSeed(12, dim)) for _ in range(2))
+        got = sampler.unit_noise(gen, 300, dim)
+        want = _numpy_unit_rows(again.standard_normal((300, 2, dim)))
+        assert got.shape == want.shape and got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes(), dim
+        assert gen.standard_normal() == again.standard_normal()  # the same draws
+    # signed zeros keep numpy's signs, and a zero row is NaN on both sides
+    g = np.array([
+        [[0.0, -0.0, 1.0, -0.0], [-0.0, 0.0, -0.0, 2.0]],
+        [[-0.0, 3.0, -0.0, 0.0], [-0.0, -0.0, 0.0, -4.0]],
+        [[-0.0, -0.0, 0.0, 0.0], [0.0, -0.0, -0.0, 5e-324]],
+        [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+        [[-0.0, -0.0, -0.0, -0.0], [-0.0, -0.0, -0.0, -0.0]],
+    ])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = _numpy_unit_rows(g)
+    got = _kernels.unit_rows(g)
+    assert got[:3].tobytes() == want[:3].tobytes()
+    assert np.isnan(got[3:].view(float)).all() and np.isnan(want[3:].view(float)).all()
+    # a row never depends on the rows around it
+    assert _kernels.unit_rows(g[1:2]).tobytes() == got[1:2].tobytes()
+    assert _kernels.unit_rows(g[:0]).shape == (0, 4)
+
+
+def test_unit_rows_refuses_bad_input_before_the_kernel_runs(monkeypatch):
+    class Refuse:
+        def __getattr__(self, name):
+            raise AssertionError(f"the C kernel {name} was called")
+
+    monkeypatch.setattr(_kernels, "_SVD4", Refuse())
+    g = np.zeros((3, 2, 16))
+    for bad in (g.astype(np.float32), g.astype(complex), g[:, :1], g[0], g[None], g.tolist()):
+        with pytest.raises(ValueError, match=r"float64 \(m, 2, dim\)"):
+            _kernels.unit_rows(bad)
+    with pytest.raises(AssertionError):
+        _kernels.unit_rows(g[:, :, ::2])  # a strided view is copied, then passed on
+
+
 def test_walk_matches_the_numpy_chain_and_the_residual_table(seed0_optimum):
     # from the optimum, delta = 1e-3 stays in the region, 2e-2 leaves it
     # within a few steps and 0.3 at once, and at alpha = 1 there is no
@@ -500,24 +547,25 @@ def test_a_lane_never_depends_on_its_partners_or_its_position():
                     assert got[at].tobytes() == alone[name], (kernel.__name__, name, size, at)
 
 
-def _kernel_outputs():
+def _kernel_outputs(kernels=_kernels):
     """The outputs of every compiled kernel that runs the lockstep SVD, on
     Haar, rank-one, zero, NaN, subnormal and slow matrices, Haar states, and
-    states near a Bell product, whose cross pairs the screen skips."""
+    states near a Bell product, whose cross pairs the screen skips; from the
+    package's `_kernels`, or from another build of it."""
     kinds = _lane_kinds()
     rng = np.random.default_rng(219)
     matrices = np.concatenate([_haar_blocks(220, 300), np.stack(list(kinds.values()) * 3)])
     matrices = matrices[rng.permutation(len(matrices))]
     near = _kernels.displace(bell_product(), 1e-2, sampler.unit_noise(sampler.generator(sampler.RngSeed(221)), 64))
     states = np.vstack([matrices.reshape(-1, 16), near])
-    yield "singular_values4", "", _kernels.singular_values4(matrices)
-    yield "spin_flip_lambdas", "", _kernels.spin_flip_lambdas(matrices)
+    yield "singular_values4", "", kernels.singular_values4(matrices)
+    yield "spin_flip_lambdas", "", kernels.spin_flip_lambdas(matrices)
     for alpha in (2.0, 1.5, 1.0):
         for k in (1, 2, 4, 6):
             for det in (_kernels.SEPARABLE_DET, np.inf, -np.inf):
                 for layout in ((0, 1, 2, 3), (2, 0, 3, 1)):
                     # the terms alone, without the residuals the table appends
-                    yield "_terms", f"{alpha} {k} {det} {layout}", _kernels.terms_table(states, layout, alpha, k, det)[:, : 1 + k]
+                    yield "_terms", f"{alpha} {k} {det} {layout}", kernels.terms_table(states, layout, alpha, k, det)[:, : 1 + k]
     for n in range(3, 9):
         rows = rng.standard_normal((40, 2**n)) + 1j * rng.standard_normal((40, 2**n))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -526,14 +574,14 @@ def _kernel_outputs():
         rows[1] = w_state(n)
         rows[2, 3] = np.nan
         for det in (_kernels.SEPARABLE_DET, np.inf, -np.inf):
-            out, lam = _kernels._ckw_r2(rows, n, n % 3, det)
+            out, lam = kernels._ckw_r2(rows, n, n % 3, det)
             yield "_ckw_r2", f"{n} {det}", np.hstack([out[:, None], lam.reshape(len(rows), -1)])
 
 
-def _digests() -> dict:
+def _digests(kernels=_kernels) -> dict:
     """sha256 of each kernel's outputs in _kernel_outputs, the first 16 hex digits."""
     digests = {}
-    for kernel, case, x in _kernel_outputs():
+    for kernel, case, x in _kernel_outputs(kernels):
         h = digests.setdefault(kernel, hashlib.sha256())
         h.update(case.encode())
         h.update(np.ascontiguousarray(x).tobytes())
@@ -583,11 +631,11 @@ def test_c_source_compiles_without_warnings(tmp_path):
     assert (tmp_path / "_svd4.o").stat().st_size > 0
 
 
-def _load_copy(directory: Path):
-    """Import a copy of _kernels (and its C source) from `directory`, so its
-    build cache is directory/__pycache__ and not the package's."""
-    for name in ("_kernels.py", "_svd4.c"):
-        shutil.copy(SRC / name, directory / name)
+def _load_copy(directory: Path, edit=lambda source: source):
+    """Import a copy of _kernels (and its C source, passed through edit) from
+    `directory`, so its build cache is directory/__pycache__ and not the package's."""
+    shutil.copy(SRC / "_kernels.py", directory / "_kernels.py")
+    (directory / "_svd4.c").write_text(edit((SRC / "_svd4.c").read_text()))
     spec = importlib.util.spec_from_file_location("kernels_copy", directory / "_kernels.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -610,6 +658,25 @@ def test_build_failure_names_the_command_and_its_stderr(tmp_path, monkeypatch):
         _load_copy(tmp_path)
     # no partial library left behind
     assert [f for f in os.listdir(tmp_path / "__pycache__") if f.startswith("_svd4")] == []
+
+
+def test_the_fma_clones_give_the_bits_of_the_plain_build(tmp_path, seed0_optimum):
+    # FMA_CLONES adds an FMA build of the routines that call fma(); a copy
+    # built without it calls libm's fma() there, and both round correctly
+    clones = '__attribute__((target_clones("fma", "default")))'
+    assert (SRC / "_svd4.c").read_text().count(clones) == 1
+    plain = _load_copy(tmp_path, lambda source: source.replace(clones, ""))
+    assert plain._SVD4._name != _kernels._SVD4._name
+    assert _digests(plain) == GOLDEN_DIGESTS
+    g = sampler.generator(sampler.RngSeed(13)).standard_normal((2000, 2, 16))
+    z = _kernels.unit_rows(g)
+    assert plain.unit_rows(g).tobytes() == z.tobytes()
+    assert plain.displace(seed0_optimum, 1e-3, z).tobytes() == _kernels.displace(seed0_optimum, 1e-3, z).tobytes()
+    for alpha in (2.0, 1.5):
+        walks = [k.walk(seed0_optimum, 1e-3, z, (0, 1, 2, 3), alpha, np.inf) for k in (_kernels, plain)]
+        assert walks[0][0] == walks[1][0] == 2000
+        assert walks[0][1].tobytes() == walks[1][1].tobytes()
+        assert walks[0][2].tobytes() == walks[1][2].tobytes()
 
 
 def test_fresh_process_reuses_the_cached_library():

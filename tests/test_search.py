@@ -268,7 +268,9 @@ def test_random_walk_region_matches_sequential_reference(violating_record):
                 visited.append(candidate)
         assert 20 < len(visited) < steps - 20, (alpha, layout)
         assert reports == [measures.residual_report(s, layout, alpha) for s in visited], (alpha, layout)
-        assert all(type(report) is measures.ResidualReport for report in reports)
+        # built a block at a time, each report is still a whole ResidualReport
+        assert all(type(report) is measures.ResidualReport and len(report) == 8 for report in reports)
+        assert [report.alpha for report in reports] == [alpha] * len(reports)
         for state, report in list(zip(visited, reports))[::25]:
             assert report.e_bipartite == pytest.approx(
                 measures.renyi_entropy(reduced_density(state, sorted((layout.a1, layout.a2))), alpha), abs=1e-10
@@ -373,12 +375,16 @@ def test_haar_scan_worker_count_does_not_change_results():
 
 
 def test_haar_minimum_pool_has_no_more_workers_than_chunks(monkeypatch):
-    # a fork-started pool forks every one of max_workers at its first submit
-    opened = []
+    # a fork-started pool forks every one of max_workers at its first submit;
+    # and the pool is handed at most two chunks per process at a time, so that
+    # its queue does not grow with the chunk count
+    opened, most_in_flight = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
             opened.append(max_workers)
+            most_in_flight.append(0)
+            self.in_flight = 0
 
         def __enter__(self):
             return self
@@ -386,19 +392,31 @@ def test_haar_minimum_pool_has_no_more_workers_than_chunks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, task):
+            pool = self
+            pool.in_flight += 1
+            most_in_flight[-1] = max(most_in_flight[-1], pool.in_flight)
+
+            class Future:
+                def result(self):
+                    pool.in_flight -= 1
+                    return fn(task)
+
+                def cancel(self):
+                    return True
+
+            return Future()
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     pooled = search.haar_scan(3 * search.SCAN_CHUNK - 5, rng=sampler.RngSeed(8), workers=64)
-    assert opened == [3]
+    assert opened == [3] and most_in_flight == [3]
     serial = search.haar_scan(3 * search.SCAN_CHUNK - 5, rng=sampler.RngSeed(8), workers=1)
     assert (pooled.min_residual, pooled.argmin_index) == (serial.min_residual, serial.argmin_index)
     # nor more than the CPUs: 40 chunks of 256 states at n = 8
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     many = search.haar_minimum(40 * 256, 8, sampler.RngSeed(9), "batched_ckw_r2", (8,), 0.0, 10_000)
-    assert opened == [3, 3]
+    assert opened == [3, 3] and most_in_flight == [3, 2 * 3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process, no pool
     assert search.haar_minimum(40 * 256, 8, sampler.RngSeed(9), "batched_ckw_r2", (8,), 0.0, 10_000)[1:3] == many[1:3]
     assert opened == [3, 3]
