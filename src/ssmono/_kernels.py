@@ -22,9 +22,13 @@ batch. There is one path for each quantity:
 - `displace`: normalize(start + delta z[r]) for each row of z (displace):
   the proposals of the descent and `sampler.perturb_within`, with the bits of
   the numpy expression it replaced;
-- `unit_rows`: the unit noise rows z of `sampler.unit_noise`, each block of
-  normals made complex and normalized (unit_rows), with the bits of the numpy
-  expression it replaced;
+- `unit_rows`: the random unit rows of the noise and of the scans, a block
+  of normals made complex and normalized (unit_rows), read in place through
+  a row stride in either of two layouts: `sampler.unit_noise`'s (m, 2, dim)
+  block for the noise rows z, and the (2, m, dim) block of a
+  `search.haar_minimum` chunk, the real parts and then the imaginary parts,
+  with its first two axes swapped for the Haar states; with the bits of the
+  numpy expression it replaced;
 - `walk`: the region walk's chain of those steps, each from the one before,
   scored as it is built (walk), until the first row outside the region: the
   chain's bits are those of one-row `displace` calls, and its table is the
@@ -126,7 +130,9 @@ def _load_svd4() -> ctypes.CDLL:
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p, ctypes.c_double,
         ctypes.c_double, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
     )
-    lib.unit_rows.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p)
+    lib.unit_rows.argtypes = (
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p,
+    )
     lib.walk.restype = ctypes.c_ssize_t
     for name in ("svd4", "lambdas", "renyi_of_c", "renyi_of_spectra", "terms", "ckw_r2", "displace", "unit_rows"):
         getattr(lib, name).restype = None
@@ -327,17 +333,22 @@ def unit_rows(g: np.ndarray) -> np.ndarray:
     """The complex128 (m, dim) unit rows of a float64 (m, 2, dim) block of
     normals: row r is g[r, 0] + 1j * g[r, 1], normalized.
 
-    _svd4.c's unit_rows takes numpy's operations in numpy's order, so a row
-    has the bits of `z = g[:, 0] + 1j * g[:, 1]; z / np.linalg.norm(z,
-    axis=-1, keepdims=True)` where numpy fuses its complex products, as on
-    FMA hardware; the tests keep that expression as the oracle.
+    g is read in place when each of its rows is contiguous, as in
+    sampler.unit_noise's block and in a scan chunk's (2, m, dim) block, or a
+    row range of it, with its first two axes swapped; it is copied first
+    otherwise. _svd4.c's unit_rows takes numpy's operations in numpy's order,
+    so a row has the bits of `z = g[:, 0] + 1j * g[:, 1]; z /
+    np.linalg.norm(z, axis=-1, keepdims=True)` where numpy fuses its complex
+    products, as on FMA hardware; the tests keep that expression as the oracle.
     """
     if not (isinstance(g, np.ndarray) and g.dtype == _FLOAT64 and g.ndim == 3 and g.shape[1] == 2):
         raise ValueError(f"need a float64 (m, 2, dim) array, got {getattr(g, 'dtype', type(g).__name__)} "
                          f"{getattr(g, 'shape', '')}")
-    g = np.ascontiguousarray(g)
+    if not (g.flags.aligned and g.strides[2] == g.itemsize):
+        g = np.ascontiguousarray(g)
     out = np.empty((g.shape[0], g.shape[2]), dtype=_COMPLEX128)
-    _SVD4.unit_rows(g.ctypes.data, g.shape[0], g.shape[2], out.ctypes.data)
+    _SVD4.unit_rows(g.ctypes.data, g.ctypes.data + g.strides[1], g.strides[0] // g.itemsize, g.shape[0], g.shape[2],
+                    out.ctypes.data)
     return out
 
 
@@ -437,7 +448,8 @@ def _ckw_r2(states: np.ndarray, n_qubits: int, focus: int, separable_det: float)
 
 def batched_ckw_r2(states: np.ndarray, n_qubits: int, focus: int = 0) -> np.ndarray:
     """CKW-style R2 monogamy residual per row of complex128 (m, 2^n) amplitudes,
-    n in _CKW_QUBITS, computed row by row by _svd4.c's ckw_r2.
+    n in _CKW_QUBITS, computed by _svd4.c's ckw_r2 two rows at a time in
+    lockstep, each row with the bits it gets on its own.
 
     Bipartite side uses C^2(focus|rest) = 2(1 - Tr rho_focus^2); the pair side
     uses the spin-flip lambdas of each two-qubit reduction rho, computed as

@@ -2,9 +2,9 @@
  * matrices (svd4), the Wootters lambdas of two-qubit factors (lambdas), the
  * Renyi maps (renyi_of_c, renyi_of_spectra), the SS / monogamy terms of
  * 4-qubit states (terms), the CKW R2 residual of 3..8 qubits (ckw_r2), the
- * unit noise rows of the descent and the walk (unit_rows), the displaced,
- * renormalized states of the descent (displace) and the scored chain of the
- * region walk (walk).
+ * random unit rows of the descent, the walk and the scans (unit_rows), the
+ * displaced, renormalized states of the descent (displace) and the scored
+ * chain of the region walk (walk).
  *
  * Singular values come from cyclic one-sided Jacobi (Hestenes; Demmel &
  * Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)). Columns p < q are
@@ -25,6 +25,9 @@
  * every later sweep: it never rotates again, and it ends with the columns it
  * had when it would have stopped alone. Unused lanes hold zeros, which never
  * rotate, so they add no sweeps.
+ *
+ * terms and ckw_r2 run two rows in lockstep in the same way, one in each lane
+ * of a two-lane vector (v2d, above gram).
  */
 #include <float.h>
 #include <math.h>
@@ -307,16 +310,44 @@ void renyi_of_spectra(const double *w, double *out, ptrdiff_t count, ptrdiff_t d
         out[m] = renyi(w + dim * m, dim, alpha);
 }
 
-/* rho = K K^H of a 4 x cols complex matrix K, rows of cols interleaved (re,
- * im) entries: each entry of the upper triangle summed over the columns in
- * order, then mirrored */
-static void gram(const double *k, int cols, double rr[N][N], double ri[N][N])
+/* Two rows in lockstep: gather, gram, pt_det and terms' purity take a
+ * two-lane vector for each value, lane l holding row l's number, and every
+ * lane does the scalar code's operations in the scalar code's order, so each
+ * row keeps the bits it has on its own, as each sv4w lane does. Each step is
+ * two independent chains instead of one, and -O2 makes it one 2-wide SSE2
+ * operation; the dot products of gram are latency-bound, so two rows cost
+ * about what one did. An odd last row takes no_row, all zeros, as partner. */
+typedef double v2d __attribute__((vector_size(16)));
+
+static const double no_row[2 << 8]; /* 2^8 complex amplitudes, the most ckw_r2 reads */
+
+/* the count amplitudes psi[l][at[x]] of two rows, row l in lane l */
+static void gather(const double *const psi[2], const ptrdiff_t *at, int count, v2d *k)
+{
+    for (int x = 0; x < count; x++) {
+        k[2 * x] = (v2d){psi[0][2 * at[x]], psi[1][2 * at[x]]};
+        k[2 * x + 1] = (v2d){psi[0][2 * at[x] + 1], psi[1][2 * at[x] + 1]};
+    }
+}
+
+/* lane l of count two-lane complex entries, as count interleaved (re, im) doubles */
+static void lane(const v2d *k, int l, int count, double *b)
+{
+    for (int x = 0; x < 2 * count; x++)
+        b[x] = k[x][l];
+}
+
+/* rho = K K^H of the 4 x cols complex matrices K of two rows, rows of cols
+ * interleaved (re, im) entries: each entry of the upper triangle summed over
+ * the columns in order, then mirrored. Computing all ten entries of one row
+ * in lockstep instead, or adding a second accumulator chain, ran slower. */
+static void gram(const v2d *k, int cols, v2d rr[N][N], v2d ri[N][N])
 {
     for (int r = 0; r < N; r++)
         for (int s = r; s < N; s++) {
-            double sr = 0.0, si = 0.0;
+            v2d sr = {0.0, 0.0}, si = {0.0, 0.0};
             for (int c = 0; c < cols; c++) {
-                const double *x = k + 2 * (cols * r + c), *y = k + 2 * (cols * s + c);
+                const v2d *x = k + 2 * (cols * r + c), *y = k + 2 * (cols * s + c);
                 sr += x[0] * y[0] + x[1] * y[1];
                 si += x[1] * y[0] - x[0] * y[1];
             }
@@ -330,29 +361,29 @@ static void gram(const double *k, int cols, double rr[N][N], double ri[N][N])
  * expansion in the 2x2 minors of rows (0, 1) and of their complement (2, 3).
  * A pair with det(rho^G) >= separable_det is separable (PPT): see
  * _kernels.batched_ckw_r2 for why. */
-static double pt_det(double rr[N][N], double ri[N][N])
+static v2d pt_det(v2d rr[N][N], v2d ri[N][N])
 {
     static const int minors[6][5] = {{0, 1, 2, 3, 1}, {0, 2, 1, 3, -1}, {0, 3, 1, 2, 1},
                                      {1, 2, 0, 3, 1}, {1, 3, 0, 2, -1}, {2, 3, 0, 1, 1}};
-    double mr[N][N], mi[N][N];
+    v2d mr[N][N], mi[N][N];
     for (int r = 0; r < N; r++)
         for (int c = 0; c < N; c++) {
             mr[r][c] = rr[2 * (r >> 1) + (c & 1)][2 * (c >> 1) + (r & 1)];
             mi[r][c] = ri[2 * (r >> 1) + (c & 1)][2 * (c >> 1) + (r & 1)];
         }
-    double det = 0.0;
+    v2d det = {0.0, 0.0};
     for (int t = 0; t < 6; t++) {
         int i = minors[t][0], j = minors[t][1], k = minors[t][2], l = minors[t][3];
-        double topr = mr[0][i] * mr[1][j] - mi[0][i] * mi[1][j] - (mr[0][j] * mr[1][i] - mi[0][j] * mi[1][i]);
-        double topi = mr[0][i] * mi[1][j] + mi[0][i] * mr[1][j] - (mr[0][j] * mi[1][i] + mi[0][j] * mr[1][i]);
-        double botr = mr[2][k] * mr[3][l] - mi[2][k] * mi[3][l] - (mr[2][l] * mr[3][k] - mi[2][l] * mi[3][k]);
-        double boti = mr[2][k] * mi[3][l] + mi[2][k] * mr[3][l] - (mr[2][l] * mi[3][k] + mi[2][l] * mr[3][k]);
-        det += minors[t][4] * (topr * botr - topi * boti);
+        v2d topr = mr[0][i] * mr[1][j] - mi[0][i] * mi[1][j] - (mr[0][j] * mr[1][i] - mi[0][j] * mi[1][i]);
+        v2d topi = mr[0][i] * mi[1][j] + mi[0][i] * mr[1][j] - (mr[0][j] * mi[1][i] + mi[0][j] * mr[1][i]);
+        v2d botr = mr[2][k] * mr[3][l] - mi[2][k] * mi[3][l] - (mr[2][l] * mr[3][k] - mi[2][l] * mi[3][k]);
+        v2d boti = mr[2][k] * mi[3][l] + mi[2][k] * mr[3][l] - (mr[2][l] * mi[3][k] + mi[2][l] * mr[3][k]);
+        det += (double)minors[t][4] * (topr * botr - topi * boti);
     }
     return det;
 }
 
-/* The SS / two-pair monogamy terms of 4-qubit states, row by row.
+/* The SS / two-pair monogamy terms of 4-qubit states, two rows at a time.
  *
  * Each row is 16 complex128 amplitudes. index holds 1 + k rows of 16 flat
  * amplitude indices: the 4x4 block B of the (a1 a2 | b1 b2) cut, row index
@@ -368,16 +399,8 @@ static double pt_det(double rr[N][N], double ri[N][N])
  * the residuals they complete, in numpy's order of operations: ss = (e - p0)
  * - p1 when k >= 2, then mono = (ss - p2) - p3 when k >= 4; at k = 4 a row is
  * a residual_table row.
- */
-static void gather(const double *psi, const ptrdiff_t *at, double *b)
-{
-    for (int x = 0; x < N * N; x++) {
-        b[2 * x] = psi[2 * at[x]];
-        b[2 * x + 1] = psi[2 * at[x] + 1];
-    }
-}
-
-/* states: count rows of 16 complex128 amplitudes; index: (1 + k) x 16
+ *
+ * states: count rows of 16 complex128 amplitudes; index: (1 + k) x 16
  * amplitude indices; out: count rows of the bipartite term, k pair terms
  * and the residuals */
 void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k, double alpha,
@@ -390,31 +413,43 @@ void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k,
         /* per row: the bipartite block's singular values (alpha != 2), then
          * each pair's lambdas, zeros for a screened pair, whose c is then 0 */
         double l[ROWS][1 + 6][N];
-        for (int i = 0; i < rows; i++) {
-            const double *psi = states + 2 * N * N * (row0 + i);
-            double b[2 * N * N], rr[N][N], ri[N][N];
-            gather(psi, index, b);
+        for (int i = 0; i < rows; i += 2) {
+            int live = rows - i < 2 ? rows - i : 2;
+            const double *psi[2] = {states + 2 * N * N * (row0 + i),
+                                    live == 2 ? states + 2 * N * N * (row0 + i + 1) : no_row};
+            v2d kk[2 * N * N], rr[N][N], ri[N][N];
+            double b[2 * N * N];
+            gather(psi, index, N * N, kk);
             if (alpha == 2.0) {
-                gram(b, N, rr, ri);
-                double purity = 0.0; /* sum of |rho_rs|^2, the upper triangle twice */
+                gram(kk, N, rr, ri);
+                v2d purity = {0.0, 0.0}; /* sum of |rho_rs|^2, the upper triangle twice */
                 for (int r = 0; r < N; r++)
                     for (int s = r; s < N; s++)
                         purity += (s == r ? 1.0 : 2.0) * (rr[r][s] * rr[r][s] + ri[r][s] * ri[r][s]);
-                out[width * (row0 + i)] = -log2(purity);
+                for (int j = 0; j < live; j++)
+                    out[width * (row0 + i + j)] = -log2(purity[j]);
             } else {
-                push(&L, b, l[i][0]);
+                for (int j = 0; j < live; j++) {
+                    lane(kk, j, N * N, b);
+                    push(&L, b, l[i + j][0]);
+                }
             }
             for (int p = 0; p < k; p++) {
-                gather(psi, index + N * N * (1 + p), b);
+                gather(psi, index + N * N * (1 + p), N * N, kk);
+                v2d det = {0.0, 0.0};
                 if (p >= 2) {
-                    gram(b, N, rr, ri);
-                    if (pt_det(rr, ri) >= separable_det) {
+                    gram(kk, N, rr, ri);
+                    det = pt_det(rr, ri);
+                }
+                for (int j = 0; j < live; j++) {
+                    if (p >= 2 && det[j] >= separable_det) {
                         for (int x = 0; x < N; x++)
-                            l[i][1 + p][x] = 0.0;
-                        continue;
+                            l[i + j][1 + p][x] = 0.0;
+                    } else {
+                        lane(kk, j, N * N, b);
+                        spin_flip4(b, &L, l[i + j][1 + p]);
                     }
                 }
-                spin_flip4(b, &L, l[i][1 + p]);
             }
         }
         sv4w(&L);
@@ -442,7 +477,8 @@ void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k,
     }
 }
 
-/* CKW R2 monogamy residual of one focus qubit against the rest, row by row.
+/* CKW R2 monogamy residual of one focus qubit against the rest, two rows at
+ * a time.
  *
  * Each row is a 2^n-amplitude state. index holds, for each of the n - 1 other
  * qubits in turn, the flat amplitude index of the 4 x 2^(n-2) pair matrix k
@@ -455,7 +491,9 @@ void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k,
  * B B^H = rho: k itself, zero-padded, while 2^(n-2) <= 4, and beyond that
  * R^H from a Householder QR of k^H = QR, which is backward stable, so zero
  * modes stay at machine scale. Each pair's lambdas, zeros for a screened
- * pair, are stored at lam[4 * ((n - 1) * row + pair)].
+ * pair, are stored at lam[4 * ((n - 1) * row + pair)]. Two rows' pair
+ * matrices are gathered, multiplied out and screened in lockstep; a pair
+ * that takes the lambdas is then taken out of its lane.
  */
 #define PAIR_COLS 64 /* columns of k at the largest n, 8 qubits */
 
@@ -520,42 +558,44 @@ void ckw_r2(const double *states, const ptrdiff_t *index, ptrdiff_t count, int n
     for (ptrdiff_t row0 = 0; row0 < count; row0 += ROWS) {
         int rows = count - row0 < ROWS ? (int)(count - row0) : ROWS;
         unsigned char npt[ROWS][7]; /* which of a row's n - 1 <= 7 pairs took the lambdas */
-        for (int i = 0; i < rows; i++) {
-            ptrdiff_t row = row0 + i;
-            const double *psi = states + ((ptrdiff_t)2 << n) * row;
+        for (int i = 0; i < rows; i += 2) {
+            int live = rows - i < 2 ? rows - i : 2;
+            const double *psi[2] = {states + ((ptrdiff_t)2 << n) * (row0 + i),
+                                    live == 2 ? states + ((ptrdiff_t)2 << n) * (row0 + i + 1) : no_row};
             for (int pair = 0; pair < n - 1; pair++) {
-                const ptrdiff_t *at = index + (ptrdiff_t)N * cols * pair;
-                double k[2 * N * PAIR_COLS], rr[N][N], ri[N][N];
-                double *l = lam + N * ((n - 1) * row + pair);
-                for (int x = 0; x < N * cols; x++) {
-                    k[2 * x] = psi[2 * at[x]];
-                    k[2 * x + 1] = psi[2 * at[x] + 1];
-                }
-                gram(k, cols, rr, ri);
-                if (pair == 0) {
-                    /* C^2(focus|rest) = 2 (1 - Tr rho_focus^2) */
-                    double p00 = rr[0][0] + rr[1][1], p11 = rr[2][2] + rr[3][3];
-                    double p01r = rr[0][2] + rr[1][3], p01i = ri[0][2] + ri[1][3];
-                    double purity = p00 * p00 + p11 * p11 + 2.0 * (p01r * p01r + p01i * p01i);
-                    double c2 = fmax(0.0, 2.0 * (1.0 - purity));
-                    out[row] = -log2(1.0 - 0.5 * c2);
-                }
-                npt[i][pair] = pt_det(rr, ri) < separable_det;
-                if (npt[i][pair]) {
-                    double b[2 * N * N];
-                    if (cols <= N) {
-                        for (int r = 0; r < N; r++)
-                            for (int c = 0; c < N; c++) {
-                                b[2 * (N * r + c)] = c < cols ? k[2 * (cols * r + c)] : 0.0;
-                                b[2 * (N * r + c) + 1] = c < cols ? k[2 * (cols * r + c) + 1] : 0.0;
-                            }
-                    } else {
-                        qr_factor(k, cols, b);
+                v2d kk[2 * N * PAIR_COLS], rr[N][N], ri[N][N];
+                gather(psi, index + (ptrdiff_t)N * cols * pair, N * cols, kk);
+                gram(kk, cols, rr, ri);
+                v2d det = pt_det(rr, ri);
+                for (int j = 0; j < live; j++) {
+                    ptrdiff_t row = row0 + i + j;
+                    double *l = lam + N * ((n - 1) * row + pair);
+                    if (pair == 0) {
+                        /* C^2(focus|rest) = 2 (1 - Tr rho_focus^2) */
+                        double p00 = rr[0][0][j] + rr[1][1][j], p11 = rr[2][2][j] + rr[3][3][j];
+                        double p01r = rr[0][2][j] + rr[1][3][j], p01i = ri[0][2][j] + ri[1][3][j];
+                        double purity = p00 * p00 + p11 * p11 + 2.0 * (p01r * p01r + p01i * p01i);
+                        double c2 = fmax(0.0, 2.0 * (1.0 - purity));
+                        out[row] = -log2(1.0 - 0.5 * c2);
                     }
-                    spin_flip4(b, &L, l);
-                } else {
-                    for (int x = 0; x < N; x++)
-                        l[x] = 0.0;
+                    npt[i + j][pair] = det[j] < separable_det;
+                    if (npt[i + j][pair]) {
+                        double k[2 * N * PAIR_COLS], b[2 * N * N];
+                        lane(kk, j, N * cols, k);
+                        if (cols <= N) {
+                            for (int r = 0; r < N; r++)
+                                for (int c = 0; c < N; c++) {
+                                    b[2 * (N * r + c)] = c < cols ? k[2 * (cols * r + c)] : 0.0;
+                                    b[2 * (N * r + c) + 1] = c < cols ? k[2 * (cols * r + c) + 1] : 0.0;
+                                }
+                        } else {
+                            qr_factor(k, cols, b);
+                        }
+                        spin_flip4(b, &L, l);
+                    } else {
+                        for (int x = 0; x < N; x++)
+                            l[x] = 0.0;
+                    }
                 }
             }
         }
@@ -638,15 +678,17 @@ static void step(const double *base, const double *z, ptrdiff_t dim, double delt
     normalize(c, dim);
 }
 
-/* sampler.unit_noise's rows: g: count blocks of dim real parts, then dim
- * imaginary parts; out: count rows of dim complex128, row r the bits of
- *     z = g[r, 0] + 1j * g[r, 1]; z / np.linalg.norm(z):
- * 1j * y is numpy's complex product (0 + 1i)(y + 0i) = (0 y - 1 0, 0 0 + 1 y),
- * whose products are exact, and x + that is (x + re, 0 + im) */
-void unit_rows(const double *g, ptrdiff_t count, ptrdiff_t dim, double *out)
+/* random unit rows: out holds count rows of dim complex128, row r the
+ * normalized z whose real and imaginary parts are the dim normals at
+ * re + stride r and im + stride r, with the bits of numpy's
+ *   z = g[:, 0] + 1j * g[:, 1]; z / np.linalg.norm(z, axis=-1, keepdims=True)
+ * for a float64 (m, 2, dim) g, sampler.unit_noise's block or a scan chunk's
+ * (2, m, dim) block with its first two axes swapped: 1j * y is numpy's
+ * complex product (0 + 1i)(y + 0i) = (0 y - 1 0, 0 0 + 1 y), whose products
+ * are exact, and x + that is (x + re, 0 + im) */
+void unit_rows(const double *re, const double *im, ptrdiff_t stride, ptrdiff_t count, ptrdiff_t dim, double *out)
 {
-    for (ptrdiff_t row = 0; row < count; row++) {
-        const double *re = g + 2 * dim * row, *im = re + dim;
+    for (ptrdiff_t row = 0; row < count; row++, re += stride, im += stride) {
         double *c = out + 2 * dim * row;
         for (ptrdiff_t j = 0; j < dim; j++) {
             c[2 * j] = re[j] + (0.0 * im[j] - 0.0);

@@ -18,7 +18,7 @@ OBJECTIVES = ("ss", "monogamy2")
 # Haar draws per chunk at 4 qubits; every chunk holds 2**16 amplitudes, so
 # results never depend on the worker count and memory never on n_states
 SCAN_CHUNK = 4096
-# amplitudes per kernel call and per normalization within a chunk, so that the
+# amplitudes per normalization and kernel call within a chunk, so that the
 # temporaries of scoring one chunk stay well below the chunk's own 1 MiB
 SCORE_BLOCK = 2**12
 # proposals scored per kernel call in the descent
@@ -330,30 +330,25 @@ class ScanSummary:
     argmin_state: np.ndarray
 
 
-def _blocks(states: np.ndarray) -> list:
-    """Row views of states, SCORE_BLOCK amplitudes (at least one row) each."""
-    rows = max(1, SCORE_BLOCK // states.shape[1])
-    return [states[lo : lo + rows] for lo in range(0, states.shape[0], rows)]
-
-
 def _chunk_task(args):
     """One chunk's count of values below threshold, its least value, that
     value's row and state. The kernel is called once per SCORE_BLOCK
     amplitudes; its rows do not depend on the batch, so neither do the values."""
     chunk_index, size, n_qubits, rng, kernel, kernel_args, threshold = args
     gen = sampler.generator(sampler.derive(rng, chunk_index + 1))
-    dim = 2 ** n_qubits
-    # the bits of z / |z| for z = x + 1j*y, built and normalized in place so
-    # that a chunk takes one array of its size instead of five
-    states = np.empty((size, dim), dtype=complex)
-    states.real = gen.standard_normal((size, dim))
-    states.imag = gen.standard_normal((size, dim))
-    for block in _blocks(states):
-        block /= np.linalg.norm(block, axis=1, keepdims=True)
+    # the stream of two (size, dim) draws, the real parts of every row and
+    # then the imaginary parts, in the chunk's one array; viewed as
+    # unit_rows' (size, 2, dim) blocks, which it reads in place
+    normals = gen.standard_normal(out=np.empty((2, size, 2**n_qubits))).swapaxes(0, 1)
+    rows = max(1, SCORE_BLOCK // normals.shape[2])
     kernel_fn = getattr(_kernels, kernel)
-    values = np.concatenate([kernel_fn(block, *kernel_args) for block in _blocks(states)])
+    # each block made unit right before it is scored, while its rows are in cache
+    values = np.concatenate([
+        kernel_fn(_kernels.unit_rows(normals[lo : lo + rows]), *kernel_args) for lo in range(0, size, rows)
+    ])
     argmin = int(np.argmin(values))
-    return int(np.sum(values < threshold)), float(values[argmin]), argmin, states[argmin].copy()
+    state = _kernels.unit_rows(normals[argmin : argmin + 1])[0]
+    return int(np.sum(values < threshold)), float(values[argmin]), argmin, state
 
 
 def _in_order(pool, tasks, ahead: int):

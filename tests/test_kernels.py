@@ -299,6 +299,36 @@ def test_unit_noise_matches_the_numpy_formula():
     assert _kernels.unit_rows(g[:0]).shape == (0, 4)
 
 
+def test_chunk_rows_match_the_numpy_formula():
+    # a scan chunk's (2, m, dim) block, the real parts of every row and then
+    # the imaginary parts, is read in place with its first two axes swapped;
+    # bit for bit where numpy fuses its complex products, as on FMA hardware
+    for dim in (8, 9, 16, 31, 32, 64, 100, 128, 129, 136, 200, 256):
+        g = sampler.generator(sampler.RngSeed(14, dim)).standard_normal((2, 300, dim)).swapaxes(0, 1)
+        got = _kernels.unit_rows(g)
+        assert got.shape == (300, dim) and got.dtype == np.complex128
+        assert got.tobytes() == _numpy_unit_rows(g).tobytes(), dim
+        # a row range of the block is read in place, and its rows are the block's
+        assert _kernels.unit_rows(g[7:100]).tobytes() == got[7:100].tobytes(), dim
+        # a view with strided rows is copied first
+        assert _kernels.unit_rows(g[:, :, ::3]).tobytes() == _numpy_unit_rows(g[:, :, ::3]).tobytes(), dim
+    # signed zeros keep numpy's signs, and a zero row is NaN on both sides
+    g = np.array([
+        [[0.0, -0.0, 1.0, -0.0, 0.0, 0.0, -0.0, 3.0], [-0.0, 0.0, -0.0, 2.0, -0.0, 0.0, -0.0, -0.0]],
+        [[-0.0, 3.0, -0.0, 0.0, 1.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, -4.0, 0.0, -0.0, -0.0, 0.0]],
+        [[-0.0, -0.0, 0.0, 0.0, 0.0, -0.0, -0.0, 0.0], [0.0, -0.0, -0.0, 5e-324, -0.0, -0.0, 0.0, 0.0]],
+        [[0.0] * 8, [0.0] * 8],
+        [[-0.0] * 8, [-0.0] * 8],
+    ]).swapaxes(0, 1).copy().swapaxes(0, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = _numpy_unit_rows(g)
+    got = _kernels.unit_rows(g)
+    assert got[:3].tobytes() == want[:3].tobytes()
+    assert np.isnan(got[3:].view(float)).all() and np.isnan(want[3:].view(float)).all()
+    assert _kernels.unit_rows(g[1:2]).tobytes() == got[1:2].tobytes()
+    assert _kernels.unit_rows(g[:0]).shape == (0, 8)
+
+
 def test_unit_rows_refuses_bad_input_before_the_kernel_runs(monkeypatch):
     class Refuse:
         def __getattr__(self, name):
@@ -545,6 +575,37 @@ def test_a_lane_never_depends_on_its_partners_or_its_position():
                     batch[at] = kinds[name]
                     got = kernel(np.stack(batch))
                     assert got[at].tobytes() == alone[name], (kernel.__name__, name, size, at)
+
+
+def test_a_ckw_r2_row_never_depends_on_its_partner_lane():
+    # ckw_r2 runs two rows in lockstep, one in each lane of its vectors: a
+    # row's residual and lambdas are those it gets alone, in either lane,
+    # beside any partner (a NaN row included), as an odd last row with an
+    # empty partner, and on either side of the 32-row block boundary
+    for n in range(3, 9):
+        rng = np.random.default_rng(230 + n)
+        rows = rng.standard_normal((5, 2**n)) + 1j * rng.standard_normal((5, 2**n))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows[1] = w_state(n)
+        rows[2] = 0.0
+        rows[2, 0] = 1.0  # a product state: every pair separable
+        rows[3, 3] = np.nan
+        picks = rng.integers(0, 5, 35)
+        for det in (_kernels.SEPARABLE_DET, np.inf, -np.inf):
+            alone = [_kernels._ckw_r2(row[None], n, n % 3, det) for row in rows]
+
+            def check(batch, picked):
+                out, lam = _kernels._ckw_r2(rows[batch], n, n % 3, det)
+                for at, r in enumerate(batch):
+                    assert out[at].tobytes() == alone[r][0][0].tobytes(), (n, det, picked, at)
+                    assert lam[at].tobytes() == alone[r][1][0].tobytes(), (n, det, picked, at)
+
+            for a in range(5):
+                for b in range(5):
+                    check([a, b], "pair")
+                check([a, (a + 1) % 5, (a + 3) % 5], "odd")
+            check(picks, "35 rows")
+            assert np.isfinite(_kernels._ckw_r2(rows[[0, 3]], n, n % 3, det)[0][0]), (n, det)
 
 
 def _kernel_outputs(kernels=_kernels):
