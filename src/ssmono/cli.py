@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import measures, sampler, search, store
+from . import _kernels, measures, sampler, search, store
 
 DEFAULT_SCHEDULE = "1.5,1.2,1.1,1.05,1.02,1.01,1.005,1.002"
 CKW_TOLERANCE = -1e-9
@@ -100,11 +100,14 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_continue(args) -> int:
-    archive = store.load_run(args.from_path)
-    alphas = tuple(float(part) for part in args.schedule.split(",") if part.strip())
+    try:  # the schedule fails before the archive is loaded and checked
+        alphas = tuple(float(part) for part in args.schedule.split(",") if part.strip())
+    except ValueError as exc:
+        raise ValueError(f"--schedule: {exc}") from None
     schedule = search.ContinuationSchedule(
         alphas=alphas, delta0=args.delta0, delta_min=args.delta_min
     )
+    archive = store.load_run(args.from_path)
     records = search.alpha_continuation(schedule, archive.record)
     if args.out_dir:
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
@@ -127,10 +130,11 @@ def _cmd_continue(args) -> int:
 
 
 def _cmd_verify_monogamy(args) -> int:
-    lo, _, hi = args.qubits.partition("..")
-    first, last = int(lo), int(hi or lo)
-    if not 3 <= first <= last <= 8:
-        raise ValueError(f"--qubits range must sit inside 3..8, got {args.qubits}")
+    ends, sizes = args.qubits.split(".."), _kernels._CKW_QUBITS
+    ok = len(ends) <= 2 and all(map(str.isdecimal, ends))  # N or N..M, nothing else
+    first, last = (int(ends[0]), int(ends[-1])) if ok else (0, 0)
+    if not sizes[0] <= first <= last <= sizes[-1]:
+        raise ValueError(f"--qubits must be N or N..M with {sizes[0]} <= N <= M <= {sizes[-1]}, got {args.qubits!r}")
     violations = 0
     per_size = {}
     for n in range(first, last + 1):
@@ -259,7 +263,7 @@ def _parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="numerical inequality verifiers")
     checks = verify.add_subparsers(dest="check", required=True)
     mono = checks.add_parser("monogamy-r2", help="R2 monogamy residual on Haar states")
-    mono.add_argument("--qubits", default="3..6", help="qubit range, e.g. 3..6")
+    mono.add_argument("--qubits", default="3..6", help="N or N..M, sizes within 3..8")
     mono.add_argument("--samples", type=_at_least_one, default=10000)
     mono.add_argument("--rng-seed", type=int, default=0)
     mono.set_defaults(handler=_cmd_verify_monogamy)

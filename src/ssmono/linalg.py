@@ -36,35 +36,24 @@ def as_state(amplitudes) -> np.ndarray:
     return psi
 
 
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a density matrix, real and sorted descending.
+def density_eigh(rho) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a density matrix: eigenvalues ascending, eigenvectors as columns.
 
-    Values in [-1e-8, 0) are clamped to 0; anything more negative means the
-    matrix is not positive semidefinite and raises ValueError.
+    The one check of a density matrix: square, finite, Hermitian within
+    HERMITICITY_TOL, unit trace within TRACE_TOL and no eigenvalue below
+    -EIG_CLAMP. Eigenvalues in [-EIG_CLAMP, 0) are roundoff and come back as 0.
     """
-    rho = _square_hermitian(m)
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -EIG_CLAMP:
-        raise ValueError(f"eigenvalue {w[0]} below -{EIG_CLAMP}: matrix is not PSD")
-    return np.maximum(w, 0.0)[::-1]
-
-
-def _square_hermitian(m) -> np.ndarray:
-    rho = np.asarray(m, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    m = np.asarray(rho, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("density matrix must be a square 2-D array")
-    if not np.all(np.isfinite(rho)):  # a NaN would pass every comparison below
+    if not np.all(np.isfinite(m)):  # a NaN would pass every comparison below
         raise ValueError("density matrix entries must be finite")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian within {HERMITICITY_TOL}")
-    return rho
-
-
-def as_density_matrix(entries) -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD within 1e-8, unit trace."""
-    rho = _square_hermitian(entries)
-    tr = float(np.trace(rho).real)
+    tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-    hermitian_eigenvalues(rho)  # PSD check
-    return rho
+    w, v = np.linalg.eigh(m)
+    if w[0] < -EIG_CLAMP:
+        raise ValueError(f"eigenvalue {w[0]} below -{EIG_CLAMP}: matrix is not PSD")
+    return np.maximum(w, 0.0), v

@@ -68,17 +68,16 @@ def concurrence(rho) -> float:
     (measured on locally rotated W states). The pipeline takes a pure state's
     amplitude block as W instead (_kernels.terms_table), which has no floor.
     """
-    m = linalg.as_density_matrix(rho)
-    if m.shape != (4, 4):
-        raise ValueError(f"concurrence needs a 4x4 density matrix, got shape {m.shape}")
-    w, v = np.linalg.eigh(m)
-    lam = _kernels.spin_flip_lambdas(v * np.sqrt(np.maximum(w, 0.0)))
+    w, v = linalg.density_eigh(rho)
+    if v.shape != (4, 4):
+        raise ValueError(f"concurrence needs a 4x4 density matrix, got shape {v.shape}")
+    lam = _kernels.spin_flip_lambdas(v * np.sqrt(w))
     return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
 
 
 def renyi_entropy(rho, alpha) -> float:
-    """Renyi alpha-entropy in bits; alpha = 1 is the von Neumann branch."""
-    return float(_kernels.renyi_entropies(linalg.hermitian_eigenvalues(rho), alpha))
+    """Renyi alpha-entropy in bits of a density matrix; alpha = 1 is von Neumann."""
+    return float(_kernels.renyi_entropies(linalg.density_eigh(rho)[0][::-1], alpha))
 
 
 def renyi_from_concurrence(c, alpha) -> float:

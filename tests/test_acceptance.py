@@ -175,7 +175,7 @@ def test_criterion_04_fingerprints_agree_with_the_density_matrix_route(violating
             worst = max(worst, abs(value - density_pair_term(psi, i, j, alpha)))
         for name in ("spectrum_a1a2", "spectrum_a1b1", "spectrum_a2b2"):
             keep = sorted((roles[name[-4:-2]], roles[name[-2:]]))
-            old = linalg.hermitian_eigenvalues(reduced_density(psi, keep))
+            old = linalg.density_eigh(reduced_density(psi, keep))[0][::-1]
             worst = max(worst, float(np.max(np.abs(np.array(fp[name]) - old))))
     print(f"[criterion 4] fingerprints of the optimum and {len(continuation_stages)} terminals "
           f"within {worst:.2e} of the density-matrix route")

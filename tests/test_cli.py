@@ -219,8 +219,8 @@ def test_archives_and_analyze_stay_off_the_density_matrix_path(tmp_path, capsys,
     def refuse(*args, **kwargs):
         raise AssertionError("the pipeline reached the density-matrix path")
 
-    for module, name in ((measures, "concurrence"), (linalg, "as_density_matrix"), (linalg, "hermitian_eigenvalues"),
-                         (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+    for module, name in ((measures, "concurrence"), (linalg, "density_eigh"), (np.linalg, "eigh"),
+                         (np.linalg, "eigvalsh")):
         monkeypatch.setattr(module, name, refuse)
     archive = store.make_archive(record)
     path = tmp_path / "run.json"
@@ -232,19 +232,27 @@ def test_archives_and_analyze_stay_off_the_density_matrix_path(tmp_path, capsys,
 
 
 def test_continue_rejects_bad_schedule_before_any_stage(tmp_path, capsys, monkeypatch):
-    # "1.5,nan" used to run the whole alpha = 1.5 stage before failing
+    # "1.5,nan" used to run the whole alpha = 1.5 stage before failing, and
+    # "1.5,abc" failed in float() only after the archive was loaded
     seed_doc, run_path = tmp_path / "seed.json", tmp_path / "run.json"
     write_bell_product_doc(seed_doc)
     argv = ["search", "--delta0", "1e-6", "--delta-min", "1e-4", "--seed-file", str(seed_doc)]
     assert cli.main(argv + ["--out", str(run_path)]) == 0
     capsys.readouterr()
     started = []
+    monkeypatch.setattr(store, "load_run", lambda *args: started.append(args))
     monkeypatch.setattr(search, "alpha_continuation", lambda *args: started.append(args) or [])
-    for schedule in ("1.5,nan", "inf,1.5"):
+    for schedule, message in (
+        ("1.5,nan", "error: alpha must be a real number"),
+        ("inf,1.5", "error: alpha must be a real number"),
+        ("1.5,abc", "error: --schedule: could not convert string to float: 'abc'"),
+        ("1.5;1.2", "error: --schedule: could not convert string to float: '1.5;1.2'"),
+    ):
         code, out, err = run_cli(["continue", "--from", str(run_path), "--schedule", schedule], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: alpha must be a real number")
+        assert err.startswith(message)
+        assert len(err.splitlines()) == 1
     assert started == []
 
 
@@ -293,6 +301,15 @@ def test_verify_monogamy_r2_rejects_bad_range(capsys):
     code, _, err = run_cli(["verify", "monogamy-r2", "--qubits", "2..9"], capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("qubits", ["3..", "..5", "3..4..5", "abc", "9", "5..4"])
+def test_verify_monogamy_r2_refuses_malformed_qubits(qubits, capsys):
+    # "3.." ran size 3 alone and exited 0; "3..4..5" and "abc" failed in int()
+    code, out, err = run_cli(["verify", "monogamy-r2", "--qubits", qubits, "--samples", "64"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --qubits must be N or N..M with 3 <= N <= M <= 8, got {qubits!r}\n"
 
 
 def test_verify_sum_inequality_subcommand(capsys):

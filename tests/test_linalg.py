@@ -60,41 +60,34 @@ def test_as_state_rejects_matrices():
         linalg.as_state(np.eye(2, dtype=complex))
 
 
-def test_as_density_matrix_validates():
+def test_density_eigh_validates():
     rng = np.random.default_rng(12)
     rho = random_density(rng, 4, 4)
-    out = linalg.as_density_matrix(rho)
-    assert np.allclose(out, rho)
+    w, v = linalg.density_eigh(rho)
+    assert np.allclose((v * w) @ v.conj().T, rho)
     with pytest.raises(ValueError):
-        linalg.as_density_matrix(rho * 1.01)  # trace off
+        linalg.density_eigh(rho * 1.01)  # trace off
     bad = rho.copy()
     bad[0, 1] += 1e-8  # breaks hermiticity
     with pytest.raises(ValueError):
-        linalg.as_density_matrix(bad)
+        linalg.density_eigh(bad)
     with pytest.raises(ValueError):
-        linalg.as_density_matrix(np.diag([1.5, -0.5]))  # indefinite
+        linalg.density_eigh(np.diag([1.5, -0.5]))  # indefinite
     for bad in (np.nan, np.inf):  # a NaN compares false against every tolerance
         m = np.eye(4) / 4
         m[0, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            linalg.as_density_matrix(m)
-        with pytest.raises(ValueError, match="finite"):
-            linalg.hermitian_eigenvalues(m)
+            linalg.density_eigh(m)
 
 
-def test_hermitian_eigenvalues_descending_and_clamped():
+def test_density_eigh_ascending_and_clamped():
     rng = np.random.default_rng(11)
-    # rank deficient on purpose: eigvalsh noise dips slightly negative
+    # rank deficient on purpose: eigh noise dips slightly negative
     rho = random_density(rng, 8, 3)
-    w = linalg.hermitian_eigenvalues(rho)
-    assert np.all(np.diff(w) <= 0)
+    w, _ = linalg.density_eigh(rho)
+    assert np.all(np.diff(w) >= 0)
     assert np.all(w >= 0)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_hermitian_eigenvalues_rejects_indefinite():
-    with pytest.raises(ValueError):
-        linalg.hermitian_eigenvalues(np.diag([1.5, -0.5]))
 
 
 # the tests' pure-state partial trace (conftest.reduced_density), the density
@@ -138,8 +131,8 @@ def test_partial_trace_complements_share_spectrum():
     # Schmidt decomposition: both sides of a pure-state cut have equal spectra
     rng = np.random.default_rng(24)
     psi = random_state(rng, 4)
-    wa = linalg.hermitian_eigenvalues(reduced_density(psi, (0, 1)))
-    wb = linalg.hermitian_eigenvalues(reduced_density(psi, (2, 3)))
+    wa, _ = linalg.density_eigh(reduced_density(psi, (0, 1)))
+    wb, _ = linalg.density_eigh(reduced_density(psi, (2, 3)))
     np.testing.assert_allclose(wa, wb, atol=1e-12)
 
 

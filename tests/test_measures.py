@@ -117,9 +117,22 @@ def test_concurrence_rejects_wrong_size():
     # a Renyi entropy of 0.678
     m = np.eye(4) / 4
     m[0, 0] = np.nan
+    # renyi_entropy skipped the trace check: 0.415 bits for trace 0.5, -1.585
+    # and inf for trace 2
+    non_hermitian = np.eye(4) / 4
+    non_hermitian[0, 1] = 0.1
+    bad = [
+        (m, "finite"),
+        (np.diag([0.5, 0.0, 0.0, 0.0]), "trace"),
+        (np.diag([2.0, 0.0, 0.0, 0.0]), "trace"),
+        (np.eye(4) / 2, "trace"),
+        (non_hermitian, "Hermitian"),
+        (np.diag([1.5, -0.5, 0.0, 0.0]), "PSD"),
+    ]
     for measure in (measures.concurrence, lambda rho: measures.renyi_entropy(rho, 2.0)):
-        with pytest.raises(ValueError, match="finite"):
-            measure(m)
+        for rho, reason in bad:
+            with pytest.raises(ValueError, match=reason):
+                measure(rho)
 
 
 def test_renyi_entropy_known_spectra():
