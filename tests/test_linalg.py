@@ -60,7 +60,8 @@ def test_as_state_rejects_matrices():
         linalg.as_state(np.eye(2, dtype=complex))
 
 
-def test_density_eigh_validates():
+# as_density_matrix's checks, now made by density_eigh
+def test_as_density_matrix_validates():
     rng = np.random.default_rng(12)
     rho = random_density(rng, 4, 4)
     w, v = linalg.density_eigh(rho)
@@ -71,8 +72,6 @@ def test_density_eigh_validates():
     bad[0, 1] += 1e-8  # breaks hermiticity
     with pytest.raises(ValueError):
         linalg.density_eigh(bad)
-    with pytest.raises(ValueError):
-        linalg.density_eigh(np.diag([1.5, -0.5]))  # indefinite
     for bad in (np.nan, np.inf):  # a NaN compares false against every tolerance
         m = np.eye(4) / 4
         m[0, 0] = bad
@@ -88,6 +87,12 @@ def test_density_eigh_ascending_and_clamped():
     assert np.all(np.diff(w) >= 0)
     assert np.all(w >= 0)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# hermitian_eigenvalues's refusal, now made by density_eigh
+def test_hermitian_eigenvalues_rejects_indefinite():
+    with pytest.raises(ValueError):
+        linalg.density_eigh(np.diag([1.5, -0.5]))
 
 
 # the tests' pure-state partial trace (conftest.reduced_density), the density
