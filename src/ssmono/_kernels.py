@@ -14,6 +14,10 @@ batch. There is one path for each quantity:
   `residual_report`, and `fingerprint_terms` gives the archive fingerprint
   from the same kernel and amplitude blocks;
 - `batched_ckw_r2`: the CKW-R2 residual of 3..8-qubit rows (ckw_r2);
+- the scans' cut, in `terms_table` at k = 2 and in `batched_ckw_r2`: a
+  lower bound on a row's residual from the rho of its blocks alone (the cut
+  and c_bound in _svd4.c), which a row returns in place of its value when
+  the bound shows that it cannot change a `search.haar_minimum` chunk's result;
 - `singular_values4`, `spin_flip_lambdas`, `renyi_from_c` and
   `renyi_entropies`: the same library's 4x4 singular values (sv4w), Wootters
   lambdas (spin_flip4) and Renyi maps, which the two kernels above use inside
@@ -117,11 +121,11 @@ def _load_svd4() -> ctypes.CDLL:
     )
     lib.terms.argtypes = (
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double, ctypes.c_double,
-        ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p,
     )
     lib.ckw_r2.argtypes = (
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double,
-        ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
     )
     lib.displace.argtypes = (
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p,
@@ -150,6 +154,18 @@ def _checked_complex(a, lead: int, tail: tuple, what: str) -> np.ndarray:
         got = f"{getattr(a, 'dtype', type(a).__name__)} {getattr(a, 'shape', '')}"
         raise ValueError(f"need a complex128 {what.format(*tail)}, got {got}")
     return np.ascontiguousarray(a)
+
+
+def _cut_address(cut):
+    """The address of a cut for _svd4.c (None: no cut, NULL): a writable
+    float64 array [least, threshold], whose least the kernel lowers to each
+    value it scores; or ValueError."""
+    if cut is None:
+        return None
+    if not (isinstance(cut, np.ndarray) and cut.dtype == _FLOAT64 and cut.shape == (2,)
+            and cut.flags.c_contiguous and cut.flags.writeable):
+        raise ValueError(f"cut must be a writable float64 array [least, threshold], got {cut!r}")
+    return cut.ctypes.data
 
 
 def singular_values4(a: np.ndarray) -> np.ndarray:
@@ -275,7 +291,8 @@ def spin_flip_lambdas(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def terms_table(states: np.ndarray, layout, alpha: float, k: int = 4, separable_det: float = SEPARABLE_DET):
+def terms_table(states: np.ndarray, layout, alpha: float, k: int = 4, separable_det: float = SEPARABLE_DET,
+                cut=None):
     """Each row of complex128 (m, 16) normalized amplitudes as a row of
     _svd4.c's terms: the bipartite term, the first k pair terms, then ss when
     k >= 2 and mono when k >= 4, so that at k = 4 it is a residual_table row.
@@ -291,15 +308,28 @@ def terms_table(states: np.ndarray, layout, alpha: float, k: int = 4, separable_
     symmetries that make E(a1b2) = E(a2b1) = 0, so the SS and monogamy
     residuals agree there. The screened terms are the unscreened ones bit for
     bit; the tests check this on Haar, walk and boundary states.
+
+    At k = 2 a cut, a writable float64 array [least, threshold], lets a row
+    whose lower bound on ss exceeds max(least, threshold) skip its spin-flip
+    singular values: its row holds the bound's terms and the bound, less a
+    margin for rounding (the cut in _svd4.c). Every other row is scored as
+    without the cut, bit for bit, and least is lowered to its ss. So the count
+    below threshold, the least ss and its first row of a run of calls sharing
+    one cut are those of scoring every row. Above alpha = 2 there is no bound,
+    and every row is scored.
     """
     states = _checked_complex(states, 1, (16,), "(m, {}) array")
     roles = checked_layout(layout)
     if not 1 <= (k := checked_index(k, "k")) <= 6:
         raise ValueError(f"k must be an integer in 1..6, got {k!r}")
     alpha = normalize_alpha(alpha)
+    if cut is not None and k != 2:
+        raise ValueError(f"a cut needs k = 2, got k = {k}")
     _, index = _terms_index(roles, k)
     out = np.empty((states.shape[0], 1 + k + (k >= 2) + (k >= 4)))  # one buffer: an address costs about 2 us
-    _SVD4.terms(states.ctypes.data, index, states.shape[0], k, alpha, float(separable_det), out.ctypes.data)
+    _SVD4.terms(
+        states.ctypes.data, index, states.shape[0], k, alpha, float(separable_det), _cut_address(cut), out.ctypes.data,
+    )
     return out
 
 
@@ -383,10 +413,11 @@ def walk(start: np.ndarray, delta: float, z: np.ndarray, layout, alpha: float, t
     return kept, chain[:n], table[:n]
 
 
-def batched_ss(states: np.ndarray, layout, alpha: float) -> np.ndarray:
+def batched_ss(states: np.ndarray, layout, alpha: float, cut=None) -> np.ndarray:
     """ss residual for each row of (m, 16) normalized amplitudes, from the two
-    pair terms it needs."""
-    return terms_table(states, layout, alpha, 2)[:, 3]
+    pair terms it needs; a row that a cut skips holds its lower bound
+    (terms_table)."""
+    return terms_table(states, layout, alpha, 2, cut=cut)[:, 3]
 
 
 # Batch-of-one views over the kernels above. The package itself no longer
@@ -427,10 +458,10 @@ def _pair_index(n_qubits: int, focus: int) -> np.ndarray:
     return index
 
 
-def _ckw_r2(states: np.ndarray, n_qubits: int, focus: int, separable_det: float):
+def _ckw_r2(states: np.ndarray, n_qubits: int, focus: int, separable_det: float, cut=None):
     """batched_ckw_r2 with its PPT screen at `separable_det`: the (m,) residuals
-    and each pair's Wootters lambdas (m, n-1, 4), zeros where the screen skipped
-    the pair."""
+    and each pair's Wootters lambdas (m, n-1, 4), zeros where the screen or the
+    cut skipped the pair."""
     if (n_qubits := checked_index(n_qubits, "n_qubits")) not in _CKW_QUBITS:
         raise ValueError(f"n_qubits must be an integer in 3..{_CKW_QUBITS[-1]}, got {n_qubits!r}")
     if not 0 <= (focus := checked_index(focus, "focus qubit")) < n_qubits:
@@ -440,13 +471,13 @@ def _ckw_r2(states: np.ndarray, n_qubits: int, focus: int, separable_det: float)
     out = np.empty(states.shape[0])
     lambdas = np.empty((states.shape[0], n_qubits - 1, 4))
     _SVD4.ckw_r2(
-        states.ctypes.data, index.ctypes.data, states.shape[0], n_qubits, float(separable_det),
+        states.ctypes.data, index.ctypes.data, states.shape[0], n_qubits, float(separable_det), _cut_address(cut),
         out.ctypes.data, lambdas.ctypes.data,
     )
     return out, lambdas
 
 
-def batched_ckw_r2(states: np.ndarray, n_qubits: int, focus: int = 0) -> np.ndarray:
+def batched_ckw_r2(states: np.ndarray, n_qubits: int, focus: int = 0, cut=None) -> np.ndarray:
     """CKW-style R2 monogamy residual per row of complex128 (m, 2^n) amplitudes,
     n in _CKW_QUBITS, computed by _svd4.c's ckw_r2 two rows at a time in
     lockstep, each row with the bits it gets on its own.
@@ -470,5 +501,9 @@ def batched_ckw_r2(states: np.ndarray, n_qubits: int, focus: int = 0) -> np.ndar
     concurrence is exactly 0. Every other row, det(rho^G) = 0 boundary states
     included, takes the lambdas, which stay the only source of a nonzero
     concurrence. Row r depends only on states[r].
+
+    A cut works as in terms_table: a row whose lower bound exceeds
+    max(least, threshold) skips its QR and singular values and holds the
+    bound; every other row keeps its bits and lowers least.
     """
-    return _ckw_r2(states, n_qubits, focus, SEPARABLE_DET)[0]
+    return _ckw_r2(states, n_qubits, focus, SEPARABLE_DET, cut)[0]

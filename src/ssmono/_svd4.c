@@ -28,6 +28,9 @@
  *
  * terms and ckw_r2 run two rows in lockstep in the same way, one in each lane
  * of a two-lane vector (v2d, above gram).
+ *
+ * Under a cut (above terms) the scans' kernels skip the singular values of
+ * rows that cannot be a chunk's least value or fall below its threshold.
  */
 #include <float.h>
 #include <math.h>
@@ -383,6 +386,97 @@ static v2d pt_det(v2d rr[N][N], v2d ri[N][N])
     return det;
 }
 
+/* Tr rho^2 of each lane's rho = rr + i ri: the sum of |rho_rs|^2, the upper
+ * triangle twice */
+static v2d purity(v2d rr[N][N], v2d ri[N][N])
+{
+    v2d sum = {0.0, 0.0};
+    for (int r = 0; r < N; r++)
+        for (int s = r; s < N; s++)
+            sum += (s == r ? 1.0 : 2.0) * (rr[r][s] * rr[r][s] + ri[r][s] * ri[r][s]);
+    return sum;
+}
+
+/* The cut of the Haar scans. A scan chunk reports its count of values below
+ * a threshold, its least value and that value's first row. A row whose value
+ * is provably above both the threshold and the value of an earlier row
+ * changes none of them, so it need not be scored exactly. cut holds {least,
+ * threshold}, least being the least value scored so far; a row whose lower
+ * bound exceeds max(least, threshold) skips its singular values (and, in
+ * ckw_r2, its QR) and returns that bound. least is lowered to the values
+ * scored, block by block, so it runs on across a kernel's calls. NULL is no
+ * cut: every row is scored.
+ *
+ * The bound takes each pair's concurrence from above and the bipartite term
+ * from below, from the rho = K K^H of the blocks alone (ckw_r2 forms them
+ * for its screen anyway). With l0 >= l1 >= l2 >= l3 >= 0 the Wootters
+ * lambdas, the singular values of B^T S B for B B^H = rho (Wootters, PRL 80,
+ * 2245 (1998)):
+ *   c = l0 - l1 - l2 - l3 = 2 l0 - sum l <= 2 l0 - F, F = (sum l^2)^(1/2)
+ *       = (tr rho rho~)^(1/2) <= sum l;
+ *   l0 <= lambda_max(rho), as |B^T S B|_2 <= |B|_2^2; l0 <= F; and l0^2 is
+ *       the largest eigenvalue of rho rho~.
+ * The largest eigenvalue of a 4x4 matrix M with real eigenvalues is at most
+ * t/4 + sqrt(3 v / 4), t = tr M and v = tr (M - t/4)^2 (Wolkowicz & Styan,
+ * Linear Algebra Appl. 29, 471 (1980)). For rho, v is |rho - t/4|_F^2, a sum
+ * of squares; for rho rho~, which need not be normal, the sum can cancel, so
+ * CUT_SLACK t^4 is added to it, above the about 800 eps t^4 by which rounding
+ * can move it. The bipartite term is bounded by H_2 = -log2 Tr rho^2, which
+ * is the term at alpha = 2 and below it for 1 <= alpha < 2 (H_alpha does not
+ * increase with alpha); above alpha = 2 there is no bound, and every row is
+ * scored. A row's bound is its value with these in place of its terms, less
+ * CUT_MARGIN, which covers the rounding of both (about 1e-14); a row with a
+ * non-finite amplitude has a NaN bound, and is scored. */
+#define CUT_MARGIN 1e-9
+#define CUT_SLACK (4096.0 * DBL_EPSILON)
+
+/* the bound above on the concurrence of each lane's pair rho = rr + i ri */
+static v2d c_bound(v2d rr[N][N], v2d ri[N][N])
+{
+    static const double y[N] = {-1.0, 1.0, 1.0, -1.0}; /* S = sigma_y (x) sigma_y: S[x][3 - x] = y[x] */
+    v2d t = rr[0][0] + rr[1][1] + rr[2][2] + rr[3][3], v = {0.0, 0.0};
+    for (int r = 0; r < N; r++)
+        for (int s = 0; s < N; s++) {
+            v2d d = r == s ? rr[r][s] - 0.25 * t : rr[r][s];
+            v += d * d + ri[r][s] * ri[r][s];
+        }
+    /* rho~ = S conj(rho) S, rho~[r][s] = y[r] y[s] conj(rho[3 - r][3 - s]);
+     * then p = rho rho~, and tp its trace */
+    v2d fr[N][N], fi[N][N], pr[N][N], pi[N][N], tp = {0.0, 0.0}, vp = {0.0, 0.0};
+    for (int r = 0; r < N; r++)
+        for (int s = 0; s < N; s++) {
+            fr[r][s] = (y[r] * y[s]) * rr[N - 1 - r][N - 1 - s];
+            fi[r][s] = (-y[r] * y[s]) * ri[N - 1 - r][N - 1 - s];
+        }
+    for (int r = 0; r < N; r++)
+        for (int s = 0; s < N; s++) {
+            v2d sr = {0.0, 0.0}, si = {0.0, 0.0};
+            for (int x = 0; x < N; x++) {
+                sr += rr[r][x] * fr[x][s] - ri[r][x] * fi[x][s];
+                si += rr[r][x] * fi[x][s] + ri[r][x] * fr[x][s];
+            }
+            pr[r][s] = sr;
+            pi[r][s] = si;
+        }
+    for (int r = 0; r < N; r++)
+        tp += pr[r][r];
+    for (int r = 0; r < N; r++)
+        pr[r][r] -= 0.25 * tp;
+    for (int r = 0; r < N; r++)
+        for (int s = 0; s < N; s++)
+            vp += pr[r][s] * pr[s][r] - pi[r][s] * pi[s][r];
+    v2d c;
+    for (int l = 0; l < 2; l++) {
+        double f = sqrt(tp[l] > 0.0 ? tp[l] : 0.0), t2 = t[l] * t[l];
+        double lmax = 0.25 * t[l] + sqrt(0.75 * v[l]);
+        /* fmin passes over a NaN from a negative sum, which leaves a looser bound */
+        double mu = 0.25 * tp[l] + sqrt(0.75 * (vp[l] + CUT_SLACK * t2 * t2));
+        double l0 = fmin(lmax, fmin(f, sqrt(mu)));
+        c[l] = t[l] < INFINITY ? fmin(1.0, fmax(0.0, 2.0 * l0 - f)) : NAN;
+    }
+    return c;
+}
+
 /* The SS / two-pair monogamy terms of 4-qubit states, two rows at a time.
  *
  * Each row is 16 complex128 amplitudes. index holds 1 + k rows of 16 flat
@@ -403,8 +497,8 @@ static v2d pt_det(v2d rr[N][N], v2d ri[N][N])
  * states: count rows of 16 complex128 amplitudes; index: (1 + k) x 16
  * amplitude indices; out: count rows of the bipartite term, k pair terms
  * and the residuals */
-void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k, double alpha,
-           double separable_det, double *out)
+static void terms_all(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k, double alpha,
+                      double separable_det, double *out)
 {
     int width = 1 + k + (k >= 2) + (k >= 4);
     struct lanes L = {.used = 0};
@@ -422,12 +516,9 @@ void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k,
             gather(psi, index, N * N, kk);
             if (alpha == 2.0) {
                 gram(kk, N, rr, ri);
-                v2d purity = {0.0, 0.0}; /* sum of |rho_rs|^2, the upper triangle twice */
-                for (int r = 0; r < N; r++)
-                    for (int s = r; s < N; s++)
-                        purity += (s == r ? 1.0 : 2.0) * (rr[r][s] * rr[r][s] + ri[r][s] * ri[r][s]);
+                v2d p = purity(rr, ri);
                 for (int j = 0; j < live; j++)
-                    out[width * (row0 + i + j)] = -log2(purity[j]);
+                    out[width * (row0 + i + j)] = -log2(p[j]);
             } else {
                 for (int j = 0; j < live; j++) {
                     lane(kk, j, N * N, b);
@@ -477,6 +568,66 @@ void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k,
     }
 }
 
+/* terms at k = 2 and 1 <= alpha <= 2 under a cut: each block's rows bounded
+ * two at a time into bound rows (the bipartite term's bound, the two pair
+ * terms' bounds, and the ss bound less CUT_MARGIN); the rows whose ss bound
+ * does not exceed max(least, threshold) are copied together and scored by
+ * terms_all, their rows replace their bound rows, and their ss lower least.
+ * A row's bits are those it has on its own, so a scored row has the bits it
+ * has without the cut. */
+static void ss_cut(const double *states, const ptrdiff_t *index, ptrdiff_t count, double alpha,
+                   double separable_det, double *cut, double *out)
+{
+    for (ptrdiff_t row0 = 0; row0 < count; row0 += ROWS) {
+        int rows = count - row0 < ROWS ? (int)(count - row0) : ROWS, m = 0, at[ROWS];
+        double above = cut[0] > cut[1] ? cut[0] : cut[1], kept[ROWS][2 * N * N], table[ROWS][4];
+        for (int i = 0; i < rows; i += 2) {
+            int live = rows - i < 2 ? rows - i : 2;
+            const double *psi[2] = {states + 2 * N * N * (row0 + i),
+                                    live == 2 ? states + 2 * N * N * (row0 + i + 1) : no_row};
+            v2d kk[2 * N * N], rr[N][N], ri[N][N], e, c[2];
+            gather(psi, index, N * N, kk);
+            gram(kk, N, rr, ri);
+            e = purity(rr, ri);
+            for (int p = 0; p < 2; p++) {
+                gather(psi, index + N * N * (1 + p), N * N, kk);
+                gram(kk, N, rr, ri);
+                c[p] = c_bound(rr, ri);
+            }
+            for (int j = 0; j < live; j++) {
+                double *o = out + 4 * (row0 + i + j);
+                o[0] = -log2(e[j]);
+                o[1] = renyi_c(c[0][j], alpha);
+                o[2] = renyi_c(c[1][j], alpha);
+                o[3] = (o[0] - o[1]) - o[2] - CUT_MARGIN;
+                if (!(o[3] > above)) { /* a NaN bound is not above */
+                    for (int x = 0; x < 2 * N * N; x++)
+                        kept[m][x] = psi[j][x];
+                    at[m++] = i + j;
+                }
+            }
+        }
+        terms_all(kept[0], index, m, 2, alpha, separable_det, table[0]);
+        for (int j = 0; j < m; j++) {
+            for (int x = 0; x < 4; x++)
+                out[4 * (row0 + at[j]) + x] = table[j][x];
+            if (table[j][3] < cut[0])
+                cut[0] = table[j][3];
+        }
+    }
+}
+
+/* ss_cut under a cut at k = 2 and alpha <= 2, else terms_all: above alpha = 2
+ * there is no bound, every row is scored and least is left as it is */
+void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k, double alpha,
+           double separable_det, double *cut, double *out)
+{
+    if (cut && k == 2 && alpha <= 2.0)
+        ss_cut(states, index, count, alpha, separable_det, cut, out);
+    else
+        terms_all(states, index, count, k, alpha, separable_det, out);
+}
+
 /* CKW R2 monogamy residual of one focus qubit against the rest, two rows at
  * a time.
  *
@@ -492,8 +643,13 @@ void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k,
  * R^H from a Householder QR of k^H = QR, which is backward stable, so zero
  * modes stay at machine scale. Each pair's lambdas, zeros for a screened
  * pair, are stored at lam[4 * ((n - 1) * row + pair)]. Two rows' pair
- * matrices are gathered, multiplied out and screened in lockstep; a pair
- * that takes the lambdas is then taken out of its lane.
+ * matrices are gathered, multiplied out and screened in lockstep; once all
+ * of a row's pairs are, each pair that takes the lambdas is gathered again
+ * and taken out of its lane.
+ *
+ * Under a cut (above terms) the unscreened pairs are bounded as they are
+ * screened, and a row whose bound exceeds max(least, threshold) returns it,
+ * with zeros for all its lambdas, and takes no QR and no singular values.
  */
 #define PAIR_COLS 64 /* columns of k at the largest n, 8 qubits */
 
@@ -548,37 +704,67 @@ static void qr_factor(const double *k, int cols, double *b)
 }
 
 /* states: count rows of 2^n complex128 amplitudes, 3 <= n <= 8;
- * index: (n - 1) x 4 x 2^(n-2) amplitude indices; out: count residuals;
- * lam: count x (n - 1) x 4 lambdas */
+ * index: (n - 1) x 4 x 2^(n-2) amplitude indices; cut: NULL or {least,
+ * threshold}; out: count residuals; lam: count x (n - 1) x 4 lambdas */
 void ckw_r2(const double *states, const ptrdiff_t *index, ptrdiff_t count, int n,
-            double separable_det, double *out, double *lam)
+            double separable_det, double *cut, double *out, double *lam)
 {
     const int cols = 1 << (n - 2);
     struct lanes L = {.used = 0};
     for (ptrdiff_t row0 = 0; row0 < count; row0 += ROWS) {
         int rows = count - row0 < ROWS ? (int)(count - row0) : ROWS;
-        unsigned char npt[ROWS][7]; /* which of a row's n - 1 <= 7 pairs took the lambdas */
+        double above = cut ? (cut[0] > cut[1] ? cut[0] : cut[1]) : INFINITY;
+        unsigned char npt[ROWS][7]; /* which of a row's n - 1 <= 7 pairs take the lambdas */
         for (int i = 0; i < rows; i += 2) {
             int live = rows - i < 2 ? rows - i : 2;
             const double *psi[2] = {states + ((ptrdiff_t)2 << n) * (row0 + i),
                                     live == 2 ? states + ((ptrdiff_t)2 << n) * (row0 + i + 1) : no_row};
+            double bound[2];
+            v2d kk[2 * N * PAIR_COLS], rr[N][N], ri[N][N];
             for (int pair = 0; pair < n - 1; pair++) {
-                v2d kk[2 * N * PAIR_COLS], rr[N][N], ri[N][N];
                 gather(psi, index + (ptrdiff_t)N * cols * pair, N * cols, kk);
                 gram(kk, cols, rr, ri);
                 v2d det = pt_det(rr, ri);
+                int any = 0;
                 for (int j = 0; j < live; j++) {
-                    ptrdiff_t row = row0 + i + j;
-                    double *l = lam + N * ((n - 1) * row + pair);
                     if (pair == 0) {
                         /* C^2(focus|rest) = 2 (1 - Tr rho_focus^2) */
                         double p00 = rr[0][0][j] + rr[1][1][j], p11 = rr[2][2][j] + rr[3][3][j];
                         double p01r = rr[0][2][j] + rr[1][3][j], p01i = ri[0][2][j] + ri[1][3][j];
                         double purity = p00 * p00 + p11 * p11 + 2.0 * (p01r * p01r + p01i * p01i);
                         double c2 = fmax(0.0, 2.0 * (1.0 - purity));
-                        out[row] = -log2(1.0 - 0.5 * c2);
+                        out[row0 + i + j] = -log2(1.0 - 0.5 * c2);
+                        /* fmax passes over a NaN, and a NaN det screens its
+                         * pair: a row with a non-finite amplitude, so a
+                         * non-finite trace p00 + p11, is not bounded */
+                        bound[j] = p00 + p11 < INFINITY ? out[row0 + i + j] : NAN;
                     }
-                    npt[i + j][pair] = det[j] < separable_det;
+                    any |= npt[i + j][pair] = det[j] < separable_det;
+                }
+                if (cut && any) {
+                    v2d c = c_bound(rr, ri);
+                    for (int j = 0; j < live; j++)
+                        if (npt[i + j][pair])
+                            bound[j] += log2(1.0 - 0.5 * c[j] * c[j]);
+                }
+            }
+            for (int j = 0; j < live; j++) {
+                ptrdiff_t row = row0 + i + j;
+                if (cut && bound[j] - CUT_MARGIN > above) { /* a NaN bound is not above */
+                    out[row] = bound[j] - CUT_MARGIN;
+                    for (int pair = 0; pair < n - 1; pair++)
+                        npt[i + j][pair] = 0;
+                }
+                for (int pair = 0; pair < n - 1; pair++)
+                    if (!npt[i + j][pair])
+                        for (int x = 0; x < N; x++)
+                            lam[N * ((n - 1) * row + pair) + x] = 0.0;
+            }
+            for (int pair = 0; pair < n - 1; pair++) {
+                if (!(npt[i][pair] || (live == 2 && npt[i + 1][pair])))
+                    continue;
+                gather(psi, index + (ptrdiff_t)N * cols * pair, N * cols, kk);
+                for (int j = 0; j < live; j++)
                     if (npt[i + j][pair]) {
                         double k[2 * N * PAIR_COLS], b[2 * N * N];
                         lane(kk, j, N * cols, k);
@@ -591,12 +777,8 @@ void ckw_r2(const double *states, const ptrdiff_t *index, ptrdiff_t count, int n
                         } else {
                             qr_factor(k, cols, b);
                         }
-                        spin_flip4(b, &L, l);
-                    } else {
-                        for (int x = 0; x < N; x++)
-                            l[x] = 0.0;
+                        spin_flip4(b, &L, lam + N * ((n - 1) * (row0 + i + j) + pair));
                     }
-                }
             }
         }
         sv4w(&L);
@@ -610,6 +792,8 @@ void ckw_r2(const double *states, const ptrdiff_t *index, ptrdiff_t count, int n
                     double c = fmax(0.0, l[0] - l[1] - l[2] - l[3]);
                     out[row] += log2(1.0 - 0.5 * c * c);
                 }
+            if (cut && out[row] < cut[0])
+                cut[0] = out[row];
         }
     }
 }
@@ -728,7 +912,7 @@ ptrdiff_t walk(const double *start, const double *z, ptrdiff_t count, double del
         for (ptrdiff_t row = row0; row < row0 + rows; row++)
             step(row ? states + 2 * N * N * (row - 1) : start, z + 2 * N * N * row, N * N, delta,
                  states + 2 * N * N * row);
-        terms(states + 2 * N * N * row0, index, rows, 4, alpha, separable_det, table + 7 * row0);
+        terms_all(states + 2 * N * N * row0, index, rows, 4, alpha, separable_det, table + 7 * row0);
         for (ptrdiff_t row = row0; row < row0 + rows; row++)
             if (!(table[7 * row + 5] < threshold))
                 return row;

@@ -140,7 +140,7 @@ def _cmd_verify_monogamy(args) -> int:
     for n in range(first, last + 1):
         # size n's chunks take streams (n << 32) + 1, 2, ...: no two (size, chunk) pairs share one
         count, least, _, _ = search.haar_minimum(
-            args.samples, n, sampler.RngSeed(args.rng_seed, n << 32), "batched_ckw_r2", (n,),
+            args.samples, n, sampler.RngSeed(args.rng_seed, n << 32), "batched_ckw_r2", (n, 0),
             CKW_TOLERANCE, _workers(),
         )
         violations += count

@@ -26,10 +26,13 @@ def n_qubits_of(amplitudes) -> int:
     return n
 
 
-def as_state(amplitudes) -> np.ndarray:
-    """Validate a pure state: complex vector of length 2^n with unit norm."""
+def as_state(amplitudes, n_qubits: int | None = None) -> np.ndarray:
+    """Validate a pure state: complex vector of length 2^n with unit norm, and
+    n = n_qubits when that is given."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    n_qubits_of(psi)
+    n = n_qubits_of(psi)
+    if n_qubits is not None and n != n_qubits:
+        raise ValueError(f"need a {n_qubits}-qubit state, got {n} qubits")
     norm = float(np.linalg.norm(psi))
     if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN and infinite amplitudes
         raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")

@@ -96,9 +96,7 @@ def residual_report(psi, layout: PairingLayout = CANONICAL_LAYOUT, alpha=2.0) ->
     """Evaluate every term of the SS and second-order-monogamy inequalities;
     a negative ss_residual or monogamy_residual certifies a violation."""
     a = _kernels.normalize_alpha(alpha)
-    state = linalg.as_state(psi)
-    if linalg.n_qubits_of(state) != 4:
-        raise ValueError("residuals are defined for 4-qubit states")
+    state = linalg.as_state(psi, 4)
     return _report((a, *residual_table(state[None], layout, a)[0].tolist()))
 
 

@@ -49,10 +49,7 @@ class SearchConfig:
         if _kernels.checked_index(self.counter_max, "counter_max") < 1:
             raise ValueError(f"counter_max must be >= 1, got {self.counter_max}")
         if self.seed_state is not None:
-            state = linalg.as_state(self.seed_state)
-            if state.shape[0] != 16:
-                raise ValueError("seed_state must be a 4-qubit state")
-            object.__setattr__(self, "seed_state", state)
+            object.__setattr__(self, "seed_state", linalg.as_state(self.seed_state, 4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,7 +330,12 @@ class ScanSummary:
 def _chunk_task(args):
     """One chunk's count of values below threshold, its least value, that
     value's row and state. The kernel is called once per SCORE_BLOCK
-    amplitudes; its rows do not depend on the batch, so neither do the values."""
+    amplitudes, with kernel_args and then one cut that all of the chunk's
+    calls share: the least value so far and the threshold. A row whose lower
+    bound exceeds both skips the kernel's singular values and holds that
+    bound, so it changes neither the count, nor the least value, nor its
+    first row; every other row keeps the bits it has on its own, so none of
+    the outputs depends on the batch or on the cut."""
     chunk_index, size, n_qubits, rng, kernel, kernel_args, threshold = args
     gen = sampler.generator(sampler.derive(rng, chunk_index + 1))
     # the stream of two (size, dim) draws, the real parts of every row and
@@ -342,9 +344,10 @@ def _chunk_task(args):
     normals = gen.standard_normal(out=np.empty((2, size, 2**n_qubits))).swapaxes(0, 1)
     rows = max(1, SCORE_BLOCK // normals.shape[2])
     kernel_fn = getattr(_kernels, kernel)
+    cut = np.array([np.inf, threshold])
     # each block made unit right before it is scored, while its rows are in cache
     values = np.concatenate([
-        kernel_fn(_kernels.unit_rows(normals[lo : lo + rows]), *kernel_args) for lo in range(0, size, rows)
+        kernel_fn(_kernels.unit_rows(normals[lo : lo + rows]), *kernel_args, cut) for lo in range(0, size, rows)
     ])
     argmin = int(np.argmin(values))
     state = _kernels.unit_rows(normals[argmin : argmin + 1])[0]
@@ -371,16 +374,20 @@ def haar_minimum(
     n_states: int, n_qubits: int, rng: sampler.RngSeed, kernel: str, kernel_args: tuple,
     threshold: float, workers: int,
 ):
-    """Score n_states Haar draws on n_qubits with `_kernels.<kernel>`.
+    """Score n_states Haar draws on n_qubits with `_kernels.<kernel>`, called
+    with a block of states, then every one of kernel_args, then a cut.
 
     Returns (violations below threshold, least value, its draw index, its
-    state). Draws come in chunks of 2**16 amplitudes, chunk k on the sibling
-    stream derive(rng, k + 1), so the result is identical for every worker
-    count and no kernel call sees more than one chunk. At most min(workers,
-    chunks, CPU count) processes are opened. The kernel is named,
-    not passed, so that workers look it up in their own `_kernels`. Chunks
-    are made as they are taken and folded as they arrive, and a pool holds at
-    most two per process, so that a scan's memory does not grow with n_states.
+    state), those of scoring every draw: rows that can be neither the least
+    value nor below threshold skip the kernel's singular values, and every
+    other row keeps its bits (`_chunk_task`). Draws come in chunks of 2**16
+    amplitudes, chunk k on the sibling stream derive(rng, k + 1), so the
+    result is identical for every worker count and no kernel call sees more
+    than one chunk. At most min(workers, chunks, CPU count) processes are
+    opened. The kernel is named, not passed, so that workers look it up in
+    their own `_kernels`. Chunks are made as they are taken and folded as they
+    arrive, and a pool holds at most two per process, so that a scan's memory
+    does not grow with n_states.
     """
     if _kernels.checked_index(n_states, "n_states") < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")

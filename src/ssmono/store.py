@@ -145,9 +145,7 @@ def run_fingerprint(state, layout: measures.PairingLayout, alpha: float) -> dict
     gauge-dependent): the spectra of the a1a2, a1b1 and a2b2 reductions and
     all six pair entanglements, from the blocks the residuals read
     (`_kernels.fingerprint_terms`)."""
-    state = linalg.as_state(state)
-    if state.shape[0] != 16:
-        raise ValueError("fingerprints are defined for 4-qubit states")
+    state = linalg.as_state(state, 4)
     pairs, spectra = _kernels.fingerprint_terms(state[None], layout.as_tuple(), alpha)
     fingerprint = dict(zip(("spectrum_a1a2", "spectrum_a1b1", "spectrum_a2b2"), spectra[0].tolist()))
     # sorted names: a1a2, a1b1, a1b2, a2b1, a2b2, b1b2

@@ -200,7 +200,7 @@ def test_criterion_06_r2_monogamy_on_random_states():
     worst_per_n = {}
     for n in (3, 4, 5, 6):
         _, worst, _, state = search.haar_minimum(
-            10_000, n, sampler.RngSeed(0, n << 32), "batched_ckw_r2", (n,), -1e-9, 1
+            10_000, n, sampler.RngSeed(0, n << 32), "batched_ckw_r2", (n, 0), -1e-9, 1
         )
         assert _kernels.batched_ckw_r2(state[None], n)[0] == pytest.approx(worst, abs=1e-12)
         worst_per_n[n] = worst

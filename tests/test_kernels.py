@@ -502,6 +502,113 @@ def test_a_nan_row_gives_nan_terms_whatever_the_screen():
         assert np.isfinite(e_bip[[0, 2]]).all() and np.isfinite(pair[[0, 2]]).all()
 
 
+def _cluster_state(n):
+    """The linear cluster state: a CZ on each neighbouring pair of |+>^n."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    return (-1.0) ** np.sum(bits[:, 1:] & bits[:, :-1], axis=1).astype(complex) / np.sqrt(2**n)
+
+
+def _rotated(psi, rng, count):
+    """psi, then count copies of it, each under its own random local unitaries."""
+    n = int(psi.size).bit_length() - 1
+    states = [psi]
+    for _ in range(count):
+        t = psi.reshape((2,) * n)
+        for q, u in enumerate(_local_unitaries(rng, n)):
+            t = np.moveaxis(np.tensordot(u, t, axes=([1], [q])), 0, q)
+        states.append(t.reshape(-1))
+    return np.array(states)
+
+
+def _no_floor():
+    """A cut whose least and threshold are -inf: every row with a finite bound
+    is skipped, so the kernel returns the bounds."""
+    return np.array([-np.inf, -np.inf])
+
+
+def test_the_cut_bounds_the_values_from_below(seed0_optimum):
+    # the bound a skipped row returns is at most the row's value, on Haar
+    # rows, structured states under local unitaries, pairs with rho = I/4
+    # (whose tr rho^2 - (tr rho)^2/4 cancels), pairs with det(rho^G) near 0
+    # and walk states near the seed-0 optimum
+    rng = np.random.default_rng(240)
+    gen = sampler.generator(sampler.RngSeed(241))
+    product = np.kron(np.kron(random_state(rng, 1), random_state(rng, 1)), random_state(rng, 2))
+    structured = [_rotated(psi, rng, 40) for psi in (product, bell_product(), ghz_state(4), w_state(4), _cluster_state(4))]
+    walk = np.vstack([
+        _kernels.walk(seed0_optimum, 1e-3, sampler.unit_noise(gen, 500), (0, 1, 2, 3), 2.0, np.inf)[1],
+        _kernels.displace(seed0_optimum, 1e-2, sampler.unit_noise(gen, 500)),
+    ])
+    states = np.vstack([sampler.unit_noise(gen, search.SCAN_CHUNK), *structured, _boundary_states(), walk])
+    # (0, 2, 1, 3) pairs the Bell product's qubits across its Bell pairs, rho = I/4;
+    # (0, 1, 3, 2) makes the boundary states' crossing pair (0, 3) the first pair
+    for layout in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)):
+        for alpha in (1.0, 1.2, 1.5, 2.0):
+            exact = _kernels.terms_table(states, layout, alpha, 2)
+            bound = _kernels.terms_table(states, layout, alpha, 2, _kernels.SEPARABLE_DET, _no_floor())
+            assert np.all(bound[:, 3] <= exact[:, 3]), (layout, alpha)
+            # its terms bound each term to rounding, which the margin covers
+            assert np.all(bound[:, 0] <= exact[:, 0] + 1e-13), (layout, alpha)
+            assert np.all(bound[:, 1:3] >= exact[:, 1:3] - 1e-13), (layout, alpha)
+            assert np.all(bound[:, 3] == (bound[:, 0] - bound[:, 1]) - bound[:, 2] - 1e-9)
+        # above alpha = 2 there is no bound: every row is scored
+        exact = _kernels.terms_table(states, layout, 3.0, 2)
+        assert _kernels.terms_table(states, layout, 3.0, 2, _kernels.SEPARABLE_DET, _no_floor()).tobytes() == exact.tobytes()
+    for n in range(3, 9):
+        z = rng.standard_normal((300, 2**n)) + 1j * rng.standard_normal((300, 2**n))
+        shapes = [np.kron(np.kron(random_state(rng, 1), random_state(rng, 1)), random_state(rng, n - 2)),
+                  ghz_state(n), w_state(n), _cluster_state(n)]
+        if n >= 4:  # the Bell product and |0...0>: the focus qubit's pair with qubit 1 is I/4
+            shapes.append(np.kron(bell_product(), np.eye(2 ** (n - 4))[0]))
+        states = np.vstack([z / np.linalg.norm(z, axis=1, keepdims=True)] + [_rotated(psi, rng, 20) for psi in shapes]
+                           + ([_boundary_states(), walk] if n == 4 else []))
+        for focus in (0, n - 1):
+            exact = _kernels.batched_ckw_r2(states, n, focus)
+            bound = _kernels.batched_ckw_r2(states, n, focus, _no_floor())
+            assert np.all(bound <= exact), (n, focus)
+
+
+def test_the_cut_scores_nan_rows_and_the_rows_it_cannot_skip():
+    # a row with a NaN or an inf amplitude has no bound, so it is scored under
+    # any cut; a scored row has the bits it has without the cut, and least
+    # is lowered to the least scored value, never to a bound or a NaN
+    rng = np.random.default_rng(242)
+    states = _haar_blocks(243, 64).reshape(64, 16)
+    states[5, 9] = np.nan
+    states[6, 2] = np.inf
+    for alpha in (2.0, 1.5):
+        exact = _kernels.terms_table(states, (0, 1, 2, 3), alpha, 2)
+        cut = _no_floor()
+        bound = _kernels.terms_table(states, (0, 1, 2, 3), alpha, 2, _kernels.SEPARABLE_DET, cut)
+        assert bound[5:7].tobytes() == exact[5:7].tobytes() and cut[0] == -np.inf
+        # least starts at the median bound and falls to each value scored
+        cut = np.array([np.nanmedian(bound[:, 3]), -np.inf])
+        got = _kernels.terms_table(states, (0, 1, 2, 3), alpha, 2, _kernels.SEPARABLE_DET, cut)
+        scored = np.all(got.view(np.int64) == exact.view(np.int64), axis=1)
+        skipped = np.all(got.view(np.int64) == bound.view(np.int64), axis=1) & (got[:, 3] < exact[:, 3])
+        assert np.all(scored ^ skipped) and scored[5:7].all() and 10 < np.sum(skipped) < 60
+        assert np.all(scored[bound[:, 3] <= np.nanmin(exact[:, 3])])  # whatever could be least
+        assert cut[0] == np.nanmin(exact[:, 3])
+    for n in (3, 5, 8):
+        z = rng.standard_normal((40, 2**n)) + 1j * rng.standard_normal((40, 2**n))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z[3, 1] = np.nan
+        z[4, 0] = np.inf
+        cut = _no_floor()
+        got = _kernels.batched_ckw_r2(z, n, 0, cut)
+        assert got[3:5].tobytes() == _kernels.batched_ckw_r2(z, n)[3:5].tobytes(), n
+        assert np.all(got[[0, 1, 2, 5]] < _kernels.batched_ckw_r2(z, n)[[0, 1, 2, 5]]), n  # skipped: bounds
+    with pytest.raises(ValueError, match="cut needs k = 2"):
+        _kernels.terms_table(states, (0, 1, 2, 3), 2.0, 4, _kernels.SEPARABLE_DET, _no_floor())
+    for bad in ([-np.inf, -np.inf], np.zeros(1), np.zeros(3), np.zeros(2, dtype=np.float32), np.zeros(4)[::2]):
+        with pytest.raises(ValueError, match="cut must be"):
+            _kernels.batched_ss(states, (0, 1, 2, 3), 2.0, bad)
+    frozen = _no_floor()
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="cut must be"):
+        _kernels.batched_ckw_r2(z, 8, 0, frozen)
+
+
 def test_real_rank_deficient_pair_blocks_keep_their_singular_values():
     report = measures.residual_report(OPTIMUM_SYMMETRIC)
     assert report.e_a1b1 == report.e_a2b2
@@ -721,7 +828,7 @@ def test_build_failure_names_the_command_and_its_stderr(tmp_path, monkeypatch):
     assert [f for f in os.listdir(tmp_path / "__pycache__") if f.startswith("_svd4")] == []
 
 
-def test_the_fma_clones_give_the_bits_of_the_plain_build(tmp_path, seed0_optimum):
+def test_the_fma_clones_give_the_bits_of_the_plain_build(tmp_path, seed0_optimum, monkeypatch):
     # FMA_CLONES adds an FMA build of the routines that call fma(); a copy
     # built without it calls libm's fma() there, and both round correctly
     clones = '__attribute__((target_clones("fma", "default")))'
@@ -738,6 +845,14 @@ def test_the_fma_clones_give_the_bits_of_the_plain_build(tmp_path, seed0_optimum
         assert walks[0][0] == walks[1][0] == 2000
         assert walks[0][1].tobytes() == walks[1][1].tobytes()
         assert walks[0][2].tobytes() == walks[1][2].tobytes()
+    # a 4-qubit and an 8-qubit scan chunk, their rows scored under the cut
+    tasks = [(0, search.SCAN_CHUNK, 4, sampler.RngSeed(14), "batched_ss", ((0, 1, 2, 3), 2.0), -1e-7),
+             (0, search.SCAN_CHUNK >> 4, 8, sampler.RngSeed(14), "batched_ckw_r2", (8, 0), -1e-9)]
+    summaries = [search._chunk_task(task) for task in tasks]
+    monkeypatch.setattr(search, "_kernels", plain)
+    for task, (count, least, argmin, state) in zip(tasks, summaries):
+        got = search._chunk_task(task)
+        assert got[:3] == (count, least, argmin) and got[3].tobytes() == state.tobytes(), task[4]
 
 
 def test_fresh_process_reuses_the_cached_library():

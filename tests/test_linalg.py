@@ -10,9 +10,10 @@ from conftest import (
     random_density,
     random_state,
     reduced_density,
+    w_state,
 )
 
-from ssmono import linalg
+from ssmono import linalg, measures, search
 
 
 def test_n_qubits_of_accepts_powers_of_two():
@@ -53,6 +54,18 @@ def test_as_state_norm_tolerance_boundary():
     psi[0] = 1.0 + 5e-12
     with pytest.raises(ValueError):
         linalg.as_state(psi)
+
+
+def test_as_state_checks_the_qubit_count_when_given():
+    # the one check behind residual_report's, SearchConfig's and run_fingerprint's "4-qubit"
+    assert linalg.as_state(w_state(4), 4).shape == (16,)
+    for n in (3, 5):
+        with pytest.raises(ValueError, match=f"need a 4-qubit state, got {n} qubits"):
+            linalg.as_state(w_state(n), 4)
+        with pytest.raises(ValueError, match="4-qubit"):
+            measures.residual_report(w_state(n))
+        with pytest.raises(ValueError, match="4-qubit"):
+            search.SearchConfig(seed_state=w_state(n))
 
 
 def test_as_state_rejects_matrices():

@@ -344,17 +344,28 @@ def test_batched_scan_values_match_reports():
 
 def test_chunk_states_are_the_normalized_draws_bit_for_bit():
     # a chunk is built and normalized in place, block by block; its states
-    # keep the bits of the plain z / |z|
-    for n in (3, 4, 8):
+    # keep the bits of the plain z / |z|. Its kernel calls share a cut, so
+    # rows that cannot be the least value nor fall below the threshold skip
+    # their singular values: the count, the least value and its row are
+    # still those of scoring every row
+    cases = [(4, "batched_ss", ((0, 1, 2, 3), alpha), threshold)
+             for alpha in (1.0, 1.5, 2.0, 3.0) for threshold in (-1e-7, 1.2)]
+    cases += [(n, "batched_ckw_r2", (n, 0), threshold) for n in range(3, 9) for threshold in (-1e-9, 0.5, 0.95)]
+    split = set()  # the sizes with a count that the cut could get wrong: neither none nor all
+    for n, kernel, args, threshold in cases:
         size = (search.SCAN_CHUNK * 16 >> n) - 5
         gen = sampler.generator(sampler.derive(sampler.RngSeed(12), 3))
         z = gen.standard_normal((size, 2**n)) + 1j * gen.standard_normal((size, 2**n))
         expected = z / np.linalg.norm(z, axis=1, keepdims=True)
-        values = _kernels.batched_ckw_r2(expected, n)
-        task = (2, size, n, sampler.RngSeed(12), "batched_ckw_r2", (n,), 0.5)
+        values = getattr(_kernels, kernel)(expected, *args)
+        task = (2, size, n, sampler.RngSeed(12), kernel, args, threshold)
         violations, least, argmin, state = search._chunk_task(task)
-        assert (violations, least, argmin) == (int(np.sum(values < 0.5)), values.min(), int(np.argmin(values)))
+        want = (int(np.sum(values < threshold)), values.min(), int(np.argmin(values)))
+        assert (violations, least, argmin) == want, (kernel, args, threshold)
         assert state.tobytes() == expected[argmin].tobytes()
+        if 0 < violations < size:
+            split.add(n)
+    assert split == {3, 4, 5, 6, 7, 8}
 
 
 def test_haar_scan_summary_fields():
@@ -415,10 +426,10 @@ def test_haar_minimum_pool_has_no_more_workers_than_chunks(monkeypatch):
     assert (pooled.min_residual, pooled.argmin_index) == (serial.min_residual, serial.argmin_index)
     # nor more than the CPUs: 40 chunks of 256 states at n = 8
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    many = search.haar_minimum(40 * 256, 8, sampler.RngSeed(9), "batched_ckw_r2", (8,), 0.0, 10_000)
+    many = search.haar_minimum(40 * 256, 8, sampler.RngSeed(9), "batched_ckw_r2", (8, 0), 0.0, 10_000)
     assert opened == [3, 3] and most_in_flight == [3, 2 * 3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process, no pool
-    assert search.haar_minimum(40 * 256, 8, sampler.RngSeed(9), "batched_ckw_r2", (8,), 0.0, 10_000)[1:3] == many[1:3]
+    assert search.haar_minimum(40 * 256, 8, sampler.RngSeed(9), "batched_ckw_r2", (8, 0), 0.0, 10_000)[1:3] == many[1:3]
     assert opened == [3, 3]
 
 
@@ -429,7 +440,7 @@ def test_haar_minimum_memory_does_not_grow_with_the_chunk_count():
     for chunks in (1, 2, 66):  # the first call also loads what the kernel needs once
         tracemalloc.start()
         try:
-            search.haar_minimum(chunks * 256, 8, sampler.RngSeed(1, 8 << 32), "batched_ckw_r2", (8,), 0.0, 1)
+            search.haar_minimum(chunks * 256, 8, sampler.RngSeed(1, 8 << 32), "batched_ckw_r2", (8, 0), 0.0, 1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
