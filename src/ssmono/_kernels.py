@@ -504,6 +504,7 @@ def batched_ckw_r2(states: np.ndarray, n_qubits: int, focus: int = 0, cut=None) 
 
     A cut works as in terms_table: a row whose lower bound exceeds
     max(least, threshold) skips its QR and singular values and holds the
-    bound; every other row keeps its bits and lowers least.
+    bound; every other row keeps its bits and lowers least. A row with a NaN
+    or an infinite amplitude scores NaN, as in terms_table, and no cut skips it.
     """
     return _ckw_r2(states, n_qubits, focus, SEPARABLE_DET, cut)[0]

@@ -414,19 +414,18 @@ static v2d purity(v2d rr[N][N], v2d ri[N][N])
  * 2245 (1998)):
  *   c = l0 - l1 - l2 - l3 = 2 l0 - sum l <= 2 l0 - F, F = (sum l^2)^(1/2)
  *       = (tr rho rho~)^(1/2) <= sum l;
- *   l0 <= lambda_max(rho), as |B^T S B|_2 <= |B|_2^2; l0 <= F; and l0^2 is
- *       the largest eigenvalue of rho rho~.
+ *   l0 <= F, and l0^2 is the largest eigenvalue of rho rho~.
  * The largest eigenvalue of a 4x4 matrix M with real eigenvalues is at most
  * t/4 + sqrt(3 v / 4), t = tr M and v = tr (M - t/4)^2 (Wolkowicz & Styan,
- * Linear Algebra Appl. 29, 471 (1980)). For rho, v is |rho - t/4|_F^2, a sum
- * of squares; for rho rho~, which need not be normal, the sum can cancel, so
- * CUT_SLACK t^4 is added to it, above the about 800 eps t^4 by which rounding
- * can move it. The bipartite term is bounded by H_2 = -log2 Tr rho^2, which
- * is the term at alpha = 2 and below it for 1 <= alpha < 2 (H_alpha does not
- * increase with alpha); above alpha = 2 there is no bound, and every row is
- * scored. A row's bound is its value with these in place of its terms, less
- * CUT_MARGIN, which covers the rounding of both (about 1e-14); a row with a
- * non-finite amplitude has a NaN bound, and is scored. */
+ * Linear Algebra Appl. 29, 471 (1980)). For M = rho rho~, which need not be
+ * normal, v can cancel, so CUT_SLACK t^4 (t = tr rho) is added to it, above
+ * the about 800 eps t^4 by which rounding can move it. The bipartite term is
+ * bounded by H_2 = -log2 Tr rho^2, which is the term at alpha = 2 and below
+ * it for 1 <= alpha < 2 (H_alpha does not increase with alpha); above alpha
+ * = 2 there is no bound, and every row is scored. A row's bound is its value
+ * with these in place of its terms, less CUT_MARGIN, which covers the
+ * rounding of both (about 1e-14). A row with a non-finite amplitude has a
+ * NaN bound, which is never above, so no cut skips it. */
 #define CUT_MARGIN 1e-9
 #define CUT_SLACK (4096.0 * DBL_EPSILON)
 
@@ -434,12 +433,7 @@ static v2d purity(v2d rr[N][N], v2d ri[N][N])
 static v2d c_bound(v2d rr[N][N], v2d ri[N][N])
 {
     static const double y[N] = {-1.0, 1.0, 1.0, -1.0}; /* S = sigma_y (x) sigma_y: S[x][3 - x] = y[x] */
-    v2d t = rr[0][0] + rr[1][1] + rr[2][2] + rr[3][3], v = {0.0, 0.0};
-    for (int r = 0; r < N; r++)
-        for (int s = 0; s < N; s++) {
-            v2d d = r == s ? rr[r][s] - 0.25 * t : rr[r][s];
-            v += d * d + ri[r][s] * ri[r][s];
-        }
+    v2d t = rr[0][0] + rr[1][1] + rr[2][2] + rr[3][3];
     /* rho~ = S conj(rho) S, rho~[r][s] = y[r] y[s] conj(rho[3 - r][3 - s]);
      * then p = rho rho~, and tp its trace */
     v2d fr[N][N], fi[N][N], pr[N][N], pi[N][N], tp = {0.0, 0.0}, vp = {0.0, 0.0};
@@ -468,11 +462,9 @@ static v2d c_bound(v2d rr[N][N], v2d ri[N][N])
     v2d c;
     for (int l = 0; l < 2; l++) {
         double f = sqrt(tp[l] > 0.0 ? tp[l] : 0.0), t2 = t[l] * t[l];
-        double lmax = 0.25 * t[l] + sqrt(0.75 * v[l]);
         /* fmin passes over a NaN from a negative sum, which leaves a looser bound */
         double mu = 0.25 * tp[l] + sqrt(0.75 * (vp[l] + CUT_SLACK * t2 * t2));
-        double l0 = fmin(lmax, fmin(f, sqrt(mu)));
-        c[l] = t[l] < INFINITY ? fmin(1.0, fmax(0.0, 2.0 * l0 - f)) : NAN;
+        c[l] = t[l] < INFINITY ? fmin(1.0, fmax(0.0, 2.0 * fmin(f, sqrt(mu)) - f)) : NAN;
     }
     return c;
 }
@@ -647,6 +639,9 @@ void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k,
  * of a row's pairs are, each pair that takes the lambdas is gathered again
  * and taken out of its lane.
  *
+ * A row with a NaN or an infinite amplitude scores NaN, as in terms; a NaN
+ * det fails the screen, and a NaN pair's lambdas are NaN.
+ *
  * Under a cut (above terms) the unscreened pairs are bounded as they are
  * screened, and a row whose bound exceeds max(least, threshold) returns it,
  * with zeros for all its lambdas, and takes no QR and no singular values.
@@ -671,7 +666,7 @@ static void qr_factor(const double *k, int cols, double *b)
         for (int c = j; c < cols; c++)
             norm2 += ar[j][c] * ar[j][c] + ai[j][c] * ai[j][c];
         double norm = sqrt(norm2), x0 = hypot(ar[j][j], ai[j][j]);
-        if (norm > 0.0) {
+        if (norm != 0.0) { /* a NaN column is reflected, and its R is NaN */
             /* H = I - v v^H / h, v = x - alpha e_j, alpha = -phase(x_j) |x|,
              * h = v^H v / 2 = |x| (|x| + |x_j|); v overwrites column j */
             double ur = x0 > 0.0 ? ar[j][j] / x0 : 1.0, ui = x0 > 0.0 ? ai[j][j] / x0 : 0.0;
@@ -733,13 +728,11 @@ void ckw_r2(const double *states, const ptrdiff_t *index, ptrdiff_t count, int n
                         double p01r = rr[0][2][j] + rr[1][3][j], p01i = ri[0][2][j] + ri[1][3][j];
                         double purity = p00 * p00 + p11 * p11 + 2.0 * (p01r * p01r + p01i * p01i);
                         double c2 = fmax(0.0, 2.0 * (1.0 - purity));
-                        out[row0 + i + j] = -log2(1.0 - 0.5 * c2);
-                        /* fmax passes over a NaN, and a NaN det screens its
-                         * pair: a row with a non-finite amplitude, so a
-                         * non-finite trace p00 + p11, is not bounded */
-                        bound[j] = p00 + p11 < INFINITY ? out[row0 + i + j] : NAN;
+                        /* fmax passes over a NaN: a non-finite trace makes the row NaN */
+                        out[row0 + i + j] = p00 + p11 < INFINITY ? -log2(1.0 - 0.5 * c2) : NAN;
+                        bound[j] = out[row0 + i + j];
                     }
-                    any |= npt[i + j][pair] = det[j] < separable_det;
+                    any |= npt[i + j][pair] = !(det[j] >= separable_det);
                 }
                 if (cut && any) {
                     v2d c = c_bound(rr, ri);

@@ -105,10 +105,9 @@ def _state_doc(amps: np.ndarray) -> list:
 
 
 def _state_from_doc(pairs, what: str) -> np.ndarray:
-    """A 4-qubit state stored as [re, im] pairs, with its norm checked to
-    linalg.NORM_TOL: the tolerance of `linalg.as_state`, through which the
-    seed, argmin and last trace states are scored and fingerprinted again,
-    so that a state this check passes never fails there."""
+    """A 4-qubit state stored as [re, im] pairs, checked by `linalg.as_state`,
+    through which the seed, argmin and last trace states are scored and
+    fingerprinted again, so that a state this check passes never fails there."""
     try:
         arr = np.asarray(pairs, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -118,11 +117,10 @@ def _state_from_doc(pairs, what: str) -> np.ndarray:
     # numpy would also parse a string; a JSON number parses as an int, a float or a bool
     if not all(isinstance(x, (int, float)) for pair in pairs for x in pair):
         raise ArchiveError(f"malformed {what}: an amplitude is not a number")
-    state = np.ascontiguousarray(arr).view(complex).ravel()  # re + 1j * im would turn -0.0 into 0.0
-    norm = float(np.linalg.norm(state))
-    if not abs(norm - 1.0) <= linalg.NORM_TOL:
-        raise ArchiveError(f"{what} norm {norm} deviates from 1 beyond {linalg.NORM_TOL}")
-    return state
+    try:  # re + 1j * im would turn -0.0 into 0.0
+        return linalg.as_state(np.ascontiguousarray(arr).view(complex).ravel(), 4)
+    except ValueError as exc:  # the norm: the shape is checked above
+        raise ArchiveError(f"{what} norm check: {exc}") from None
 
 
 def _config_doc(config: search.SearchConfig) -> dict:

@@ -3,9 +3,18 @@
 Qubit 0 is the most significant bit of the basis index throughout.
 """
 
+import importlib.util
+import shutil
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from ssmono import _kernels, linalg, measures
+
+SRC = Path(_kernels.__file__).parent
+# the attribute that gives _svd4.c's fma() routines an FMA build beside the plain one
+FMA_CLONES = '__attribute__((target_clones("fma", "default")))'
 
 SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))  # sigma_y (x) sigma_y
 
@@ -109,3 +118,21 @@ def relabeled(psi: np.ndarray, layout) -> np.ndarray:
     """The 4-qubit psi with qubit k moved to qubit layout[k], so that its
     residuals at layout are those of psi at the canonical layout."""
     return np.ascontiguousarray(psi.reshape(2, 2, 2, 2).transpose(np.argsort(layout)).reshape(16))
+
+
+def load_kernels_copy(directory: Path, edit=lambda source: source):
+    """Import a copy of _kernels (and its C source, passed through edit) from
+    `directory`, so its build cache is directory/__pycache__ and not the package's."""
+    shutil.copy(SRC / "_kernels.py", directory / "_kernels.py")
+    (directory / "_svd4.c").write_text(edit((SRC / "_svd4.c").read_text()))
+    spec = importlib.util.spec_from_file_location("kernels_copy", directory / "_kernels.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def plain_kernels(tmp_path_factory):
+    """A copy of _kernels built without FMA_CLONES, so that the routines that
+    call fma() call libm's; compiled once per session."""
+    return load_kernels_copy(tmp_path_factory.mktemp("plain"), lambda source: source.replace(FMA_CLONES, ""))

@@ -3,9 +3,7 @@ oracle in oracle.py, LAPACK as a reference, the build cache and a
 warning-free C source."""
 
 import hashlib
-import importlib.util
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +14,11 @@ from mpmath import mp
 
 import oracle
 from conftest import (
-    OPTIMUM_SYMMETRIC, SPIN_FLIP, bell_product, ghz_state, random_state, relabeled, split_terms, w_state,
+    FMA_CLONES, OPTIMUM_SYMMETRIC, SPIN_FLIP, SRC, bell_product, ghz_state, load_kernels_copy, random_state, relabeled,
+    split_terms, w_state,
 )
 
 from ssmono import _kernels, measures, sampler, search
-
-SRC = Path(_kernels.__file__).parent
 
 
 def _haar_blocks(seed, count):
@@ -232,15 +229,24 @@ def test_pair_terms_of_maximally_entangled_pairs_stay_at_one_bit():
 
 
 def test_a_nan_row_gives_nan_terms_and_leaves_the_others_alone():
-    states = _haar_blocks(212, 4).reshape(4, 16)
+    # rows 2 and 4 carry one NaN amplitude, rows 1 and 5 one infinite
+    # amplitude: the NaN rows' terms are NaN, no term of an infinite row is
+    # finite (its bipartite entropy off alpha = 2 is -inf), and the ss of
+    # either is NaN, with and without a cut
+    states = _haar_blocks(212, 6).reshape(6, 16)
     clean = {alpha: split_terms(states, (0, 1, 2, 3), alpha) for alpha in (2.0, 1.5, 1.0)}
-    states[2, 5] = np.nan
+    states[2, 5] = states[4, 15] = np.nan
+    states[1, 7], states[5, 0] = np.inf, complex(0.0, -np.inf)
     for alpha, (e_bip, pair) in clean.items():
         got_bip, got_pair = split_terms(states, (0, 1, 2, 3), alpha)
-        assert np.isnan(got_bip[2]) and np.isnan(got_pair[2]).all(), alpha
-        keep = [0, 1, 3]
+        assert np.isnan(got_bip[[2, 4]]).all() and np.isnan(got_pair[[2, 4]]).all(), alpha
+        assert not np.isfinite(got_bip[[1, 5]]).any() and np.isnan(got_pair[[1, 5]]).all(), alpha
+        keep = [0, 3]
         assert got_bip[keep].tolist() == e_bip[keep].tolist()
         assert got_pair[keep].tolist() == pair[keep].tolist()
+        for cut in (None, _no_floor()):
+            ss = _kernels.batched_ss(states, (0, 1, 2, 3), alpha, cut)
+            assert np.isnan(ss[1:3]).all() and np.isnan(ss[4:]).all(), (alpha, cut)
 
 
 def _numpy_displace(base, delta, z):
@@ -569,15 +575,17 @@ def test_the_cut_bounds_the_values_from_below(seed0_optimum):
 
 
 def test_the_cut_scores_nan_rows_and_the_rows_it_cannot_skip():
-    # a row with a NaN or an inf amplitude has no bound, so it is scored under
-    # any cut; a scored row has the bits it has without the cut, and least
-    # is lowered to the least scored value, never to a bound or a NaN
+    # a row with a NaN or an inf amplitude has a NaN bound, so it is scored
+    # under any cut, and scores NaN in both kernels; a scored row has the bits
+    # it has without the cut, and least is lowered to the least scored value,
+    # never to a bound or a NaN
     rng = np.random.default_rng(242)
     states = _haar_blocks(243, 64).reshape(64, 16)
     states[5, 9] = np.nan
     states[6, 2] = np.inf
-    for alpha in (2.0, 1.5):
+    for alpha in (2.0, 1.5, 1.0):
         exact = _kernels.terms_table(states, (0, 1, 2, 3), alpha, 2)
+        assert np.isnan(exact[5:7, 3]).all(), alpha
         cut = _no_floor()
         bound = _kernels.terms_table(states, (0, 1, 2, 3), alpha, 2, _kernels.SEPARABLE_DET, cut)
         assert bound[5:7].tobytes() == exact[5:7].tobytes() and cut[0] == -np.inf
@@ -589,15 +597,25 @@ def test_the_cut_scores_nan_rows_and_the_rows_it_cannot_skip():
         assert np.all(scored ^ skipped) and scored[5:7].all() and 10 < np.sum(skipped) < 60
         assert np.all(scored[bound[:, 3] <= np.nanmin(exact[:, 3])])  # whatever could be least
         assert cut[0] == np.nanmin(exact[:, 3])
-    for n in (3, 5, 8):
+    for n in range(3, 9):
         z = rng.standard_normal((40, 2**n)) + 1j * rng.standard_normal((40, 2**n))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        z[3, 1] = np.nan
-        z[4, 0] = np.inf
+        z[3, 1] = z[7, 2**n - 1] = np.nan
+        z[4, 0], z[8, 2] = np.inf, complex(0.0, -np.inf)
+        bad = [3, 4, 7, 8]
+        exact, lam = _kernels._ckw_r2(z, n, 0, _kernels.SEPARABLE_DET)
+        assert np.isnan(exact[bad]).all(), n
+        # a NaN pair is not screened, and its QR passes the NaN on: NaN lambdas
+        assert np.isnan(lam[[3, 7]]).all() and not np.isfinite(lam[[4, 8]]).any(), n
         cut = _no_floor()
         got = _kernels.batched_ckw_r2(z, n, 0, cut)
-        assert got[3:5].tobytes() == _kernels.batched_ckw_r2(z, n)[3:5].tobytes(), n
-        assert np.all(got[[0, 1, 2, 5]] < _kernels.batched_ckw_r2(z, n)[[0, 1, 2, 5]]), n  # skipped: bounds
+        assert got[bad].tobytes() == exact[bad].tobytes() and cut[0] == -np.inf, n
+        good = np.setdiff1d(np.arange(40), bad)
+        assert np.all(got[good] < exact[good]), n  # skipped: bounds
+        cut = np.array([np.median(got[good]), -np.inf])
+        got, lam_cut = _kernels._ckw_r2(z, n, 0, _kernels.SEPARABLE_DET, cut)
+        assert np.isnan(got[bad]).all() and lam_cut[bad].tobytes() == lam[bad].tobytes(), n
+        assert np.isfinite(cut[0]) and cut[0] == np.nanmin(exact), n
     with pytest.raises(ValueError, match="cut needs k = 2"):
         _kernels.terms_table(states, (0, 1, 2, 3), 2.0, 4, _kernels.SEPARABLE_DET, _no_floor())
     for bad in ([-np.inf, -np.inf], np.zeros(1), np.zeros(3), np.zeros(2, dtype=np.float32), np.zeros(4)[::2]):
@@ -765,14 +783,17 @@ def _digests(kernels=_kernels) -> dict:
 # rows of the "subnormal" kind were taken again once a lane whose squared
 # column norms all underflow was scaled from its largest |component|: they
 # were [0, 0, 0, 0] and now agree with LAPACK's. Its spin_flip_lambdas rows
-# stay 0, since its spin-flip product underflows. The bits rest on numpy's
-# default_rng streams and on libm's log2, expm1, log1p and log, as on x86-64
-# glibc.
+# stay 0, since its spin-flip product underflows. The _ckw_r2 digest was
+# taken again once a row with a non-finite amplitude scored NaN: compared row
+# by row with the build before, only row 2 of each _ckw_r2 case moved, the
+# row with a NaN amplitude, from -0.0 with zero lambdas to NaN with NaN
+# lambdas. The bits rest on numpy's default_rng streams and on libm's log2,
+# expm1, log1p and log, as on x86-64 glibc.
 GOLDEN_DIGESTS = {
     "singular_values4": "7dc278d58f8e154f",
     "spin_flip_lambdas": "f8eaf11df122af5d",
     "_terms": "a3a1e63fc1e0e0e9",
-    "_ckw_r2": "a99e26ed541ad25b",
+    "_ckw_r2": "36d70bed24edd04b",
 }
 
 
@@ -799,41 +820,29 @@ def test_c_source_compiles_without_warnings(tmp_path):
     assert (tmp_path / "_svd4.o").stat().st_size > 0
 
 
-def _load_copy(directory: Path, edit=lambda source: source):
-    """Import a copy of _kernels (and its C source, passed through edit) from
-    `directory`, so its build cache is directory/__pycache__ and not the package's."""
-    shutil.copy(SRC / "_kernels.py", directory / "_kernels.py")
-    (directory / "_svd4.c").write_text(edit((SRC / "_svd4.c").read_text()))
-    spec = importlib.util.spec_from_file_location("kernels_copy", directory / "_kernels.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_build_failure_names_the_command_and_its_stderr(tmp_path, monkeypatch):
     def failing(command, **kwargs):
         return subprocess.CompletedProcess(command, 1, "", "cc: error: no such compiler\n")
 
     monkeypatch.setattr(subprocess, "run", failing)
     with pytest.raises(ImportError, match="-ffp-contract=off.*exited 1:\ncc: error: no such compiler"):
-        _load_copy(tmp_path)
+        load_kernels_copy(tmp_path)
 
     def missing(command, **kwargs):
         raise FileNotFoundError(2, "No such file or directory", command[0])
 
     monkeypatch.setattr(subprocess, "run", missing)
     with pytest.raises(ImportError, match="-ffp-contract=off.*No such file or directory"):
-        _load_copy(tmp_path)
+        load_kernels_copy(tmp_path)
     # no partial library left behind
     assert [f for f in os.listdir(tmp_path / "__pycache__") if f.startswith("_svd4")] == []
 
 
-def test_the_fma_clones_give_the_bits_of_the_plain_build(tmp_path, seed0_optimum, monkeypatch):
+def test_the_fma_clones_give_the_bits_of_the_plain_build(plain_kernels, seed0_optimum, monkeypatch):
     # FMA_CLONES adds an FMA build of the routines that call fma(); a copy
     # built without it calls libm's fma() there, and both round correctly
-    clones = '__attribute__((target_clones("fma", "default")))'
-    assert (SRC / "_svd4.c").read_text().count(clones) == 1
-    plain = _load_copy(tmp_path, lambda source: source.replace(clones, ""))
+    assert (SRC / "_svd4.c").read_text().count(FMA_CLONES) == 1
+    plain = plain_kernels
     assert plain._SVD4._name != _kernels._SVD4._name
     assert _digests(plain) == GOLDEN_DIGESTS
     g = sampler.generator(sampler.RngSeed(13)).standard_normal((2000, 2, 16))

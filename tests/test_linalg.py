@@ -90,6 +90,9 @@ def test_as_density_matrix_validates():
         m[0, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             linalg.density_eigh(m)
+    for bad in (np.eye(4)[:3] / 3, np.eye(4).reshape(2, 2, 4) / 4, np.ones(4) / 4):
+        with pytest.raises(ValueError, match="square 2-D array"):
+            linalg.density_eigh(bad)
 
 
 def test_density_eigh_ascending_and_clamped():

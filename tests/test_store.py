@@ -271,6 +271,14 @@ def _all_damages(doc):
         damage(doc)
 
 
+def _fifteen_pairs(doc):
+    del doc["trace"][1]["state"][15]
+
+
+def _pairs_of_three(doc):
+    doc["trace"][1]["state"] = [pair + [0.0] for pair in doc["trace"][1]["state"]]
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -283,10 +291,13 @@ def _all_damages(doc):
         (_nan_trace_delta, "NaN"),
         (_extra_key, "document keys"),
         (_all_damages, "trace row 1 state norm"),
+        (_fifteen_pairs, r"malformed trace row 1 state: expected 16 \[re, im\] pairs"),
+        (_pairs_of_three, r"malformed trace row 1 state: expected 16 \[re, im\] pairs"),
     ],
     ids=[
         "trace-amplitudes", "trace-residual", "no-total", "no-final-delta",
         "fingerprint-entanglement", "fingerprint-spectrum", "nan-delta", "extra-key", "all",
+        "fifteen-pairs", "pairs-of-three",
     ],
 )
 def test_load_run_checks_the_whole_archive(tmp_path, short_record, damage, message):
@@ -427,6 +438,39 @@ def test_documents_refuse_numbers_beyond_float_range(tmp_path, short_record):
     path.write_text(json.dumps({"state": [[10**400, 0.0]] + [[0.0, 0.0]] * 15}))
     with pytest.raises(store.ArchiveError, match="too large"):
         store.load_state_document(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"[1, 2]", "malformed state document: top level must be an object"),
+        (b"{1: 2}", "malformed state document: a key must be a string, not 1"),
+        (b'{"state": "\xff"}', "malformed state document: 'utf-8' codec can't decode byte 0xff"),
+        (b'{"state" [[1, 0]]}', "malformed state document: expected ':' but found '\\['"),
+    ],
+    ids=["top-level-list", "integer-key", "invalid-utf-8", "no-colon"],
+)
+def test_documents_refuse_text_that_is_not_an_object_of_named_values(tmp_path, text, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    with pytest.raises(store.ArchiveError, match=message):
+        store.load_state_document(path)
+
+
+def test_numpy_integers_in_a_config_are_written_as_integers(tmp_path):
+    # the encoder's fallback writes a numpy integer as the JSON integer, so
+    # the run saves and reloads with the text of the same run given ints
+    texts = []
+    for integer in (int, np.int64):
+        config = search.SearchConfig(
+            layout=measures.PairingLayout(*map(integer, (0, 1, 2, 3))), counter_max=integer(50), delta_min=1e-2,
+            rng=sampler.RngSeed(integer(5), integer(1)),
+        )
+        path = tmp_path / f"{integer.__name__}.json"
+        store.save_run(store.make_archive(search.minimize_residual(config), PINNED_TIME), path)
+        assert store.load_run(path).record.config.counter_max == 50
+        texts.append(path.read_text(encoding="utf-8"))
+    assert texts[0] == texts[1]
 
 
 def test_load_run_rejects_garbage(tmp_path):
