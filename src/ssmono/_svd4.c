@@ -29,8 +29,9 @@
  * terms and ckw_r2 run two rows in lockstep in the same way, one in each lane
  * of a two-lane vector (v2d, above gram).
  *
- * Under a cut (above terms) the scans' kernels skip the singular values of
- * rows that cannot be a chunk's least value or fall below its threshold.
+ * Under a cut (above c_bound) terms and ckw_r2 bound, skip and score their
+ * rows in one pass: a row that cannot be a chunk's least value or fall below
+ * its threshold keeps its bound and skips its singular values.
  */
 #include <float.h>
 #include <math.h>
@@ -397,15 +398,38 @@ static v2d purity(v2d rr[N][N], v2d ri[N][N])
     return sum;
 }
 
-/* The cut of the Haar scans. A scan chunk reports its count of values below
- * a threshold, its least value and that value's first row. A row whose value
- * is provably above both the threshold and the value of an earlier row
- * changes none of them, so it need not be scored exactly. cut holds {least,
- * threshold}, least being the least value scored so far; a row whose lower
- * bound exceeds max(least, threshold) skips its singular values (and, in
- * ckw_r2, its QR) and returns that bound. least is lowered to the values
- * scored, block by block, so it runs on across a kernel's calls. NULL is no
- * cut: every row is scored.
+/* The SS / two-pair monogamy terms of 4-qubit states, two rows at a time
+ * (terms), and the cut of the Haar scans.
+ *
+ * Each row is 16 complex128 amplitudes. index holds 1 + k rows of 16 flat
+ * amplitude indices: the 4x4 block B of the (a1 a2 | b1 b2) cut, row index
+ * the a qubits, then the k pair blocks (a1b1, a2b2, a1b2, a2b1, a1a2, b1b2 in
+ * turn), row index the pair. The bipartite term is the Renyi entropy of rho = B B^H:
+ * -log2 Tr rho^2 at alpha = 2, else the entropy of its spectrum sv(B)^2. A
+ * pair term is the measure of c = min(1, max(0, l0 - l1 - l2 - l3)) from the
+ * block's Wootters lambdas. The pairs after the first two are screened as
+ * ckw_r2 screens its pairs: one with det(rho^G) >= separable_det has c = 0
+ * and skips the lambdas. a1b1 and a2b2 are not screened: near a violation
+ * they are always entangled, so the screen would only cost time. A row with
+ * a NaN or an infinite amplitude gives NaN terms: a NaN det fails the
+ * screen, and an infinite largest eigenvalue of rho makes the bipartite term
+ * NaN, as a NaN purity does at alpha = 2. After the pairs come the residuals
+ * they complete, in numpy's order of operations: ss = (e - p0) - p1 when
+ * k >= 2, then mono = (ss - p2) - p3 when k >= 4; at k = 4 a row is a
+ * residual_table row.
+ *
+ * A scan chunk reports its count of values below a threshold, its least
+ * value and that value's first row. A row whose value is provably above both
+ * the threshold and the value of an earlier row changes none of them, so it
+ * need not be scored exactly. cut holds {least, threshold}, least being the
+ * least value scored so far. terms (at k = 2, its ss) and ckw_r2 bound, skip
+ * and score their rows in one pass: each pair of rows is bounded from the
+ * blocks it gathers, and a row whose lower bound exceeds max(least,
+ * threshold), read once per block, skips its singular values (and, in
+ * ckw_r2, its QR) and returns that bound; in terms, the bound's terms and the
+ * ss bound. Every other row is scored as without the cut and lowers least to
+ * its value, block by block, so least runs on across a kernel's calls. NULL
+ * is no cut: every row is scored.
  *
  * The bound takes each pair's concurrence from above and the bipartite term
  * from below, from the rho = K K^H of the blocks alone (ckw_r2 forms them
@@ -422,10 +446,11 @@ static v2d purity(v2d rr[N][N], v2d ri[N][N])
  * the about 800 eps t^4 by which rounding can move it. The bipartite term is
  * bounded by H_2 = -log2 Tr rho^2, which is the term at alpha = 2 and below
  * it for 1 <= alpha < 2 (H_alpha does not increase with alpha); above alpha
- * = 2 there is no bound, and every row is scored. A row's bound is its value
- * with these in place of its terms, less CUT_MARGIN, which covers the
- * rounding of both (about 1e-14). A row with a non-finite amplitude has a
- * NaN bound, which is never above, so no cut skips it. */
+ * = 2 there is no bound, and terms scores every row and leaves least as it
+ * is. A row's bound is its value with these in place of its terms, less
+ * CUT_MARGIN, which covers the rounding of both (about 1e-14). A row with a
+ * non-finite amplitude has a NaN bound, which is never above, so no cut
+ * skips it. */
 #define CUT_MARGIN 1e-9
 #define CUT_SLACK (4096.0 * DBL_EPSILON)
 
@@ -469,67 +494,68 @@ static v2d c_bound(v2d rr[N][N], v2d ri[N][N])
     return c;
 }
 
-/* The SS / two-pair monogamy terms of 4-qubit states, two rows at a time.
- *
- * Each row is 16 complex128 amplitudes. index holds 1 + k rows of 16 flat
- * amplitude indices: the 4x4 block B of the (a1 a2 | b1 b2) cut, row index
- * the a qubits, then the k pair blocks (a1b1, a2b2, a1b2, a2b1, a1a2, b1b2 in
- * turn), row index the pair. The bipartite term is the Renyi entropy of rho = B B^H:
- * -log2 Tr rho^2 at alpha = 2, else the entropy of its spectrum sv(B)^2. A
- * pair term is the measure of c = min(1, max(0, l0 - l1 - l2 - l3)) from the
- * block's Wootters lambdas. The pairs after the first two are screened as
- * ckw_r2 screens its pairs: one with det(rho^G) >= separable_det has c = 0
- * and skips the lambdas. a1b1 and a2b2 are not screened: near a violation
- * they are always entangled, so the screen would only cost time. A NaN
- * amplitude gives NaN terms: a NaN det fails the screen. After the pairs come
- * the residuals they complete, in numpy's order of operations: ss = (e - p0)
- * - p1 when k >= 2, then mono = (ss - p2) - p3 when k >= 4; at k = 4 a row is
- * a residual_table row.
- *
- * states: count rows of 16 complex128 amplitudes; index: (1 + k) x 16
- * amplitude indices; out: count rows of the bipartite term, k pair terms
- * and the residuals */
-static void terms_all(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k, double alpha,
-                      double separable_det, double *out)
+/* states: count rows of 16 complex128 amplitudes; index: (1 + k) x 16
+ * amplitude indices; cut: NULL or {least, threshold}, read at k = 2 and
+ * alpha <= 2 only; out: count rows of the bipartite term, k pair terms and
+ * the residuals */
+void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k, double alpha,
+           double separable_det, double *cut, double *out)
 {
     int width = 1 + k + (k >= 2) + (k >= 4);
     struct lanes L = {.used = 0};
+    if (k != 2 || alpha > 2.0)
+        cut = NULL;
     for (ptrdiff_t row0 = 0; row0 < count; row0 += ROWS) {
         int rows = count - row0 < ROWS ? (int)(count - row0) : ROWS;
-        /* per row: the bipartite block's singular values (alpha != 2), then
-         * each pair's lambdas, zeros for a screened pair, whose c is then 0 */
+        double above = cut ? (cut[0] > cut[1] ? cut[0] : cut[1]) : INFINITY;
+        /* per row: whether the cut skips it; the bipartite block's singular
+         * values (alpha != 2), then each pair's lambdas, zeros for a screened
+         * pair, whose c is then 0 */
+        unsigned char skip[ROWS];
         double l[ROWS][1 + 6][N];
         for (int i = 0; i < rows; i += 2) {
             int live = rows - i < 2 ? rows - i : 2;
             const double *psi[2] = {states + 2 * N * N * (row0 + i),
                                     live == 2 ? states + 2 * N * N * (row0 + i + 1) : no_row};
-            v2d kk[2 * N * N], rr[N][N], ri[N][N];
+            v2d kk[1 + 6][2 * N * N], rr[N][N], ri[N][N], e, c[2], det[6];
             double b[2 * N * N];
-            gather(psi, index, N * N, kk);
-            if (alpha == 2.0) {
-                gram(kk, N, rr, ri);
-                v2d p = purity(rr, ri);
-                for (int j = 0; j < live; j++)
-                    out[width * (row0 + i + j)] = -log2(p[j]);
-            } else {
-                for (int j = 0; j < live; j++) {
-                    lane(kk, j, N * N, b);
+            for (int p = 0; p <= k; p++)
+                gather(psi, index + N * N * p, N * N, kk[p]);
+            if (alpha == 2.0 || cut) {
+                gram(kk[0], N, rr, ri);
+                e = purity(rr, ri);
+            }
+            if (cut)
+                for (int p = 0; p < 2; p++) {
+                    gram(kk[1 + p], N, rr, ri);
+                    c[p] = c_bound(rr, ri);
+                }
+            for (int p = 2; p < k; p++) {
+                gram(kk[1 + p], N, rr, ri);
+                det[p] = pt_det(rr, ri);
+            }
+            for (int j = 0; j < live; j++) {
+                double *o = out + width * (row0 + i + j);
+                if (alpha == 2.0 || cut)
+                    o[0] = -log2(e[j]);
+                if (cut) {
+                    o[1] = renyi_c(c[0][j], alpha);
+                    o[2] = renyi_c(c[1][j], alpha);
+                    o[3] = (o[0] - o[1]) - o[2] - CUT_MARGIN;
+                }
+                skip[i + j] = cut && o[3] > above; /* a NaN bound is not above */
+                if (skip[i + j])
+                    continue;
+                if (alpha != 2.0) {
+                    lane(kk[0], j, N * N, b);
                     push(&L, b, l[i + j][0]);
                 }
-            }
-            for (int p = 0; p < k; p++) {
-                gather(psi, index + N * N * (1 + p), N * N, kk);
-                v2d det = {0.0, 0.0};
-                if (p >= 2) {
-                    gram(kk, N, rr, ri);
-                    det = pt_det(rr, ri);
-                }
-                for (int j = 0; j < live; j++) {
-                    if (p >= 2 && det[j] >= separable_det) {
+                for (int p = 0; p < k; p++) {
+                    if (p >= 2 && det[p][j] >= separable_det) {
                         for (int x = 0; x < N; x++)
                             l[i + j][1 + p][x] = 0.0;
                     } else {
-                        lane(kk, j, N * N, b);
+                        lane(kk[1 + p], j, N * N, b);
                         spin_flip4(b, &L, l[i + j][1 + p]);
                     }
                 }
@@ -537,11 +563,13 @@ static void terms_all(const double *states, const ptrdiff_t *index, ptrdiff_t co
         }
         sv4w(&L);
         for (int i = 0; i < rows; i++) {
+            if (skip[i])
+                continue;
             double *bip = out + width * (row0 + i), *pair = bip + 1;
             if (alpha != 2.0) {
                 for (int x = 0; x < N; x++)
                     l[i][0][x] *= l[i][0][x];
-                *bip = renyi(l[i][0], N, alpha);
+                *bip = l[i][0][0] < INFINITY ? renyi(l[i][0], N, alpha) : NAN;
             }
             for (int p = 0; p < k; p++) {
                 const double *lp = l[i][1 + p];
@@ -556,68 +584,10 @@ static void terms_all(const double *states, const ptrdiff_t *index, ptrdiff_t co
                 pair[k] = (*bip - pair[0]) - pair[1];
             if (k >= 4)
                 pair[k + 1] = (pair[k] - pair[2]) - pair[3];
+            if (cut && pair[k] < cut[0])
+                cut[0] = pair[k];
         }
     }
-}
-
-/* terms at k = 2 and 1 <= alpha <= 2 under a cut: each block's rows bounded
- * two at a time into bound rows (the bipartite term's bound, the two pair
- * terms' bounds, and the ss bound less CUT_MARGIN); the rows whose ss bound
- * does not exceed max(least, threshold) are copied together and scored by
- * terms_all, their rows replace their bound rows, and their ss lower least.
- * A row's bits are those it has on its own, so a scored row has the bits it
- * has without the cut. */
-static void ss_cut(const double *states, const ptrdiff_t *index, ptrdiff_t count, double alpha,
-                   double separable_det, double *cut, double *out)
-{
-    for (ptrdiff_t row0 = 0; row0 < count; row0 += ROWS) {
-        int rows = count - row0 < ROWS ? (int)(count - row0) : ROWS, m = 0, at[ROWS];
-        double above = cut[0] > cut[1] ? cut[0] : cut[1], kept[ROWS][2 * N * N], table[ROWS][4];
-        for (int i = 0; i < rows; i += 2) {
-            int live = rows - i < 2 ? rows - i : 2;
-            const double *psi[2] = {states + 2 * N * N * (row0 + i),
-                                    live == 2 ? states + 2 * N * N * (row0 + i + 1) : no_row};
-            v2d kk[2 * N * N], rr[N][N], ri[N][N], e, c[2];
-            gather(psi, index, N * N, kk);
-            gram(kk, N, rr, ri);
-            e = purity(rr, ri);
-            for (int p = 0; p < 2; p++) {
-                gather(psi, index + N * N * (1 + p), N * N, kk);
-                gram(kk, N, rr, ri);
-                c[p] = c_bound(rr, ri);
-            }
-            for (int j = 0; j < live; j++) {
-                double *o = out + 4 * (row0 + i + j);
-                o[0] = -log2(e[j]);
-                o[1] = renyi_c(c[0][j], alpha);
-                o[2] = renyi_c(c[1][j], alpha);
-                o[3] = (o[0] - o[1]) - o[2] - CUT_MARGIN;
-                if (!(o[3] > above)) { /* a NaN bound is not above */
-                    for (int x = 0; x < 2 * N * N; x++)
-                        kept[m][x] = psi[j][x];
-                    at[m++] = i + j;
-                }
-            }
-        }
-        terms_all(kept[0], index, m, 2, alpha, separable_det, table[0]);
-        for (int j = 0; j < m; j++) {
-            for (int x = 0; x < 4; x++)
-                out[4 * (row0 + at[j]) + x] = table[j][x];
-            if (table[j][3] < cut[0])
-                cut[0] = table[j][3];
-        }
-    }
-}
-
-/* ss_cut under a cut at k = 2 and alpha <= 2, else terms_all: above alpha = 2
- * there is no bound, every row is scored and least is left as it is */
-void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k, double alpha,
-           double separable_det, double *cut, double *out)
-{
-    if (cut && k == 2 && alpha <= 2.0)
-        ss_cut(states, index, count, alpha, separable_det, cut, out);
-    else
-        terms_all(states, index, count, k, alpha, separable_det, out);
 }
 
 /* CKW R2 monogamy residual of one focus qubit against the rest, two rows at
@@ -642,7 +612,7 @@ void terms(const double *states, const ptrdiff_t *index, ptrdiff_t count, int k,
  * A row with a NaN or an infinite amplitude scores NaN, as in terms; a NaN
  * det fails the screen, and a NaN pair's lambdas are NaN.
  *
- * Under a cut (above terms) the unscreened pairs are bounded as they are
+ * Under a cut (above c_bound) the unscreened pairs are bounded as they are
  * screened, and a row whose bound exceeds max(least, threshold) returns it,
  * with zeros for all its lambdas, and takes no QR and no singular values.
  */
@@ -889,11 +859,11 @@ void displace(const double *start, const double *z, ptrdiff_t count, ptrdiff_t d
 
 /* The walk's next run of visits. Row r of states is where r + 1 accepted
  * steps from start lead, normalize(base + delta z[r]) with base start, then
- * the row before; table row r holds its residual_table row, the row of
- * terms at k = 4. The rows are built and scored WALK_ROWS at a time, and the
- * walk stops at the first row whose ss is not below threshold (a NaN is
- * not). Returns that row's index, or count if every row stays below; rows up
- * to it are written, and the rest of its group may be.
+ * the row before; table row r holds its residual_table row, the row terms
+ * gives it at k = 4 with no cut. The rows are built and scored WALK_ROWS at
+ * a time, and the walk stops at the first row whose ss is not below
+ * threshold (a NaN is not). Returns that row's index, or count if every row
+ * stays below; rows up to it are written, and the rest of its group may be.
  *
  * start: 16 complex128 amplitudes; z, states: count rows of 16; index:
  * 5 x 16 amplitude indices, as terms takes them; table: count rows of 7 */
@@ -905,7 +875,7 @@ ptrdiff_t walk(const double *start, const double *z, ptrdiff_t count, double del
         for (ptrdiff_t row = row0; row < row0 + rows; row++)
             step(row ? states + 2 * N * N * (row - 1) : start, z + 2 * N * N * row, N * N, delta,
                  states + 2 * N * N * row);
-        terms_all(states + 2 * N * N * row0, index, rows, 4, alpha, separable_det, table + 7 * row0);
+        terms(states + 2 * N * N * row0, index, rows, 4, alpha, separable_det, NULL, table + 7 * row0);
         for (ptrdiff_t row = row0; row < row0 + rows; row++)
             if (!(table[7 * row + 5] < threshold))
                 return row;

@@ -139,6 +139,23 @@ def test_criterion_04_violation_vanishes_quadratically_at_alpha_one(continuation
     assert relative.max() <= 1e-3
 
 
+def test_criterion_04_no_violation_at_alpha_one(violating_runs, continuation_stages):
+    # the paper's alpha = 1 claim, checked locally: a descent at alpha = 1
+    # from the alpha = 1.002 terminal, on the stream after the stages', ends
+    # at ss >= 0 to rounding (streams 9, 10 and 11 ended within 9e-16 of 0)
+    last = continuation_stages[-1]
+    config = search.SearchConfig(
+        alpha=1.0, layout=last.config.layout, delta0=1e-2, delta_min=1e-8,
+        rng=sampler.derive(violating_runs[0].config.rng, 9), seed_state=last.final_state,
+    )
+    t0 = time.perf_counter()
+    record = search.minimize_residual(config)
+    ss = record.final_residuals.ss_residual
+    print(f"[criterion 4] alpha 1 descent from the alpha {last.config.alpha:g} terminal: ss {ss:.3e} "
+          f"(bound -1e-13) after {record.total_states_generated} states, {time.perf_counter() - t0:.2f}s")
+    assert ss >= -1e-13
+
+
 def test_criterion_04_terminals_match_the_oracle(violating_runs, continuation_stages):
     # every term of each stage's terminal, the two fingerprint-only pairs
     # included, against the 40-digit oracle; the alpha = 1.002 ss residual is

@@ -230,17 +230,17 @@ def test_pair_terms_of_maximally_entangled_pairs_stay_at_one_bit():
 
 def test_a_nan_row_gives_nan_terms_and_leaves_the_others_alone():
     # rows 2 and 4 carry one NaN amplitude, rows 1 and 5 one infinite
-    # amplitude: the NaN rows' terms are NaN, no term of an infinite row is
-    # finite (its bipartite entropy off alpha = 2 is -inf), and the ss of
-    # either is NaN, with and without a cut
+    # amplitude: every term of either is NaN at every alpha, the bipartite
+    # term of an infinite spectrum included, and so is the ss, with and
+    # without a cut
     states = _haar_blocks(212, 6).reshape(6, 16)
-    clean = {alpha: split_terms(states, (0, 1, 2, 3), alpha) for alpha in (2.0, 1.5, 1.0)}
+    clean = {alpha: split_terms(states, (0, 1, 2, 3), alpha) for alpha in (3.0, 2.0, 1.5, 1.0)}
     states[2, 5] = states[4, 15] = np.nan
     states[1, 7], states[5, 0] = np.inf, complex(0.0, -np.inf)
     for alpha, (e_bip, pair) in clean.items():
         got_bip, got_pair = split_terms(states, (0, 1, 2, 3), alpha)
         assert np.isnan(got_bip[[2, 4]]).all() and np.isnan(got_pair[[2, 4]]).all(), alpha
-        assert not np.isfinite(got_bip[[1, 5]]).any() and np.isnan(got_pair[[1, 5]]).all(), alpha
+        assert np.isnan(got_bip[[1, 5]]).all() and np.isnan(got_pair[[1, 5]]).all(), alpha
         keep = [0, 3]
         assert got_bip[keep].tolist() == e_bip[keep].tolist()
         assert got_pair[keep].tolist() == pair[keep].tolist()
@@ -702,11 +702,26 @@ def test_a_lane_never_depends_on_its_partners_or_its_position():
                     assert got[at].tobytes() == alone[name], (kernel.__name__, name, size, at)
 
 
+def _check_partner_lanes(rows, picks, score, what):
+    """Each of the five rows' outputs in score(rows[batch]), a tuple of
+    arrays, are those it gets alone: beside each row in either lane, as an odd
+    last row with an empty partner, and in the 35 rows picks, on either side
+    of the 32-row block boundary."""
+    alone = [score(rows[[r]]) for r in range(5)]
+    batches = [[a, b] for a in range(5) for b in range(5)] + [[a, (a + 1) % 5, (a + 3) % 5] for a in range(5)] + [picks]
+    for batch in batches:
+        got = score(rows[batch])
+        for at, r in enumerate(batch):
+            for x, want in zip(got, alone[r]):
+                assert x[at].tobytes() == want[0].tobytes(), (what, list(batch), at)
+
+
 def test_a_ckw_r2_row_never_depends_on_its_partner_lane():
-    # ckw_r2 runs two rows in lockstep, one in each lane of its vectors: a
-    # row's residual and lambdas are those it gets alone, in either lane,
-    # beside any partner (a NaN row included), as an odd last row with an
-    # empty partner, and on either side of the 32-row block boundary
+    # ckw_r2 and terms run two rows in lockstep, one in each lane of their
+    # vectors: a row's outputs are those it gets alone, beside any partner (a
+    # NaN row included). terms keeps its rows' partners under a cut, so this
+    # is what keeps a scored row's bits: checked with no cut, a cut that
+    # skips every finite row and one that skips none and lowers least.
     for n in range(3, 9):
         rng = np.random.default_rng(230 + n)
         rows = rng.standard_normal((5, 2**n)) + 1j * rng.standard_normal((5, 2**n))
@@ -717,20 +732,21 @@ def test_a_ckw_r2_row_never_depends_on_its_partner_lane():
         rows[3, 3] = np.nan
         picks = rng.integers(0, 5, 35)
         for det in (_kernels.SEPARABLE_DET, np.inf, -np.inf):
-            alone = [_kernels._ckw_r2(row[None], n, n % 3, det) for row in rows]
-
-            def check(batch, picked):
-                out, lam = _kernels._ckw_r2(rows[batch], n, n % 3, det)
-                for at, r in enumerate(batch):
-                    assert out[at].tobytes() == alone[r][0][0].tobytes(), (n, det, picked, at)
-                    assert lam[at].tobytes() == alone[r][1][0].tobytes(), (n, det, picked, at)
-
-            for a in range(5):
-                for b in range(5):
-                    check([a, b], "pair")
-                check([a, (a + 1) % 5, (a + 3) % 5], "odd")
-            check(picks, "35 rows")
+            _check_partner_lanes(rows, picks, lambda batch: _kernels._ckw_r2(batch, n, n % 3, det), (n, det))
             assert np.isfinite(_kernels._ckw_r2(rows[[0, 3]], n, n % 3, det)[0][0]), (n, det)
+    # Haar, the Bell product (its a1b2 and a2b1 screened), a product state, a NaN row and an inf row
+    haar = _haar_blocks(232, 3).reshape(3, 16)
+    rows = np.vstack([haar[0], bell_product(), np.eye(16)[0], haar[1:]])
+    rows[3, 3], rows[4, 9] = np.nan, np.inf
+    picks = np.random.default_rng(233).integers(0, 5, 35)
+    for alpha in (2.0, 1.5):
+        for det in (_kernels.SEPARABLE_DET, np.inf, -np.inf):
+            for k in (1, 2, 4, 6):
+                for cut in ((None, (-np.inf, -np.inf), (np.inf, np.inf)) if k == 2 else (None,)):
+                    def score(batch):  # a fresh cut for each call, which lowers its least
+                        return (_kernels.terms_table(batch, (0, 1, 2, 3), alpha, k, det, cut and np.array(cut)),)
+
+                    _check_partner_lanes(rows, picks, score, (alpha, k, det, cut))
 
 
 def _kernel_outputs(kernels=_kernels):
@@ -811,13 +827,17 @@ def test_kernel_outputs_keep_the_bits_of_the_one_matrix_kernel():
 def test_c_source_compiles_without_warnings(tmp_path):
     # index arithmetic and fixed-size buffers are where a silent sign or size bug would hide;
     # the build's own flags, since some warnings (-Wmaybe-uninitialized on partly filled
-    # lane arrays) come only from the optimizer
-    command = _kernels._compiler() + list(_kernels._CFLAGS) + [
-        "-Wall", "-Wextra", "-Werror", "-c", "-o", str(tmp_path / "_svd4.o"), str(SRC / "_svd4.c"),
-    ]
-    done = subprocess.run(command, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert (tmp_path / "_svd4.o").stat().st_size > 0
+    # lane arrays) come only from the optimizer, and so depend on what it inlines: both the
+    # package's source and the plain build's, without FMA_CLONES, as plain_kernels builds it
+    source = (SRC / "_svd4.c").read_text()
+    for build, text in (("fma", source), ("plain", source.replace(FMA_CLONES, ""))):
+        (tmp_path / f"{build}.c").write_text(text)
+        command = _kernels._compiler() + list(_kernels._CFLAGS) + [
+            "-Wall", "-Wextra", "-Werror", "-c", "-o", str(tmp_path / f"{build}.o"), str(tmp_path / f"{build}.c"),
+        ]
+        done = subprocess.run(command, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (build, done.stderr)
+        assert (tmp_path / f"{build}.o").stat().st_size > 0, build
 
 
 def test_build_failure_names_the_command_and_its_stderr(tmp_path, monkeypatch):

@@ -20,6 +20,8 @@ NUMPY = "2.4.6"  # the numpy the digests were taken with
 
 # a digest re-pinned is test data changed: CHANGES.md says which moved and why
 GOLDEN = {
+    "scan 1 stdout": "2de04acdf573bec7",
+    "scan 1 document": "156454456845a8da",
     "scan 1.5 stdout": "018ae2678e8f364f",
     "scan 1.5 document": "ccc30a0b4f3b8903",
     "scan 2 stdout": "fc25a5b8fcc77312",
@@ -64,13 +66,13 @@ def _check(got: dict) -> None:
 
 
 def _scan_and_verify(capsys, monkeypatch, workers) -> dict:
-    """Digests of the scans at alpha 1.5, 2 and 3, at each worker count, and
+    """Digests of the scans at alpha 1, 1.5, 2 and 3, at each worker count, and
     of the 3..8-qubit R2 verifier; a scan's outputs do not depend on the
     worker count, so each count must give the same digests."""
     got = {}
     for count in workers:
         monkeypatch.setenv("SSMONO_WORKERS", str(count))
-        for alpha in ("1.5", "2", "3"):
+        for alpha in ("1", "1.5", "2", "3"):
             stdout = _run(capsys, "scan", "--n", "20000", "--alpha", alpha, "--out", "scan.json")
             for name, digest in ((f"scan {alpha} stdout", _digest(stdout)),
                                  (f"scan {alpha} document", _digest(_undated("scan.json")))):
